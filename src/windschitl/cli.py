@@ -15,7 +15,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from .formulas import FormulaId, approximate, log_error, w2_log_gap, w2star_log_gap
+from .formulas import FormulaId, log_error, w2_log_gap, w2star_log_gap
 from .precision import DomainError, OracleConfig, PrecisionError, exp, format_sci
 from .report import (
     DEFAULT_ABSCISSAS,
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _dispatch(args)
-    except (DomainError, PrecisionError, ValueError, ZeroDivisionError) as e:
+    except (DomainError, OverflowError, PrecisionError, ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -166,7 +166,7 @@ def _dispatch(args) -> int:
     if args.command == "eval":
         cfg = OracleConfig.for_digits(args.digits)
         record = log_error(args.formula, args.x, cfg)
-        value = approximate(args.formula, record.x)
+        value = exp(record.log_value)
         print(f"formula        = {args.formula.value}", file=out)
         print(f"target         = {args.formula.target.value}", file=out)
         print(f"x              = {args.x}", file=out)

@@ -13,7 +13,6 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -42,24 +41,46 @@ def _rat(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _bernoulli_lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_cache: list[Fraction] = []
+
+
+def _bernoulli_table(m: int) -> list[Fraction]:
+    """B_0 .. B_(2m+1), the even indices from the tangent numbers T_1 .. T_m.
+
+    Brent and Harvey, "Fast computation of Bernoulli, tangent and secant
+    numbers" (2011): integer recurrences give T_k, and
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) exactly.
+    """
+    t = [0, 1] + [0] * (m - 1)  # t[k] = T_k
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, m + 1):
+        four_k = 1 << (2 * k)
+        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+        table += (b if k % 2 else -b, Fraction(0))
+    return table
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, convention B_1 = -1/2.
 
-    Computed from the recursion sum_{k=0}^{n} C(n+1, k) B_k = 0 with
-    B_0 = 1.  All values up to ``n`` are cached; the cache is guarded so
-    concurrent callers always observe the same values.
+    Computed exactly from integer tangent numbers.  One pass yields every
+    index up to its limit and cannot be extended, so a cache miss at least
+    doubles the cached range; a caller that needs many indices should ask
+    for the largest first.  The cache is guarded so concurrent callers
+    always observe the same values.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if n >= len(_bernoulli_cache):
         with _bernoulli_lock:
-            while len(_bernoulli_cache) <= n:
-                m = len(_bernoulli_cache)
-                acc = sum(comb(m + 1, k) * _bernoulli_cache[k] for k in range(m))
-                _bernoulli_cache.append(-acc / (m + 1))
+            size = len(_bernoulli_cache)
+            if n >= size:
+                _bernoulli_cache.extend(_bernoulli_table(max(n, 2 * size) // 2)[size:])
     return _bernoulli_cache[n]
 
 

@@ -181,32 +181,40 @@ def approximate(formula: FormulaId, x: PrecisionReal) -> PrecisionReal:
 class LogErrorValue:
     """Error of one formula at one abscissa against the reference oracle.
 
-    ``log_gap`` is ln(true value) - ln(approximation); ``relative_error``
-    is |approximation - true| / true = |exp(-log_gap) - 1|, derived from
-    the same evaluation.
+    ``log_value`` is ln F(x) at the precision of ``x``; ``log_gap`` is
+    ln(true value) - ln(approximation); ``relative_error`` is
+    |approximation - true| / true = |exp(-log_gap) - 1|, derived from the
+    same evaluation.
     """
 
     x: PrecisionReal
     formula: FormulaId
+    log_value: PrecisionReal
     log_gap: PrecisionReal
     relative_error: PrecisionReal
 
 
-def _log_gap(formula: FormulaId, x, cfg: OracleConfig | None) -> PrecisionReal:
-    """ln(target gamma value) - ln F(x), the one route to every log gap."""
+def _log_gap(
+    formula: FormulaId, x, cfg: OracleConfig | None
+) -> tuple[PrecisionReal, PrecisionReal]:
+    """(ln(target gamma value) - ln F(x), ln F(x)): the one route to every log gap."""
     cfg = cfg or default_config()
     x = working_argument(x, cfg)
     shift = Fraction(1) if formula.target is Target.GAMMA_X_PLUS_1 else Fraction(1, 2)
-    return ln_gamma_ref(x + shift, cfg) - log_approximate(formula, x)
+    target = ln_gamma_ref(x + shift, cfg)
+    log_value = log_approximate(formula, x)
+    return target - log_value, log_value
 
 
 def log_error(formula: FormulaId, x, cfg: OracleConfig | None = None) -> LogErrorValue:
     """Evaluate a formula against its target gamma value at oracle accuracy."""
     cfg = cfg or default_config()
     x = working_argument(x, cfg)
-    gap = _log_gap(formula, x, cfg)
+    gap, log_value = _log_gap(formula, x, cfg)
     rel = abs(exp(-gap) - 1)
-    return LogErrorValue(x=x, formula=formula, log_gap=gap, relative_error=rel)
+    return LogErrorValue(
+        x=x, formula=formula, log_value=log_value, log_gap=gap, relative_error=rel
+    )
 
 
 def w2_log_gap(x, cfg: OracleConfig | None = None) -> PrecisionReal:
@@ -215,12 +223,12 @@ def w2_log_gap(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     Strictly decreasing and convex on (1, oo), falling from its value at
     x = 1 (about 2.4066e-5) to 0; positive, so the formula underestimates.
     """
-    return _log_gap(FormulaId.W2, x, cfg)
+    return _log_gap(FormulaId.W2, x, cfg)[0]
 
 
 def w2star_log_gap(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     """ln Gamma(x+1) - ln W2*(x), for the linear-corrected variant."""
-    return _log_gap(FormulaId.W2STAR, x, cfg)
+    return _log_gap(FormulaId.W2STAR, x, cfg)[0]
 
 
 def log1p_defect(y: PrecisionReal) -> PrecisionReal:

@@ -430,6 +430,9 @@ def _validate_series(threshold: int, terms: int, target_digits: int) -> None:
     """
     t_sq = threshold * threshold
     budget = Fraction(1, 10 ** (target_digits + 5))
+    n1 = terms + 1
+    # the largest index first, so one Bernoulli pass fills the cache
+    b_next = abs(bernoulli(2 * n1))
     for j in range(1, terms + 1):
         # the raw Bernoulli ratio dominates the log-gamma term ratio, so one
         # decrease check covers both series
@@ -438,8 +441,6 @@ def _validate_series(threshold: int, terms: int, target_digits: int) -> None:
                 f"asymptotic terms stop decreasing at index {j + 1} for "
                 f"threshold {threshold}; raise the threshold or lower series_terms"
             )
-    n1 = terms + 1
-    b_next = abs(bernoulli(2 * n1))
     lngamma_omitted = Fraction(b_next, (2 * n1) * (2 * n1 - 1)) / threshold ** (2 * n1 - 1)
     trigamma_omitted = Fraction(b_next) / threshold ** (2 * n1 + 1)
     if lngamma_omitted >= budget or trigamma_omitted >= budget:

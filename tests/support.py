@@ -3,7 +3,9 @@
 The brute-force sign profile here deliberately avoids the logic of
 ``sign_criterion``: it scans a dense grid of exact rational points below
 a root bound, demands a single minus-to-plus transition, and bisects
-only the grid cell where the flip happened.
+only the grid cell where the flip happened.  ``bernoulli_recursion`` is
+the classical recursion, an oracle independent of the tangent numbers
+behind ``bernoulli``.
 """
 
 from __future__ import annotations
@@ -11,10 +13,26 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import comb
 
 from windschitl import Polynomial, SignKind, sign_criterion
 
 BRACKET_WIDTH = Fraction(1, 2**32)
+
+_RECURSION_VALUES = [Fraction(1)]
+
+
+def bernoulli_recursion(n: int) -> Fraction:
+    """B_n from the recursion sum_{k=0}^{n} C(n+1, k) B_k = 0 with B_0 = 1.
+
+    O(n^2) ``Fraction`` operations; every value up to ``n`` is memoised,
+    so ascending calls each pay only for the new indices.
+    """
+    while len(_RECURSION_VALUES) <= n:
+        m = len(_RECURSION_VALUES)
+        acc = sum(comb(m + 1, k) * _RECURSION_VALUES[k] for k in range(m))
+        _RECURSION_VALUES.append(-acc / (m + 1))
+    return _RECURSION_VALUES[n]
 
 
 def random_shaped_polynomial(rng: random.Random) -> tuple[Polynomial, int]:

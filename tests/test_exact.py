@@ -14,7 +14,12 @@ from windschitl import (
     bernoulli,
     sign_criterion,
 )
-from support import assert_sign_criterion_matches_brute_force, brute_force_sign_profile
+from windschitl import exact
+from support import (
+    assert_sign_criterion_matches_brute_force,
+    bernoulli_recursion,
+    brute_force_sign_profile,
+)
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
@@ -41,6 +46,50 @@ def test_bernoulli_convention():
 @pytest.mark.parametrize("n", range(25))
 def test_bernoulli_matches_double_sum_oracle(n):
     assert bernoulli(n) == bernoulli_double_sum(n)
+
+
+def test_bernoulli_matches_the_recursion_through_200():
+    for n in range(201):
+        assert bernoulli(n) == bernoulli_recursion(n), n
+
+
+def test_bernoulli_cache_grows_once_then_serves_smaller_indices(monkeypatch):
+    monkeypatch.setattr(exact, "_bernoulli_cache", [])
+    assert bernoulli(300) == bernoulli_recursion(300)
+    filled = len(exact._bernoulli_cache)
+    assert filled > 300
+    assert bernoulli(120) == bernoulli_recursion(120)
+    assert len(exact._bernoulli_cache) == filled
+
+
+def test_bernoulli_cache_growth_under_thread_contention(monkeypatch):
+    import sys
+    import threading
+
+    monkeypatch.setattr(exact, "_bernoulli_cache", [])
+    orders = [(40, 200, 10, 120), (200, 3, 120, 41), (1, 121, 60, 199)] * 4
+    results = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = [bernoulli(n) for n in orders[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for order, values in zip(orders, results):
+        assert values == [bernoulli_recursion(n) for n in order]
+    cache = exact._bernoulli_cache
+    assert cache == [bernoulli_recursion(n) for n in range(len(cache))]
 
 
 def test_bernoulli_cross_checked_by_csch_coefficients():

@@ -21,6 +21,7 @@ from windschitl import (
     tanh,
     trigamma_ref,
 )
+from windschitl.precision import _validate_series
 
 CFG50 = OracleConfig.for_digits(50)
 TOL50 = Fraction(1, 10**50)
@@ -273,6 +274,12 @@ def test_config_presets_scale_with_digits():
         assert cfg.precision_bits > 3.3 * digits
         # the preset must satisfy its own series guard
         ln_gamma_ref(1, cfg)
+
+
+@pytest.mark.parametrize("digits", [300, 500, 1000])
+def test_presets_above_200_digits_pass_the_series_guard(digits):
+    cfg = OracleConfig.for_digits(digits)
+    _validate_series(cfg.shift_threshold, cfg.series_terms, cfg.target_decimal_digits)
 
 
 def test_tiny_digit_targets_respect_the_precision_floor():

@@ -170,8 +170,14 @@ def test_markdown_grid_shape_and_values():
 # ---------------------------------------------------------------------------
 
 
-def test_eval_subcommand(capsys):
+def test_eval_subcommand(capsys, monkeypatch):
+    import windschitl.formulas as formulas
+
+    evaluate = formulas.log_approximate
+    calls = []
+    monkeypatch.setattr(formulas, "log_approximate", lambda *a: calls.append(a) or evaluate(*a))
     assert main(["eval", "w2", "1", "--digits", "30"]) == 0
+    assert len(calls) == 1  # the printed value reuses the log gap's evaluation
     out = capsys.readouterr().out
     assert "relative_error = 2.40660E-5" in out
     assert "target         = gamma(x+1)" in out
@@ -249,6 +255,18 @@ def test_usage_errors_exit_two(capsys):
     assert main(["table", "--format", "html"]) == 2
     assert main(["eval", "nosuch", "1"]) == 2
     assert main(["verify", "--grid", "1:2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--digits", "5"], ["eval", "w2", "1e-30"]],
+    ids=["verify-too-few-digits", "eval-overflowing-value"],
+)
+def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_grid_option_controls_monotone_checks(capsys):

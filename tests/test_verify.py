@@ -37,9 +37,15 @@ SMALL_GRID = tuple(Fraction(k) for k in range(1, 11))
 # ---------------------------------------------------------------------------
 
 
-def test_trigamma_bound_passes():
+def test_trigamma_bound_passes(monkeypatch):
+    import windschitl.verify as verify
+
+    oracle = verify.trigamma_ref
+    calls = []
+    monkeypatch.setattr(verify, "trigamma_ref", lambda *a: calls.append(a) or oracle(*a))
     report = verify_trigamma_bound(CFG)
     assert report.passed
+    assert len(calls) == 32  # 30 grid points, psi'(3/2) once, psi'(103/2)
     assert report.tolerance_used == Fraction(1, 10**40)
     assert any("telescoping" in w.description for w in report.witnesses)
 
