@@ -27,6 +27,7 @@ from .report import (
 )
 from .verify import (
     RATE_DECAY_LIMIT,
+    _linear_grid,
     check_goldens,
     estimate_rate_constant,
     report_lines,
@@ -48,7 +49,7 @@ def _parse_number(text: str) -> Fraction:
             value = Fraction(text)
         else:
             value = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError, ZeroDivisionError) as e:
+    except (InvalidOperation, OverflowError, ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from e
     return value
 
@@ -81,10 +82,10 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError("grid COUNT must be an integer")
     if count < 3 or hi <= lo:
         raise argparse.ArgumentTypeError("grid needs COUNT >= 3 and STOP > START")
-    return tuple(lo + (hi - lo) * Fraction(i, count - 1) for i in range(count))
+    return _linear_grid(lo, hi, count)
 
 
-DEFAULT_VERIFY_GRID = tuple(Fraction(1) + Fraction(i, 2) for i in range(99))  # 1..50
+DEFAULT_VERIFY_GRID = _linear_grid(Fraction(1), Fraction(50), 99)
 
 _CHECK_BUILDERS = {
     "trigamma-bound": lambda cfg, grid: verify_trigamma_bound(cfg),
@@ -180,11 +181,9 @@ def _dispatch(args) -> int:
             abscissas=args.x if args.x else DEFAULT_ABSCISSAS,
             formulas=args.formulas if args.formulas else DEFAULT_FORMULAS,
             precision_digits=args.digits,
-            format=args.format,
         )
-        records = build_table(spec)
-        text = render_csv(spec, records) if spec.format == "csv" else render_markdown(spec, records)
-        out.write(text)
+        render = render_csv if args.format == "csv" else render_markdown
+        out.write(render(spec, build_table(spec)))
         return 0
 
     if args.command == "verify":

@@ -13,6 +13,7 @@ remainder is bounded in magnitude by the first omitted term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -336,49 +337,39 @@ def round_decimal(value, places: int) -> Decimal:
 # Oracle configuration
 # ---------------------------------------------------------------------------
 
-# (max target digits, shift threshold, series terms): chosen offline so that
-# the first omitted series term at the threshold is below 10^-(digits+5) for
-# both the log-gamma and trigamma series; validated exactly on first use.
-_CONFIG_BANDS = (
-    (25, 15, 20),
-    (50, 25, 40),
-    (60, 30, 45),
-    (100, 45, 75),
-    (120, 55, 90),
-    (200, 82, 170),
-)
-
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Accuracy contract for the reference oracles.
+    """Accuracy contract for the reference oracles: one number, the digits.
 
-    ``target_decimal_digits`` is the delivered accuracy; arithmetic runs
-    with ``guard_digits`` extra digits.  Arguments below
+    Arithmetic runs with ``guard_digits`` extra digits.  Arguments below
     ``shift_threshold`` are shifted upward by the functional equation
     before the ``series_terms``-term asymptotic series is applied.
     """
 
     target_decimal_digits: int
-    shift_threshold: int
-    series_terms: int
 
     def __post_init__(self):
         if self.target_decimal_digits <= 0:
             raise ValueError("target_decimal_digits must be positive")
-        if self.shift_threshold <= 0:
-            raise ValueError("shift_threshold must be positive")
-        if self.series_terms <= 0:
-            raise ValueError("series_terms must be positive")
 
     @classmethod
     def for_digits(cls, digits: int) -> OracleConfig:
-        """Preset shift threshold and term count for a target accuracy."""
-        for bound, threshold, terms in _CONFIG_BANDS:
-            if digits <= bound:
-                return cls(digits, threshold, terms)
-        threshold = int(0.46 * (digits + 10)) + 1
-        return cls(digits, threshold, int(2.1 * threshold) + 1)
+        """The oracle configuration for a target accuracy."""
+        return cls(digits)
+
+    @property
+    def series_digits(self) -> int:
+        """D, the accuracy the series is sized for: at least what 64 bits carry."""
+        return max(self.target_decimal_digits, int(MIN_PRECISION_BITS / _LOG2_10))
+
+    @property
+    def shift_threshold(self) -> int:
+        return (2 * self.series_digits + 29) // 5  # ceil(0.4 D + 5)
+
+    @property
+    def series_terms(self) -> int:
+        return _series_terms(self.shift_threshold, self.series_digits)
 
     @property
     def guard_digits(self) -> int:
@@ -451,6 +442,24 @@ def _validate_series(threshold: int, terms: int, target_digits: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _series_terms(threshold: int, target_digits: int) -> int:
+    """Fewest terms whose first omitted term at the threshold is below
+    10^-(target+5) in both series, estimated in floats with |B_2j| <=
+    2 zeta(2) (2j)! / (2 pi)^(2j) (so never too few), then certified exactly."""
+    ln_budget, ln_t = -(target_digits + 5) * math.log(10), math.log(threshold)
+    terms = 1
+    while True:
+        m = 2 * (terms + 1)  # index of the first omitted Bernoulli number
+        ln_b = math.log(math.pi**2 / 3) + math.lgamma(m + 1) - m * math.log(2 * math.pi)
+        divisors = (math.log(m * (m - 1)) + (m - 1) * ln_t, (m + 1) * ln_t)  # lngamma, trigamma
+        if ln_b - min(divisors) < ln_budget:
+            break
+        terms += 1
+    _validate_series(threshold, terms, target_digits)
+    return terms
+
+
+@lru_cache(maxsize=None)
 def _lngamma_series_coeffs(terms: int) -> tuple[Fraction, ...]:
     return tuple(
         bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, terms + 1)
@@ -480,11 +489,10 @@ def ln_gamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     Shifts upward with ln Gamma(x+1) = ln Gamma(x) + ln x until the
     argument reaches cfg.shift_threshold, then applies
     (y-1/2) ln y - y + ln sqrt(2 pi) + sum_j B_2j / (2j(2j-1) y^(2j-1)).
-    The series guard in the configuration bounds the truncation remainder
-    by the first omitted term, below the target accuracy.
+    The configuration's certified term count bounds the truncation
+    remainder by the first omitted term, below the target accuracy.
     """
     cfg = cfg or default_config()
-    _validate_series(cfg.shift_threshold, cfg.series_terms, cfg.target_decimal_digits)
     x = working_argument(x, cfg)
     prec = x.prec
     if x.sign <= 0:
@@ -511,7 +519,6 @@ def trigamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     guarantee as :func:`ln_gamma_ref`.
     """
     cfg = cfg or default_config()
-    _validate_series(cfg.shift_threshold, cfg.series_terms, cfg.target_decimal_digits)
     x = working_argument(x, cfg)
     prec = x.prec
     if x.sign <= 0:

@@ -37,7 +37,6 @@ class TableSpec:
     abscissas: tuple[Fraction, ...] = DEFAULT_ABSCISSAS
     formulas: tuple[FormulaId, ...] = DEFAULT_FORMULAS
     precision_digits: int = 50
-    format: str = "csv"
 
     def __post_init__(self):
         if not self.formulas:
@@ -50,8 +49,6 @@ class TableSpec:
             raise ValueError("abscissas must be strictly increasing")
         if self.precision_digits <= 0:
             raise ValueError("precision_digits must be positive")
-        if self.format not in ("csv", "markdown"):
-            raise ValueError("format must be 'csv' or 'markdown'")
 
     @property
     def config(self) -> OracleConfig:

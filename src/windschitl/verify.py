@@ -26,7 +26,7 @@ from .exact import (
 )
 from .formulas import (
     FormulaId,
-    log_approximate,
+    _log_gap,
     log_error,
     w2_log_gap,
     w2star_log_gap,
@@ -40,7 +40,7 @@ from .precision import (
     exp,
     format_sci,
     ln,
-    ln_gamma_ref,
+    ln_gamma_ref,  # noqa: F401 - unused here; perfbench/tests/test_tracing.py checks this binding
     pi,
     round_decimal,
     sinh,
@@ -176,8 +176,8 @@ def _log_grid(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
     ]
 
 
-def _linear_grid(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
-    return [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
+def _linear_grid(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, ...]:
+    return tuple(lo + (hi - lo) * Fraction(i, n - 1) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +699,7 @@ def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> V
 
     # factorial sandwiches, n = 1..n_max
     for n in range(1, n_max + 1):
-        xv = PrecisionReal(n, prec)
-        gap0 = ln_gamma_ref(n + 1, cfg) - log_approximate(FormulaId.W0, xv)
+        gap0 = _log_gap(FormulaId.W0, n, cfg)[0]
         y = Fraction(7, 324 * n**3 * (35 * n**2 + 33))
         gap_w2 = gap0 - y
         c.expect(
@@ -887,8 +886,7 @@ def estimate_rate_constant(
     odd powers of 1/x, so the scaled gap is a series in x^-2).
     """
     cfg = cfg or OracleConfig.for_digits(60)
-    gap_fn = _GAP_FUNCTIONS.get(formula.value)
-    if gap_fn is None:
+    if formula.value not in _GAP_FUNCTIONS:
         raise ValueError("rate estimation applies to w2 and w2star only")
     points = [Fraction(x) for x in xs]
     if not points:
@@ -900,11 +898,10 @@ def estimate_rate_constant(
 
     scaled = []
     for x in points:
-        gap = gap_fn(x, cfg)
-        # the gap must stand ten significant digits above the oracle noise
-        noise = cfg.tolerance * max(
-            Fraction(1), abs(ln_gamma_ref(x + 1, cfg).to_fraction())
-        )
+        gap, log_value = _log_gap(formula, x, cfg)
+        # the gap must stand ten significant digits above the oracle noise,
+        # which scales with ln Gamma(x+1) = gap + ln F(x)
+        noise = cfg.tolerance * max(Fraction(1), abs((gap + log_value).to_fraction()))
         if abs(gap) <= noise * 10**10:
             raise PrecisionError(
                 f"log gap at x = {x} is below the resolvable floor at "

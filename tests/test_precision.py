@@ -259,11 +259,9 @@ def test_trigamma_rejects_nonpositive():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OracleConfig(0, 25, 40)
+        OracleConfig(0)
     with pytest.raises(ValueError):
-        OracleConfig(50, 0, 40)
-    with pytest.raises(ValueError):
-        OracleConfig(50, 25, 0)
+        OracleConfig.for_digits(-3)
 
 
 def test_config_presets_scale_with_digits():
@@ -272,14 +270,34 @@ def test_config_presets_scale_with_digits():
         assert cfg.target_decimal_digits == digits
         assert cfg.guard_digits >= 10
         assert cfg.precision_bits > 3.3 * digits
-        # the preset must satisfy its own series guard
+        # the derived configuration must satisfy the series guard
         ln_gamma_ref(1, cfg)
+
+
+def test_shift_threshold_is_derived_from_the_digits():
+    # ceil(0.4 D + 5), with D at least the 19 digits that 64 bits carry
+    expected = {1: 13, 19: 13, 20: 13, 25: 15, 50: 25, 100: 45, 200: 85, 500: 205, 1000: 405}
+    for digits, threshold in expected.items():
+        assert OracleConfig.for_digits(digits).shift_threshold == threshold
 
 
 @pytest.mark.parametrize("digits", [300, 500, 1000])
 def test_presets_above_200_digits_pass_the_series_guard(digits):
     cfg = OracleConfig.for_digits(digits)
     _validate_series(cfg.shift_threshold, cfg.series_terms, cfg.target_decimal_digits)
+
+
+def test_derived_configs_pass_the_series_guard_and_are_tight():
+    for digits in [*range(1, 301), 500, 1000]:
+        cfg = OracleConfig.for_digits(digits)
+        floor = max(digits, 19)  # the digits 64 bits carry
+        assert cfg.series_digits == floor
+        threshold, terms = cfg.shift_threshold, cfg.series_terms
+        assert isinstance(threshold, int)
+        _validate_series(threshold, terms, floor)
+        # at most one spare term: two fewer no longer meet the target
+        with pytest.raises(PrecisionError):
+            _validate_series(threshold, terms - 2, floor)
 
 
 def test_tiny_digit_targets_respect_the_precision_floor():
@@ -289,15 +307,13 @@ def test_tiny_digit_targets_respect_the_precision_floor():
 
 
 def test_series_guard_rejects_low_threshold():
-    bad = OracleConfig(50, 2, 40)  # series cannot reach 55 digits at y = 2
     with pytest.raises(PrecisionError):
-        ln_gamma_ref(5, bad)
+        _validate_series(2, 40, 50)  # series cannot reach 55 digits at y = 2
 
 
 def test_series_guard_rejects_nondecreasing_terms():
-    bad = OracleConfig(50, 25, 200)  # terms grow again past the minimum
     with pytest.raises(PrecisionError):
-        trigamma_ref(5, bad)
+        _validate_series(25, 200, 50)  # terms grow again past the minimum
 
 
 # ---------------------------------------------------------------------------

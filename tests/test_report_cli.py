@@ -43,8 +43,6 @@ def test_spec_validation():
         TableSpec(formulas=())
     with pytest.raises(ValueError):
         TableSpec(precision_digits=0)
-    with pytest.raises(ValueError):
-        TableSpec(format="html")
 
 
 def test_build_table_cells():
@@ -150,7 +148,7 @@ def test_csv_schema_and_roundtrip():
 
 
 def test_markdown_grid_shape_and_values():
-    spec = TableSpec(format="markdown")
+    spec = TableSpec()
     text = render_markdown(spec, build_table(spec))
     lines = text.strip().split("\n")
     assert lines[0] == "| x | nemes2 | chen | w1 | w2 |"
@@ -255,6 +253,11 @@ def test_usage_errors_exit_two(capsys):
     assert main(["table", "--format", "html"]) == 2
     assert main(["eval", "nosuch", "1"]) == 2
     assert main(["verify", "--grid", "1:2"]) == 2
+    # an infinite number is "not a number" to argparse, not a traceback
+    assert main(["eval", "w2", "inf"]) == 2
+    assert main(["table", "--x", "inf"]) == 2
+    assert main(["verify", "--grid", "1:inf:3"]) == 2
+    assert capsys.readouterr().err.count("not a number: 'inf'") == 3
 
 
 @pytest.mark.parametrize(
@@ -267,6 +270,13 @@ def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_verify_grids_follow_the_linear_grid_rule():
+    from windschitl import cli
+
+    assert cli.DEFAULT_VERIFY_GRID == tuple(1 + Fraction(i, 2) for i in range(99))  # 1..50
+    assert cli._parse_grid("1:6:6") == tuple(Fraction(k) for k in range(1, 7))
 
 
 def test_grid_option_controls_monotone_checks(capsys):

@@ -153,6 +153,24 @@ def test_rate_constant_both_formulas():
         assert rich_dev < budget
 
 
+def test_rate_makes_one_oracle_call_per_abscissa(monkeypatch):
+    import windschitl.formulas as formulas
+    import windschitl.verify as verify
+
+    oracle = formulas.ln_gamma_ref
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    # the noise floor reuses ln Gamma(x+1) from the gap instead of asking again
+    monkeypatch.setattr(formulas, "ln_gamma_ref", counting)
+    monkeypatch.setattr(verify, "ln_gamma_ref", counting)
+    estimate_rate_constant((Fraction(100), Fraction(1000)), FormulaId.W2, OracleConfig.for_digits(60))
+    assert len(calls) == 2
+
+
 def test_scaled_gap_at_ten_frozen_value():
     # next-order effects keep x = 10 visibly away from the limit: the scaled
     # gap measures 2.7849352e-4, a 4.60 % deficit against 869/2976750
