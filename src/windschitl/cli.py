@@ -168,12 +168,17 @@ def _dispatch(args) -> int:
         cfg = OracleConfig.for_digits(args.digits)
         record = log_error(args.formula, args.x, cfg)
         value = exp(record.log_value)
-        print(f"formula        = {args.formula.value}", file=out)
-        print(f"target         = {args.formula.target.value}", file=out)
-        print(f"x              = {args.x}", file=out)
-        print(f"value          = {value.to_decimal_string(args.digits)}", file=out)
-        print(f"relative_error = {format_sci(record.relative_error, 6)}", file=out)
-        print(f"log_gap        = {format_sci(record.log_gap, 6)}", file=out)
+        # every line is formatted before any is printed, so a value that
+        # cannot be rendered leaves stdout empty
+        lines = [
+            f"formula        = {args.formula.value}",
+            f"target         = {args.formula.target.value}",
+            f"x              = {args.x}",
+            f"value          = {value.to_decimal_string(args.digits)}",
+            f"relative_error = {format_sci(record.relative_error, 6)}",
+            f"log_gap        = {format_sci(record.log_gap, 6)}",
+        ]
+        print("\n".join(lines), file=out)
         return 0
 
     if args.command == "table":
@@ -221,6 +226,8 @@ def _dispatch(args) -> int:
 
     if args.command == "constants":
         digits = args.digits
+        if digits <= 0:
+            raise ValueError(f"--digits must be positive, got {digits}")
         cfg = OracleConfig.for_digits(max(digits + 10, 30))
         beta = w2_log_gap(1, cfg)
         beta_star = w2star_log_gap(1, cfg)

@@ -460,22 +460,41 @@ def _series_terms(threshold: int, target_digits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lngamma_series_coeffs(terms: int) -> tuple[Fraction, ...]:
-    return tuple(
-        bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, terms + 1)
-    )
+def _lngamma_series_coeffs(terms: int, prec: int) -> tuple[tuple, ...]:
+    """B_2j / (2j(2j-1)) for j = terms..1, rounded once to ``prec`` bits."""
+    coeffs = (bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(terms, 0, -1))
+    return tuple(libmp.from_rational(c.numerator, c.denominator, prec, _RND) for c in coeffs)
 
 
 @lru_cache(maxsize=None)
-def _trigamma_series_coeffs(terms: int) -> tuple[Fraction, ...]:
-    return tuple(bernoulli(2 * j) for j in range(1, terms + 1))
+def _trigamma_series_coeffs(terms: int, prec: int) -> tuple[tuple, ...]:
+    """B_2j for j = terms..1, rounded once to ``prec`` bits."""
+    coeffs = (bernoulli(2 * j) for j in range(terms, 0, -1))
+    return tuple(libmp.from_rational(c.numerator, c.denominator, prec, _RND) for c in coeffs)
 
 
-def _horner(coeffs: tuple[Fraction, ...], u: PrecisionReal, prec: int) -> PrecisionReal:
-    acc = PrecisionReal(0, prec)
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc
+def _horner(coeffs: tuple[tuple, ...], u: PrecisionReal, prec: int) -> PrecisionReal:
+    """sum_j c_j u^(j-1) from raw coefficients given highest index first."""
+    mpf_add, mpf_mul, ur = libmp.mpf_add, libmp.mpf_mul, u.raw
+    acc = libmp.fzero
+    for c in coeffs:
+        acc = mpf_add(mpf_mul(acc, ur, prec, _RND), c, prec, _RND)
+    return PrecisionReal._wrap(acc, prec)
+
+
+def _shift(x: PrecisionReal, threshold: int, term) -> tuple[PrecisionReal, PrecisionReal]:
+    """The oracles' upward shift: while y < threshold, add term(y) and step y + 1.
+
+    Runs on raw values with every step rounded to nearest at ``x.prec``,
+    as PrecisionReal arithmetic would; returns (y, the sum of the terms).
+    """
+    prec, mpf_add, fone = x.prec, libmp.mpf_add, libmp.fone
+    stop = libmp.from_int(threshold)
+    y, total = x.raw, libmp.fzero
+    while libmp.mpf_cmp(y, stop) < 0:
+        total = mpf_add(total, term(y), prec, _RND)
+        y = mpf_add(y, fone, prec, _RND)
+    return PrecisionReal._wrap(y, prec), PrecisionReal._wrap(total, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +517,11 @@ def ln_gamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     if x.sign <= 0:
         raise DomainError("ln_gamma_ref needs x > 0")
 
-    shifted_ln = PrecisionReal(0, prec)
-    y = x
-    while y < cfg.shift_threshold:
-        shifted_ln = shifted_ln + ln(y)
-        y = y + 1
-
+    y, shifted_ln = _shift(x, cfg.shift_threshold, lambda v: libmp.mpf_log(v, prec, _RND))
     lny = ln(y)
     stirling = (y - Fraction(1, 2)) * lny - y + ln_sqrt_two_pi(prec)
     u = 1 / (y * y)
-    stirling = stirling + _horner(_lngamma_series_coeffs(cfg.series_terms), u, prec) / y
+    stirling = stirling + _horner(_lngamma_series_coeffs(cfg.series_terms, prec), u, prec) / y
     return stirling - shifted_ln
 
 
@@ -524,12 +538,11 @@ def trigamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     if x.sign <= 0:
         raise DomainError("trigamma_ref needs x > 0")
 
-    shifted = PrecisionReal(0, prec)
-    y = x
-    while y < cfg.shift_threshold:
-        shifted = shifted + 1 / (y * y)
-        y = y + 1
-
+    y, shifted = _shift(
+        x,
+        cfg.shift_threshold,
+        lambda v: libmp.mpf_div(libmp.fone, libmp.mpf_mul(v, v, prec, _RND), prec, _RND),
+    )
     u = 1 / (y * y)
-    tail = _horner(_trigamma_series_coeffs(cfg.series_terms), u, prec) * u / y
+    tail = _horner(_trigamma_series_coeffs(cfg.series_terms, prec), u, prec) * u / y
     return 1 / y + u / 2 + tail + shifted

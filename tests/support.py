@@ -5,7 +5,11 @@ The brute-force sign profile here deliberately avoids the logic of
 a root bound, demands a single minus-to-plus transition, and bisects
 only the grid cell where the flip happened.  ``bernoulli_recursion`` is
 the classical recursion, an oracle independent of the tangent numbers
-behind ``bernoulli``.
+behind ``bernoulli``.  ``ln_gamma_per_step`` and ``trigamma_per_step`` are
+the reference oracles written in ``PrecisionReal`` arithmetic, one rounded
+operation per step with every ``Fraction`` coefficient absorbed where it
+is used; the raw-tuple kernels of ``precision`` must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,16 @@ import random
 from fractions import Fraction
 from math import comb
 
-from windschitl import Polynomial, SignKind, sign_criterion
+from windschitl import (
+    OracleConfig,
+    Polynomial,
+    PrecisionReal,
+    SignKind,
+    bernoulli,
+    ln,
+    sign_criterion,
+)
+from windschitl.precision import ln_sqrt_two_pi, working_argument
 
 BRACKET_WIDTH = Fraction(1, 2**32)
 
@@ -33,6 +46,53 @@ def bernoulli_recursion(n: int) -> Fraction:
         acc = sum(comb(m + 1, k) * _RECURSION_VALUES[k] for k in range(m))
         _RECURSION_VALUES.append(-acc / (m + 1))
     return _RECURSION_VALUES[n]
+
+
+def lngamma_series_fractions(terms: int) -> list[Fraction]:
+    """B_2j / (2j(2j-1)) for j = 1..terms, exact."""
+    return [bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(1, terms + 1)]
+
+
+def trigamma_series_fractions(terms: int) -> list[Fraction]:
+    """B_2j for j = 1..terms, exact."""
+    return [bernoulli(2 * j) for j in range(1, terms + 1)]
+
+
+def horner_per_step(coeffs: list[Fraction], u: PrecisionReal, prec: int) -> PrecisionReal:
+    """sum_j c_j u^(j-1), each Fraction coefficient rounded where it is added."""
+    acc = PrecisionReal(0, prec)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
+def ln_gamma_per_step(x, cfg: OracleConfig) -> PrecisionReal:
+    """``ln_gamma_ref`` in PrecisionReal arithmetic: shift, Stirling, Horner."""
+    x = working_argument(x, cfg)
+    prec = x.prec
+    shifted_ln = PrecisionReal(0, prec)
+    y = x
+    while y < cfg.shift_threshold:
+        shifted_ln = shifted_ln + ln(y)
+        y = y + 1
+    stirling = (y - Fraction(1, 2)) * ln(y) - y + ln_sqrt_two_pi(prec)
+    u = 1 / (y * y)
+    series = horner_per_step(lngamma_series_fractions(cfg.series_terms), u, prec)
+    return stirling + series / y - shifted_ln
+
+
+def trigamma_per_step(x, cfg: OracleConfig) -> PrecisionReal:
+    """``trigamma_ref`` in PrecisionReal arithmetic: shift, then the series."""
+    x = working_argument(x, cfg)
+    prec = x.prec
+    shifted = PrecisionReal(0, prec)
+    y = x
+    while y < cfg.shift_threshold:
+        shifted = shifted + 1 / (y * y)
+        y = y + 1
+    u = 1 / (y * y)
+    tail = horner_per_step(trigamma_series_fractions(cfg.series_terms), u, prec) * u / y
+    return 1 / y + u / 2 + tail + shifted
 
 
 def random_shaped_polynomial(rng: random.Random) -> tuple[Polynomial, int]:

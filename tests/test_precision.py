@@ -21,7 +21,21 @@ from windschitl import (
     tanh,
     trigamma_ref,
 )
-from windschitl.precision import _validate_series
+from windschitl.precision import (
+    _horner,
+    _lngamma_series_coeffs,
+    _trigamma_series_coeffs,
+    _validate_series,
+    working_argument,
+)
+
+from support import (
+    horner_per_step,
+    ln_gamma_per_step,
+    lngamma_series_fractions,
+    trigamma_per_step,
+    trigamma_series_fractions,
+)
 
 CFG50 = OracleConfig.for_digits(50)
 TOL50 = Fraction(1, 10**50)
@@ -250,6 +264,52 @@ def test_trigamma_precision_scaling():
 def test_trigamma_rejects_nonpositive():
     with pytest.raises(DomainError):
         trigamma_ref(0, CFG50)
+
+
+# ---------------------------------------------------------------------------
+# Raw-tuple kernels against per-step PrecisionReal arithmetic
+# ---------------------------------------------------------------------------
+
+KERNEL_ARGUMENTS = [
+    Fraction(1, 1000),
+    Fraction(1, 3),
+    1,
+    Fraction(3, 2),
+    7,
+    24,
+    Fraction(249, 10),
+    25,
+    1000,
+    10**12,
+    # a PrecisionReal keeps its own precision: below and far above the
+    # working bits, the second a separate coefficient cache key
+    PrecisionReal(Fraction(4, 3), 64),
+    PrecisionReal(Fraction(4, 3), 2000),
+]
+
+
+def same_bits(got: PrecisionReal, want: PrecisionReal) -> bool:
+    return (got.raw, got.prec) == (want.raw, want.prec)
+
+
+@pytest.mark.parametrize("digits", [19, 30, 50, 100, 200, 300])
+def test_oracle_kernels_are_bit_identical_to_per_step_arithmetic(digits):
+    cfg = OracleConfig.for_digits(digits)
+    terms = cfg.series_terms
+    for x in KERNEL_ARGUMENTS:
+        case = f"x = {x} at {digits} digits"
+        assert same_bits(ln_gamma_ref(x, cfg), ln_gamma_per_step(x, cfg)), case
+        assert same_bits(trigamma_ref(x, cfg), trigamma_per_step(x, cfg)), case
+        # The series adds a small correction, so an ulp of it rarely reaches
+        # the oracles' results: compare it on its own, past the threshold.
+        y = working_argument(x, cfg) + cfg.shift_threshold
+        prec = y.prec
+        u = 1 / (y * y)
+        for raw_coeffs, coeffs in (
+            (_lngamma_series_coeffs(terms, prec), lngamma_series_fractions(terms)),
+            (_trigamma_series_coeffs(terms, prec), trigamma_series_fractions(terms)),
+        ):
+            assert same_bits(_horner(raw_coeffs, u, prec), horner_per_step(coeffs, u, prec)), case
 
 
 # ---------------------------------------------------------------------------

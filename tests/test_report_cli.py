@@ -262,14 +262,27 @@ def test_usage_errors_exit_two(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "--digits", "5"], ["eval", "w2", "1e-30"]],
-    ids=["verify-too-few-digits", "eval-overflowing-value"],
+    [
+        ["verify", "--digits", "5"],
+        ["eval", "w2", "1e-30"],
+        ["eval", "w2", "1e-300"],
+        ["constants", "--digits", "0"],
+        ["constants", "--digits", "-5"],
+    ],
+    ids=[
+        "verify-too-few-digits",
+        "eval-overflowing-value",
+        "eval-unprintable-error",
+        "constants-zero-digits",
+        "constants-negative-digits",
+    ],
 )
 def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, argv):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_grids_follow_the_linear_grid_rule():
