@@ -175,7 +175,7 @@ def _dispatch(args) -> int:
             f"target         = {args.formula.target.value}",
             f"x              = {args.x}",
             f"value          = {value.to_decimal_string(args.digits)}",
-            f"relative_error = {format_sci(record.relative_error, 6)}",
+            f"relative_error = {record.format_relative_error(6)}",
             f"log_gap        = {format_sci(record.log_gap, 6)}",
         ]
         print("\n".join(lines), file=out)

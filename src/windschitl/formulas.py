@@ -28,6 +28,7 @@ from .precision import (
     tanh,
     DomainError,
     default_config,
+    format_sci,
     working_argument,
 )
 
@@ -192,6 +193,18 @@ class LogErrorValue:
     log_value: PrecisionReal
     log_gap: PrecisionReal
     relative_error: PrecisionReal
+
+    def format_relative_error(self, sig_digits: int) -> str:
+        """``format_sci`` of the relative error, or an OverflowError that names
+        the formula and the argument when its decimal exponent is too large
+        to print (exp(-log_gap) - 1 at an astronomically negative gap)."""
+        try:
+            return format_sci(self.relative_error, sig_digits)
+        except OverflowError:
+            raise OverflowError(
+                f"relative error of {self.formula.value} at x = {format_sci(self.x, 6)} "
+                f"cannot be printed: it is exp({format_sci(-self.log_gap, 6)}) - 1"
+            ) from None
 
 
 def _log_gap(

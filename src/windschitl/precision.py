@@ -295,8 +295,19 @@ def ln_sqrt_two_pi(prec: int) -> PrecisionReal:
 # ---------------------------------------------------------------------------
 
 
+# Decimal's default exponent range is +-999999, about 3.32e6 binary places;
+# beyond this a number cannot be printed, and its exact Fraction can take
+# gigabytes to build.
+_PRINTABLE_BITS = 3_000_000
+
+
 def _to_exact_fraction(value) -> Fraction:
     if isinstance(value, PrecisionReal):
+        _, _, exp, bc = value.raw
+        if abs(exp + bc) > _PRINTABLE_BITS:
+            raise OverflowError(
+                f"a number beyond 2^+-{_PRINTABLE_BITS} cannot be printed"
+            )
         return value.to_fraction()
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
@@ -459,42 +470,115 @@ def _series_terms(threshold: int, target_digits: int) -> int:
     return terms
 
 
-@lru_cache(maxsize=None)
-def _lngamma_series_coeffs(terms: int, prec: int) -> tuple[tuple, ...]:
-    """B_2j / (2j(2j-1)) for j = terms..1, rounded once to ``prec`` bits."""
-    coeffs = (bernoulli(2 * j) / (2 * j * (2 * j - 1)) for j in range(terms, 0, -1))
-    return tuple(libmp.from_rational(c.numerator, c.denominator, prec, _RND) for c in coeffs)
+# ---------------------------------------------------------------------------
+# Integer kernels of the oracles
+# ---------------------------------------------------------------------------
+
+
+def _fixed_bits(prec: int, count: int) -> int:
+    """Working bits of a kernel that truncates ``count`` times: prec + 2 bitlen(count) + 10."""
+    return prec + 2 * count.bit_length() + 10
 
 
 @lru_cache(maxsize=None)
-def _trigamma_series_coeffs(terms: int, prec: int) -> tuple[tuple, ...]:
-    """B_2j for j = terms..1, rounded once to ``prec`` bits."""
-    coeffs = (bernoulli(2 * j) for j in range(terms, 0, -1))
-    return tuple(libmp.from_rational(c.numerator, c.denominator, prec, _RND) for c in coeffs)
+def _series_fixed(series: str, terms: int, frac_bits: int) -> tuple[int, ...]:
+    """Stirling-series coefficients c_j, j = terms..1, as round(c_j 2^frac_bits):
+    c_j = B_2j / (2j(2j-1)) for "lngamma" and B_2j for "trigamma"."""
+    coeffs = []
+    for j in range(terms, 0, -1):
+        c = bernoulli(2 * j)
+        if series == "lngamma":
+            c /= 2 * j * (2 * j - 1)
+        coeffs.append(((c.numerator << (frac_bits + 1)) + c.denominator) // (2 * c.denominator))
+    return tuple(coeffs)
 
 
-def _horner(coeffs: tuple[tuple, ...], u: PrecisionReal, prec: int) -> PrecisionReal:
-    """sum_j c_j u^(j-1) from raw coefficients given highest index first."""
-    mpf_add, mpf_mul, ur = libmp.mpf_add, libmp.mpf_mul, u.raw
-    acc = libmp.fzero
-    for c in coeffs:
-        acc = mpf_add(mpf_mul(acc, ur, prec, _RND), c, prec, _RND)
-    return PrecisionReal._wrap(acc, prec)
+def _stirling_series(series: str, terms: int, y: tuple, prec: int) -> tuple[int, int, int]:
+    """sum_j c_j u^(j-1) at u = 1/y^2 in fixed point, for a raw y >= the
+    threshold: (the sum, u, their fraction bits F = _fixed_bits(prec, terms)).
 
-
-def _shift(x: PrecisionReal, threshold: int, term) -> tuple[PrecisionReal, PrecisionReal]:
-    """The oracles' upward shift: while y < threshold, add term(y) and step y + 1.
-
-    Runs on raw values with every step rounded to nearest at ``x.prec``,
-    as PrecisionReal arithmetic would; returns (y, the sum of the terms).
+    u is rounded to nearest and the coefficients come from
+    :func:`_series_fixed`; Horner's rule runs as acc = (acc u >> F) + c_j.
+    Error budget, in units of 2^-F against the exact sum at 1/y^2:
+    terms/2 from the coefficients, terms - 1 from the truncating products
+    (later powers of u < 1 only shrink them), and below terms^2/120 from
+    the rounding of u, since the certified terms decrease for y >= the
+    threshold, so |d sum/du| <= |c_2| terms^2/2 with |c_2| <= 1/30.  That
+    is at most terms^2 units, so the sum is within 2^-(prec+10).
     """
-    prec, mpf_add, fone = x.prec, libmp.mpf_add, libmp.fone
-    stop = libmp.from_int(threshold)
-    y, total = x.raw, libmp.fzero
-    while libmp.mpf_cmp(y, stop) < 0:
-        total = mpf_add(total, term(y), prec, _RND)
-        y = mpf_add(y, fone, prec, _RND)
-    return PrecisionReal._wrap(y, prec), PrecisionReal._wrap(total, prec)
+    frac_bits = _fixed_bits(prec, terms)
+    _, man, exp, _ = y
+    shift, d = frac_bits - 2 * exp, man * man
+    u = ((1 << shift) + (d >> 1)) // d if shift >= 0 else 0  # round(2^F / y^2)
+    acc = 0
+    for c in _series_fixed(series, terms, frac_bits):
+        acc = ((acc * u) >> frac_bits) + c
+    return acc, u, frac_bits
+
+
+def _shift_steps(x: tuple, threshold: int) -> int:
+    """n, the number of k >= 0 with x + k < threshold, for a positive raw x."""
+    if libmp.mpf_cmp(x, libmp.from_int(threshold)) >= 0:
+        return 0
+    _, man, exp, _ = x
+    if exp >= 0:
+        return threshold - (man << exp)
+    return -((man - (threshold << -exp)) >> -exp)  # ceil(threshold - x)
+
+
+def _scaled_integer(x: tuple) -> tuple[int, int]:
+    """(m, s) with x = m 2^-s and s >= 0, so x + k is the integer m + k 2^s over 2^s."""
+    _, man, exp, _ = x
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
+
+
+def _rising_product(x: tuple, n: int, prec: int) -> tuple:
+    """x (x+1) ... (x+n-1) for a positive raw x and n >= 1, as an unrounded raw value.
+
+    The factors are the exact integers m + k 2^s.  Their running product
+    is truncated to wp = _fixed_bits(prec, n) bits: n - 1 truncations,
+    each of relative error below 2^(1-wp), so the product's relative
+    error, and the absolute error of its logarithm, is below
+    (n - 1) 2^(2-wp) < 2^-(prec+8).
+    """
+    m, s = _scaled_integer(x)
+    wp, step = _fixed_bits(prec, n), 1 << s
+    product, dropped, factor = m, 0, m
+    for _ in range(n - 1):
+        factor += step
+        product *= factor
+        excess = product.bit_length() - wp
+        if excess > 0:
+            product >>= excess
+            dropped += excess
+    return libmp.from_man_exp(product, dropped - n * s)
+
+
+def _inverse_square_sum(x: tuple, n: int, prec: int) -> tuple:
+    """sum_{k<n} 1/(x+k)^2 for a positive raw x and n >= 1, as an unrounded raw value.
+
+    Summed in fixed point with F = _fixed_bits(prec, n) fraction bits as
+    sum_k floor(2^(F+2s) / (m + k 2^s)^2): n floors, so the sum is low
+    by less than n 2^-F < 2^-(prec+10).
+    """
+    m, s = _scaled_integer(x)
+    frac_bits, step = _fixed_bits(prec, n), 1 << s
+    num, total, factor = 1 << (frac_bits + 2 * s), 0, m
+    for _ in range(n):
+        total += num // (factor * factor)
+        factor += step
+    return libmp.from_man_exp(total, -frac_bits)
+
+
+def _shifted(x, cfg: OracleConfig, name: str) -> tuple[tuple, int, tuple, int]:
+    """The oracles' common start: the working argument x (raw), the shift
+    count n, y = x + n (raw, rounded once) and the working precision."""
+    x = working_argument(x, cfg)
+    if x.sign <= 0:
+        raise DomainError(f"{name} needs x > 0")
+    n = _shift_steps(x.raw, cfg.shift_threshold)
+    y = libmp.mpf_add(x.raw, libmp.from_int(n), x.prec, _RND) if n else x.raw
+    return x.raw, n, y, x.prec
 
 
 # ---------------------------------------------------------------------------
@@ -505,44 +589,57 @@ def _shift(x: PrecisionReal, threshold: int, term) -> tuple[PrecisionReal, Preci
 def ln_gamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     """ln Gamma(x) to cfg.target_decimal_digits, for real x > 0.
 
-    Shifts upward with ln Gamma(x+1) = ln Gamma(x) + ln x until the
-    argument reaches cfg.shift_threshold, then applies
+    Shifts upward with ln Gamma(x) = ln Gamma(x+n) - ln(x (x+1) ... (x+n-1))
+    so that y = x + n reaches cfg.shift_threshold, then applies
     (y-1/2) ln y - y + ln sqrt(2 pi) + sum_j B_2j / (2j(2j-1) y^(2j-1)).
     The configuration's certified term count bounds the truncation
     remainder by the first omitted term, below the target accuracy.
+
+    Error budget, with p the working bits: the series truncation, below
+    10^-(D+5); the shift product (:func:`_rising_product`), below
+    2^-(p+8) in its logarithm; the fixed-point series
+    (:func:`_stirling_series`), below 2^-(p+10) before its division by y;
+    the one rounding of y, |psi(y)| ulp(y)/2; and ten roundings to
+    nearest at p bits (the two logarithms and ln sqrt(2 pi) included) of
+    values no larger than y ln y + |ln Gamma(x)|.  Everything but the
+    truncation is a few ulps of that scale, far below 10^-D, since p
+    carries at least ten guard digits.
     """
     cfg = cfg or default_config()
-    x = working_argument(x, cfg)
-    prec = x.prec
-    if x.sign <= 0:
-        raise DomainError("ln_gamma_ref needs x > 0")
-
-    y, shifted_ln = _shift(x, cfg.shift_threshold, lambda v: libmp.mpf_log(v, prec, _RND))
-    lny = ln(y)
-    stirling = (y - Fraction(1, 2)) * lny - y + ln_sqrt_two_pi(prec)
-    u = 1 / (y * y)
-    stirling = stirling + _horner(_lngamma_series_coeffs(cfg.series_terms, prec), u, prec) / y
-    return stirling - shifted_ln
+    xr, n, y, prec = _shifted(x, cfg, "ln_gamma_ref")
+    mpf_add, mpf_sub = libmp.mpf_add, libmp.mpf_sub
+    lny = libmp.mpf_log(y, prec, _RND)
+    result = libmp.mpf_mul(mpf_sub(y, libmp.fhalf, prec, _RND), lny, prec, _RND)
+    result = mpf_add(mpf_sub(result, y, prec, _RND), _ln_sqrt_two_pi_raw(prec), prec, _RND)
+    series, _, frac_bits = _stirling_series("lngamma", cfg.series_terms, y, prec)
+    series = libmp.mpf_div(libmp.from_man_exp(series, -frac_bits), y, prec, _RND)
+    result = mpf_add(result, series, prec, _RND)
+    if n:
+        shifted_ln = libmp.mpf_log(_rising_product(xr, n, prec), prec, _RND)
+        result = mpf_sub(result, shifted_ln, prec, _RND)
+    return PrecisionReal._wrap(result, prec)
 
 
 def trigamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     """Trigamma psi'(x) to cfg.target_decimal_digits, for real x > 0.
 
-    Uses the recurrence psi'(x) = psi'(x+1) + 1/x^2 to shift upward, then
-    1/y + 1/(2 y^2) + sum_j B_2j / y^(2j+1) with the same truncation
-    guarantee as :func:`ln_gamma_ref`.
+    Uses psi'(x) = psi'(x+n) + sum_{k<n} 1/(x+k)^2 to shift upward, then
+    (1 + u sum_j B_2j u^(j-1)) / y + u/2 with u = 1/y^2, with the same
+    truncation guarantee as :func:`ln_gamma_ref`.
+
+    Error budget, with p the working bits: the series truncation, below
+    10^-(D+5); the shift sum (:func:`_inverse_square_sum`), below
+    2^-(p+10); the fixed-point series (:func:`_stirling_series`), below
+    2^-(p+10), then one more truncation and the rounding of u, each below
+    2^-(p+10), in 1 + u sum and in u/2; the one rounding of y,
+    |psi''(y)| ulp(y)/2; and three roundings to nearest at p bits.
     """
     cfg = cfg or default_config()
-    x = working_argument(x, cfg)
-    prec = x.prec
-    if x.sign <= 0:
-        raise DomainError("trigamma_ref needs x > 0")
-
-    y, shifted = _shift(
-        x,
-        cfg.shift_threshold,
-        lambda v: libmp.mpf_div(libmp.fone, libmp.mpf_mul(v, v, prec, _RND), prec, _RND),
-    )
-    u = 1 / (y * y)
-    tail = _horner(_trigamma_series_coeffs(cfg.series_terms, prec), u, prec) * u / y
-    return 1 / y + u / 2 + tail + shifted
+    xr, n, y, prec = _shifted(x, cfg, "trigamma_ref")
+    series, u, frac_bits = _stirling_series("trigamma", cfg.series_terms, y, prec)
+    head = libmp.from_man_exp((1 << frac_bits) + ((series * u) >> frac_bits), -frac_bits)
+    result = libmp.mpf_div(head, y, prec, _RND)
+    result = libmp.mpf_add(result, libmp.from_man_exp(u, -frac_bits - 1), prec, _RND)
+    if n:
+        result = libmp.mpf_add(result, _inverse_square_sum(xr, n, prec), prec, _RND)
+    return PrecisionReal._wrap(result, prec)

@@ -102,7 +102,7 @@ def render_csv(spec: TableSpec, records: Sequence[LogErrorValue]) -> str:
                 (
                     _fraction_to_plain_decimal(x),
                     formula.value,
-                    format_sci(record.relative_error, 6),
+                    record.format_relative_error(6),
                     format_sci(record.log_gap, 6),
                     str(spec.precision_digits),
                 )
@@ -118,6 +118,6 @@ def render_markdown(spec: TableSpec, records: Sequence[LogErrorValue]) -> str:
     per_row = len(spec.formulas)
     for i, x in enumerate(spec.abscissas):
         row = records[i * per_row : (i + 1) * per_row]
-        cells = " | ".join(format_sci(r.relative_error, 4) for r in row)
+        cells = " | ".join(r.format_relative_error(4) for r in row)
         lines.append(f"| {_fraction_to_plain_decimal(x)} | {cells} |")
     return "\n".join(lines) + "\n"

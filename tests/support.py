@@ -8,8 +8,8 @@ the classical recursion, an oracle independent of the tangent numbers
 behind ``bernoulli``.  ``ln_gamma_per_step`` and ``trigamma_per_step`` are
 the reference oracles written in ``PrecisionReal`` arithmetic, one rounded
 operation per step with every ``Fraction`` coefficient absorbed where it
-is used; the raw-tuple kernels of ``precision`` must reproduce them bit
-for bit.
+is used; the integer kernels of ``precision`` must stay within the two
+computations' stated rounding budgets of them.
 """
 
 from __future__ import annotations

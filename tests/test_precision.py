@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, log, prod
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windschitl import (
     DomainError,
@@ -22,9 +24,10 @@ from windschitl import (
     trigamma_ref,
 )
 from windschitl.precision import (
-    _horner,
-    _lngamma_series_coeffs,
-    _trigamma_series_coeffs,
+    _inverse_square_sum,
+    _rising_product,
+    _shift_steps,
+    _stirling_series,
     _validate_series,
     working_argument,
 )
@@ -267,7 +270,34 @@ def test_trigamma_rejects_nonpositive():
 
 
 # ---------------------------------------------------------------------------
-# Raw-tuple kernels against per-step PrecisionReal arithmetic
+# Both oracles against mpmath at higher precision
+# ---------------------------------------------------------------------------
+
+
+def raw_fraction(raw: tuple) -> Fraction:
+    return Fraction(*(int(v) for v in mpmath.libmp.to_rational(raw)))
+
+
+# x log-uniform on [1e-6, 1e30], as an exact binary value
+ORACLE_ARGUMENTS = st.floats(min_value=-6, max_value=30).map(lambda t: 10.0**t)
+
+
+@pytest.mark.parametrize(
+    "oracle, reference",
+    [(ln_gamma_ref, mpmath.loggamma), (trigamma_ref, lambda x: mpmath.psi(1, x))],
+    ids=["ln_gamma_ref", "trigamma_ref"],
+)
+@settings(max_examples=60, deadline=None)
+@given(x=ORACLE_ARGUMENTS, digits=st.integers(min_value=15, max_value=300))
+def test_oracles_match_mpmath_at_higher_precision(oracle, reference, x, digits):
+    with mpmath.workdps(digits + 30):
+        want = raw_fraction(reference(mpmath.mpf(x))._mpf_)
+    got = oracle(x, OracleConfig.for_digits(digits)).to_fraction()
+    assert abs(got - want) <= Fraction(1, 10**digits) * max(1, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against per-step PrecisionReal arithmetic
 # ---------------------------------------------------------------------------
 
 KERNEL_ARGUMENTS = [
@@ -288,28 +318,56 @@ KERNEL_ARGUMENTS = [
 ]
 
 
-def same_bits(got: PrecisionReal, want: PrecisionReal) -> bool:
-    return (got.raw, got.prec) == (want.raw, want.prec)
+def oracle_budget(n: int, cfg: OracleConfig, prec: int, value: PrecisionReal) -> Fraction:
+    """Bound on |kernel oracle - per-step oracle| at ``prec`` bits after n shift steps.
+
+    Both share the series truncation.  The per-step oracle rounds y once
+    per step, which moves the result by up to |psi(y)| ulp(y)/2 each,
+    and rounds the running sum and each ln(y) or 1/y^2: 3n roundings on
+    values no larger than S = threshold ln threshold + max(1, |value|),
+    then one per series term and a few in the assembly.  The kernels'
+    own error is a few ulps of S (their docstrings); 16 covers both
+    assemblies.
+    """
+    threshold = cfg.shift_threshold
+    scale = Fraction(threshold * log(threshold)) + max(1, abs(value.to_fraction()))
+    return (3 * n + cfg.series_terms + 16) * scale / 2**prec
 
 
 @pytest.mark.parametrize("digits", [19, 30, 50, 100, 200, 300])
-def test_oracle_kernels_are_bit_identical_to_per_step_arithmetic(digits):
+def test_oracle_kernels_stay_within_their_error_budget(digits):
     cfg = OracleConfig.for_digits(digits)
-    terms = cfg.series_terms
+    threshold, terms = cfg.shift_threshold, cfg.series_terms
     for x in KERNEL_ARGUMENTS:
         case = f"x = {x} at {digits} digits"
-        assert same_bits(ln_gamma_ref(x, cfg), ln_gamma_per_step(x, cfg)), case
-        assert same_bits(trigamma_ref(x, cfg), trigamma_per_step(x, cfg)), case
-        # The series adds a small correction, so an ulp of it rarely reaches
-        # the oracles' results: compare it on its own, past the threshold.
-        y = working_argument(x, cfg) + cfg.shift_threshold
-        prec = y.prec
-        u = 1 / (y * y)
-        for raw_coeffs, coeffs in (
-            (_lngamma_series_coeffs(terms, prec), lngamma_series_fractions(terms)),
-            (_trigamma_series_coeffs(terms, prec), trigamma_series_fractions(terms)),
+        w = working_argument(x, cfg)
+        prec, n = w.prec, _shift_steps(w.raw, threshold)
+        assert n == max(0, -((w.to_fraction() - threshold) // 1)), case
+        for kernel, per_step in ((ln_gamma_ref, ln_gamma_per_step), (trigamma_ref, trigamma_per_step)):
+            got, want = kernel(x, cfg), per_step(x, cfg)
+            assert got.prec == want.prec == prec, case
+            assert abs(got - want) <= oracle_budget(n, cfg, prec, want), f"{kernel.__name__}, {case}"
+        # Each kernel on its own, before any rounding to prec bits, within
+        # the bound its docstring states: guard bits that are too few fail here.
+        if n:
+            factors = [w.to_fraction() + k for k in range(n)]
+            product = prod(factors)
+            got = raw_fraction(_rising_product(w.raw, n, prec))
+            assert 0 <= (product - got) / product < Fraction(1, 2 ** (prec + 8)), case
+            inverse_squares = sum(1 / f**2 for f in factors)
+            got = raw_fraction(_inverse_square_sum(w.raw, n, prec))
+            assert 0 <= inverse_squares - got < Fraction(1, 2 ** (prec + 10)), case
+        y = w + threshold
+        y_hi = PrecisionReal(y, prec + 64)
+        u_hi = 1 / (y_hi * y_hi)
+        for series, coeffs in (
+            ("lngamma", lngamma_series_fractions(terms)),
+            ("trigamma", trigamma_series_fractions(terms)),
         ):
-            assert same_bits(_horner(raw_coeffs, u, prec), horner_per_step(coeffs, u, prec)), case
+            total, _, frac_bits = _stirling_series(series, terms, y.raw, prec)
+            want = horner_per_step(coeffs, u_hi, prec + 64).to_fraction()  # off by < 2^-(prec+56)
+            budget = Fraction(1, 2 ** (prec + 10)) + Fraction(1, 2 ** (prec + 56))
+            assert abs(Fraction(total, 2**frac_bits) - want) < budget, f"{series}, {case}"
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +446,16 @@ def test_format_sci_canonical_forms():
     assert format_sci(Fraction(2918, 10**25), 4) == "2.918E-22"
     with pytest.raises(ValueError):
         format_sci(Fraction(1), 0)
+
+
+def test_unprintable_magnitudes_raise_before_any_conversion():
+    huge = exp(PrecisionReal(10**7, 64))  # about 2^(1.44e7)
+    for value in (huge, 1 / huge):
+        with pytest.raises(OverflowError, match="cannot be printed"):
+            format_sci(value, 6)
+        with pytest.raises(OverflowError, match="cannot be printed"):
+            round_decimal(value, 6)
+    assert format_sci(exp(PrecisionReal(10**5, 64)), 3) == "2.81E+43429"
 
 
 def test_round_decimal_half_even():

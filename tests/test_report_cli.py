@@ -4,6 +4,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windschitl import (
     FormulaId,
@@ -16,6 +18,7 @@ from windschitl import (
     render_csv,
     render_markdown,
 )
+from windschitl import cli
 from windschitl.cli import main
 from windschitl.report import DEFAULT_ABSCISSAS, DEFAULT_FORMULAS
 
@@ -261,13 +264,19 @@ def test_usage_errors_exit_two(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", "--digits", "5"],
-        ["eval", "w2", "1e-30"],
-        ["eval", "w2", "1e-300"],
-        ["constants", "--digits", "0"],
-        ["constants", "--digits", "-5"],
+        (["verify", "--digits", "5"], "numeric checks need more than 10 digits, got 5"),
+        (
+            ["eval", "w2", "1e-30"],
+            "relative error of w2 at x = 1.00000E-30 cannot be printed: it is exp(6.54695E+86) - 1",
+        ),
+        (
+            ["eval", "w2", "1e-300"],
+            "relative error of w2 at x = 1.00000E-300 cannot be printed: it is exp(6.54695E+896) - 1",
+        ),
+        (["constants", "--digits", "0"], "--digits must be positive, got 0"),
+        (["constants", "--digits", "-5"], "--digits must be positive, got -5"),
     ],
     ids=[
         "verify-too-few-digits",
@@ -277,12 +286,34 @@ def test_usage_errors_exit_two(capsys):
         "constants-negative-digits",
     ],
 )
-def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, argv):
+def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["table", "--x", "1e-300", "--formulas", "w2"],
+            "relative error of w2 at x = 1.00000E-300 cannot be printed: it is exp(6.54695E+896) - 1",
+        ),
+        # a relative error near 2^(1.3e13): its exact Fraction alone would
+        # need terabytes, so the size is checked before any conversion
+        (
+            ["table", "--x", "8e-15", "--formulas", "nemes2", "--format", "markdown"],
+            "relative error of nemes2 at x = 8.00000E-15 cannot be printed: it is exp(9.20139E+12) - 1",
+        ),
+    ],
+    ids=["beyond-any-integer", "beyond-memory"],
+)
+def test_unprintable_table_cell_names_its_argument(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_grids_follow_the_linear_grid_rule():
@@ -296,3 +327,50 @@ def test_grid_option_controls_monotone_checks(capsys):
     assert main(["verify", "--only", "monotone-convex-w2", "--grid", "1:6:6"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS monotone-convex-w2")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every input that argparse accepts ends with exit code 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+# positive numbers in [1e-300, 1e400], written as a CLI user would
+NUMBERS = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds("{}.{:03d}".format, st.integers(0, 10**5), st.integers(1, 999)),
+    st.builds("{}e{}".format, st.integers(1, 9), st.integers(-300, 400)),
+)
+DIGITS = st.integers(-2, 300).map(str)
+FORMULAS = st.sampled_from([f.value for f in FormulaId])
+
+COMMANDS = st.one_of(
+    st.builds(lambda f, x, d: ["eval", f, x, "--digits", d], FORMULAS, NUMBERS, DIGITS),
+    st.builds(
+        lambda xs, f, fmt, d: ["table", "--x", ",".join(xs), "--formulas", f, "--format", fmt, "--digits", d],
+        st.lists(NUMBERS, min_size=1, max_size=2),
+        FORMULAS,
+        st.sampled_from(["csv", "markdown"]),
+        DIGITS,
+    ),
+    st.builds(
+        lambda f, xs, d: ["rate", "--formula", f, "--x", ",".join(xs), "--digits", d],
+        st.sampled_from(["w2", "w2star"]),
+        st.lists(NUMBERS, min_size=1, max_size=2),
+        DIGITS,
+    ),
+    st.builds(lambda d: ["constants", "--digits", d], DIGITS),
+    st.builds(
+        lambda check, lo, span, d: ["verify", "--only", check, "--grid", f"{lo}:{lo + span}:3", "--digits", d],
+        st.sampled_from(sorted(cli._CHECK_BUILDERS)),
+        st.integers(1, 100),
+        st.integers(1, 10**4),
+        DIGITS,
+    ),
+)
+
+
+# derandomized, so every run tries the same commands and takes the same
+# time: an argument near 1e-300 can cost mpmath seconds in exp and sinh
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=COMMANDS)
+def test_every_accepted_command_exits_zero_one_or_two(argv):
+    assert cli.main(argv) in (0, 1, 2), argv
