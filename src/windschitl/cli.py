@@ -167,15 +167,17 @@ def _dispatch(args) -> int:
     if args.command == "eval":
         cfg = OracleConfig.for_digits(args.digits)
         record = log_error(args.formula, args.x, cfg)
-        value = exp(record.log_value)
         # every line is formatted before any is printed, so a value that
-        # cannot be rendered leaves stdout empty
+        # cannot be rendered leaves stdout empty; the relative error goes
+        # first, because it refuses an unprintable magnitude at once where
+        # rendering the value alone can take mpmath seconds
+        relative_error = record.format_relative_error(6)
         lines = [
             f"formula        = {args.formula.value}",
             f"target         = {args.formula.target.value}",
             f"x              = {args.x}",
-            f"value          = {value.to_decimal_string(args.digits)}",
-            f"relative_error = {record.format_relative_error(6)}",
+            f"value          = {exp(record.log_value).to_decimal_string(args.digits)}",
+            f"relative_error = {relative_error}",
             f"log_gap        = {format_sci(record.log_gap, 6)}",
         ]
         print("\n".join(lines), file=out)

@@ -27,6 +27,7 @@ from .precision import (
     sinh,
     tanh,
     DomainError,
+    PrecisionError,
     default_config,
     format_sci,
     working_argument,
@@ -220,10 +221,18 @@ def _log_gap(
 
 
 def log_error(formula: FormulaId, x, cfg: OracleConfig | None = None) -> LogErrorValue:
-    """Evaluate a formula against its target gamma value at oracle accuracy."""
+    """Evaluate a formula against its target gamma value at oracle accuracy.
+
+    Domain and precision failures are re-raised naming the formula and x.
+    """
     cfg = cfg or default_config()
     x = working_argument(x, cfg)
-    gap, log_value = _log_gap(formula, x, cfg)
+    try:
+        gap, log_value = _log_gap(formula, x, cfg)
+    except (DomainError, PrecisionError) as e:
+        raise type(e)(
+            f"{formula.value} at x = {format_sci(x, 6)} cannot be evaluated: {e}"
+        ) from e
     rel = abs(exp(-gap) - 1)
     return LogErrorValue(
         x=x, formula=formula, log_value=log_value, log_gap=gap, relative_error=rel

@@ -319,19 +319,43 @@ def format_sci(value, sig_digits: int) -> str:
 
     The one canonical form used everywhere: mantissa ``d.dd...``, ``E``,
     signed unpadded exponent (e.g. ``2.40663E-5``; values representable
-    in fewer digits print without trailing zeros).  Rendering goes
-    through exact rationals, so equal values always print identically.
+    in fewer digits print without trailing zeros, as ``Decimal`` prints
+    them).  Rendering rounds the exact rational half-even with one
+    integer division, so equal values always print identically.
     """
     if sig_digits < 1:
         raise ValueError("need at least one significant digit")
     fr = _to_exact_fraction(value)
     if fr == 0:
         return "0E+0"
-    with localcontext() as ctx:
-        ctx.prec = sig_digits
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
-    return f"{d:E}"
+    num, den = abs(fr.numerator), fr.denominator
+    # e = floor(log10 |value|): the float estimate is off by at most one
+    e = math.floor(math.log10(num) - math.log10(den))
+    while True:
+        # |value| 10^k truncated to an integer of sig_digits digits
+        k = sig_digits - 1 - e
+        if k >= 0:
+            num_k, den_k = num * 10**k, den
+        else:
+            num_k, den_k = num, den * 10**-k
+        q, r = divmod(num_k, den_k)
+        if q >= 10**sig_digits:
+            e += 1
+        elif q < 10 ** (sig_digits - 1):
+            e -= 1
+        else:
+            break
+    if 2 * r > den_k or (2 * r == den_k and q & 1):  # half-even
+        q += 1
+        if q == 10**sig_digits:
+            q, e = q // 10, e + 1
+    elif r == 0:
+        # an exact value keeps no trailing zero below its units digit, as Decimal
+        while k > 0 and q % 10 == 0:
+            q, k = q // 10, k - 1
+    digits = str(q)
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{'-' if fr < 0 else ''}{mantissa}E{e:+d}"
 
 
 def round_decimal(value, places: int) -> Decimal:
@@ -392,11 +416,6 @@ class OracleConfig:
             MIN_PRECISION_BITS,
             bits_for_digits(self.target_decimal_digits + self.guard_digits),
         )
-
-    @property
-    def tolerance(self) -> Fraction:
-        """10^-target, the delivered absolute accuracy scale."""
-        return Fraction(1, 10**self.target_decimal_digits)
 
 
 DEFAULT_DIGITS = 50

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .formulas import FormulaId, LogErrorValue, log_error
-from .precision import DomainError, OracleConfig, PrecisionError, format_sci
+from .precision import OracleConfig, format_sci
 from .verify import check_goldens  # re-exported: defined with the other checks
 
 __all__ = [
@@ -58,18 +58,10 @@ class TableSpec:
 def build_table(spec: TableSpec) -> tuple[LogErrorValue, ...]:
     """One error record per (abscissa, formula) pair, in that order.
 
-    Oracle precision and domain failures are re-raised with the offending
-    cell identified.
+    A failing cell raises ``log_error``'s error, which names the formula and x.
     """
     cfg = spec.config
-    records = []
-    for x in spec.abscissas:
-        for formula in spec.formulas:
-            try:
-                records.append(log_error(formula, x, cfg))
-            except (DomainError, PrecisionError) as e:
-                raise type(e)(f"cell (x={x}, {formula.value}): {e}") from e
-    return tuple(records)
+    return tuple(log_error(formula, x, cfg) for x in spec.abscissas for formula in spec.formulas)
 
 
 def _fraction_to_plain_decimal(fr: Fraction) -> str:

@@ -103,16 +103,31 @@ class VerificationReport:
         return tuple(w for w in self.witnesses if not w.ok)
 
 
+def _resolvable_floor(cfg: OracleConfig, scale=1) -> Fraction:
+    """10^-(D-10) max(1, |scale|): the least margin that resolves at D digits.
+
+    The oracles deliver about 10^-D max(1, |value|), so a margin of a quantity
+    of size ``scale`` is evidence only when it stands ten digits above that.
+    """
+    return Fraction(10) ** (10 - cfg.target_decimal_digits) * max(Fraction(1), abs(scale))
+
+
 class _Checks:
     """Accumulates pass/fail observations into one report.
 
     A failed expectation always records a witness; informational notes
     are kept too, so a failing report pinpoints the violated quantity.
+    Given a ``cfg``, numeric margins are judged against the resolvable
+    floor at its digits, reported as the check's tolerance.
     """
 
-    def __init__(self, name: str, tolerance: Fraction | None = None) -> None:
+    def __init__(self, name: str, cfg: OracleConfig | None = None) -> None:
+        if cfg is not None and cfg.target_decimal_digits <= 10:
+            raise PrecisionError(
+                f"numeric checks need more than 10 digits, got {cfg.target_decimal_digits}"
+            )
         self.name = name
-        self.tolerance = tolerance
+        self.tolerance = None if cfg is None else _resolvable_floor(cfg)
         self._witnesses: list[Witness] = []
         self._ok = True
 
@@ -121,6 +136,16 @@ class _Checks:
             self._ok = False
             self._witnesses.append(Witness(description, str(value), ok=False))
         return ok
+
+    def expect_positive(self, value, description: str, witness: str | None = None) -> bool:
+        """Expect the margin ``value`` to resolve above zero: to exceed the tolerance."""
+        ok = value > self.tolerance
+        return ok or self.expect(ok, description, witness or format_sci(value, 3))
+
+    def expect_zero(self, value, description: str, witness: str | None = None) -> bool:
+        """Expect the difference ``value`` to resolve to zero: within the tolerance."""
+        ok = abs(value) <= self.tolerance
+        return ok or self.expect(ok, description, witness or format_sci(value, 3))
 
     def note(self, description: str, value="") -> None:
         self._witnesses.append(Witness(description, str(value), ok=True))
@@ -156,15 +181,6 @@ def reports_to_csv(reports: Sequence[VerificationReport]) -> str:
         for w in r.witnesses:
             writer.writerow([r.check_name, r.status.value, w.description, w.value])
     return buf.getvalue()
-
-
-def _tolerance(cfg: OracleConfig) -> Fraction:
-    # numeric checks assert margins above the oracle's guard-digit noise floor
-    if cfg.target_decimal_digits <= 10:
-        raise PrecisionError(
-            f"numeric checks need more than 10 digits, got {cfg.target_decimal_digits}"
-        )
-    return Fraction(1, 10 ** (cfg.target_decimal_digits - 10))
 
 
 def _log_grid(lo: Fraction, hi: Fraction, n: int) -> list[Fraction]:
@@ -304,8 +320,7 @@ def verify_trigamma_bound(cfg: OracleConfig | None = None, grid_points: int = 30
     Numeric part: spot checks of the inequality itself on a log grid.
     """
     cfg = cfg or default_config()
-    tol = _tolerance(cfg)
-    c = _Checks("trigamma-bound", tolerance=tol)
+    c = _Checks("trigamma-bound", cfg)
 
     r = trigamma_lower_bound()
     x_plus_1 = Polynomial((1, 1))
@@ -337,31 +352,20 @@ def verify_trigamma_bound(cfg: OracleConfig | None = None, grid_points: int = 30
     prec = cfg.precision_bits
     psi_32 = trigamma_ref(Fraction(3, 2), cfg)
     closed = pi(prec) * pi(prec) / 2 - 4
-    c.expect(
-        abs(psi_32 - closed) < tol,
-        "psi'(3/2) matches pi^2/2 - 4",
-        format_sci(psi_32 - closed, 3),
-    )
+    c.expect_zero(psi_32 - closed, "psi'(3/2) matches pi^2/2 - 4")
     r_at_1 = r(1)
-    c.expect(
-        psi_32 - r_at_1 > tol,
-        "psi'(3/2) exceeds the bound at x = 1",
-        f"margin {format_sci(psi_32 - r_at_1, 3)}, r(1) = {r_at_1}",
+    g1 = psi_32 - r_at_1
+    c.expect_positive(
+        g1, "psi'(3/2) exceeds the bound at x = 1", f"margin {format_sci(g1, 3)}, r(1) = {r_at_1}"
     )
 
     # decay of the telescoped tail: g(1) > g(51)
-    g1 = psi_32 - r_at_1
     g51 = trigamma_ref(Fraction(103, 2), cfg) - r(51)
-    c.expect(g1 - g51 > tol, "gap decreases along the shift chain (x=1 vs x=51)",
-             format_sci(g1 - g51, 3))
+    c.expect_positive(g1 - g51, "gap decreases along the shift chain (x=1 vs x=51)")
 
     for x in _log_grid(Fraction(1, 100), Fraction(10), grid_points):
         margin = trigamma_ref(x + Fraction(1, 2), cfg) - r(x)
-        c.expect(
-            margin > tol,
-            f"psi'(x + 1/2) > r(x) at x = {x}",
-            format_sci(margin, 3),
-        )
+        c.expect_positive(margin, f"psi'(x + 1/2) > r(x) at x = {x}")
     return c.report()
 
 
@@ -373,8 +377,7 @@ def verify_trigamma_bound(cfg: OracleConfig | None = None, grid_points: int = 30
 def verify_csch_bound(cfg: OracleConfig | None = None) -> VerificationReport:
     """Certify t/sinh t > h(t) > 0 on (0, 1] for the degree-10 minorant h."""
     cfg = cfg or default_config()
-    tol = _tolerance(cfg)
-    c = _Checks("csch-bound", tolerance=tol)
+    c = _Checks("csch-bound", cfg)
 
     printed = (
         Fraction(1),
@@ -422,12 +425,7 @@ def verify_csch_bound(cfg: OracleConfig | None = None) -> VerificationReport:
     prec = cfg.precision_bits
     for t in (Fraction(1), Fraction(1, 2)):
         tv = PrecisionReal(t, prec)
-        margin = tv / sinh(tv) - h(t)
-        c.expect(
-            margin > tol,
-            f"t/sinh t exceeds h(t) at t = {t}",
-            format_sci(margin, 3),
-        )
+        c.expect_positive(tv / sinh(tv) - h(t), f"t/sinh t exceeds h(t) at t = {t}")
     return c.report()
 
 
@@ -473,8 +471,7 @@ def verify_convexity_polynomials(
     """
     cfg = cfg or default_config()
     expected = CURVATURE_COEFFS if expected is None else expected
-    tol = _tolerance(cfg)
-    c = _Checks("convexity-polynomials", tolerance=tol)
+    c = _Checks("convexity-polynomials", cfg)
 
     # the bound and tail terms are reciprocal substitutions of their x-forms
     x_bound = RationalFunction(
@@ -559,11 +556,8 @@ def verify_convexity_polynomials(
 
     # numeric curvature of the log gap itself, from its closed form
     for x in _linear_grid(Fraction(1), Fraction(50), curvature_points):
-        value = _curvature_closed_form(x, cfg)
-        c.expect(
-            value > tol,
-            f"log-gap curvature is positive at x = {x}",
-            format_sci(value, 3),
+        c.expect_positive(
+            _curvature_closed_form(x, cfg), f"log-gap curvature is positive at x = {x}"
         )
     return c.report()
 
@@ -608,20 +602,15 @@ def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> V
     there is an equality check within tolerance.
     """
     cfg = cfg or default_config()
-    tol = _tolerance(cfg)
     prec = cfg.precision_bits
-    c = _Checks("best-constants", tolerance=tol)
+    c = _Checks("best-constants", cfg)
 
     sinh_1 = sinh(PrecisionReal(1, prec))
     half_ln_2pi_sinh1 = ln(2 * pi(prec) * sinh_1) / 2
 
     beta = w2_log_gap(1, cfg)
     closed_beta = Fraction(22025, 22032) - half_ln_2pi_sinh1
-    c.expect(
-        abs(beta - closed_beta) < tol,
-        "oracle route matches the closed form for the gap at x = 1",
-        format_sci(beta - closed_beta, 3),
-    )
+    c.expect_zero(beta - closed_beta, "oracle route matches the closed form for the gap at x = 1")
     c.expect(
         format_sci(beta, 4) == "2.407E-5",
         "gap at 1 displays as 2.407e-5",
@@ -632,11 +621,7 @@ def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> V
     closed_lam = exp(PrecisionReal(Fraction(22025, 22032), prec)) / sqrt(
         2 * pi(prec) * sinh_1
     )
-    c.expect(
-        abs(lam - closed_lam) < tol,
-        "lambda matches exp(22025/22032)/sqrt(2 pi sinh 1)",
-        format_sci(lam - closed_lam, 3),
-    )
+    c.expect_zero(lam - closed_lam, "lambda matches exp(22025/22032)/sqrt(2 pi sinh 1)")
     c.expect(
         round_decimal(lam, 9) == round_decimal(Fraction(1000024067, 10**9), 9),
         "lambda rounds to 1.000024067 at 9 decimal places",
@@ -647,10 +632,9 @@ def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> V
     closed_beta_star = (
         1 - ln(PrecisionReal(Fraction(22039, 22032), prec)) - half_ln_2pi_sinh1
     )
-    c.expect(
-        abs(beta_star - closed_beta_star) < tol,
+    c.expect_zero(
+        beta_star - closed_beta_star,
         "oracle route matches the closed form for the star gap at x = 1",
-        format_sci(beta_star - closed_beta_star, 3),
     )
     c.expect(
         format_sci(beta_star, 4) == "2.412E-5",
@@ -662,11 +646,7 @@ def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> V
     closed_lam_star = (
         Fraction(22032, 22039) * exp(PrecisionReal(1, prec)) / sqrt(2 * pi(prec) * sinh_1)
     )
-    c.expect(
-        abs(lam_star - closed_lam_star) < tol,
-        "lambda* matches (22032/22039) e / sqrt(2 pi sinh 1)",
-        format_sci(lam_star - closed_lam_star, 3),
-    )
+    c.expect_zero(lam_star - closed_lam_star, "lambda* matches (22032/22039) e / sqrt(2 pi sinh 1)")
     c.expect(
         round_decimal(lam_star, 9) == round_decimal(Fraction(1000024117, 10**9), 9),
         "lambda* rounds to 1.000024117 at 9 decimal places",
@@ -701,31 +681,14 @@ def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> V
     for n in range(1, n_max + 1):
         gap0 = _log_gap(FormulaId.W0, n, cfg)[0]
         y = Fraction(7, 324 * n**3 * (35 * n**2 + 33))
-        gap_w2 = gap0 - y
-        c.expect(
-            gap_w2 > tol,
-            f"lower sandwich bound is strict at n = {n}",
-            format_sci(gap_w2, 3),
-        )
-        upper_margin = beta - gap_w2
-        if n == 1:
-            ok = abs(upper_margin) <= tol  # sharp: attained at n = 1
-        else:
-            ok = upper_margin > tol
-        c.expect(ok, f"upper sandwich bound holds at n = {n}", format_sci(upper_margin, 3))
-
-        gap_star = gap0 - ln(1 + PrecisionReal(y, prec))
-        c.expect(
-            gap_star > tol,
-            f"lower star-sandwich bound is strict at n = {n}",
-            format_sci(gap_star, 3),
-        )
-        upper_star = beta_star - gap_star
-        if n == 1:
-            ok = abs(upper_star) <= tol
-        else:
-            ok = upper_star > tol
-        c.expect(ok, f"upper star-sandwich bound holds at n = {n}", format_sci(upper_star, 3))
+        # sharp: both upper bounds are attained at n = 1
+        expect_upper = c.expect_zero if n == 1 else c.expect_positive
+        for label, gap, sharp in (
+            ("sandwich", gap0 - y, beta),
+            ("star-sandwich", gap0 - ln(1 + PrecisionReal(y, prec)), beta_star),
+        ):
+            c.expect_positive(gap, f"lower {label} bound is strict at n = {n}")
+            expect_upper(sharp - gap, f"upper {label} bound holds at n = {n}")
 
     return c.report()
 
@@ -753,7 +716,6 @@ def verify_monotone_convex(
     grids are fine.
     """
     cfg = cfg or default_config()
-    tol = _tolerance(cfg)
     if isinstance(which, str):
         fn = _GAP_FUNCTIONS.get(which)
         if fn is None:
@@ -762,7 +724,7 @@ def verify_monotone_convex(
     else:
         fn = which
         label = getattr(which, "__name__", "custom")
-    c = _Checks(f"monotone-convex-{label}", tolerance=tol)
+    c = _Checks(f"monotone-convex-{label}", cfg)
 
     xs = [Fraction(g) for g in grid]
     if len(xs) < 3:
@@ -780,23 +742,13 @@ def verify_monotone_convex(
         for (x0, v0), (x1, v1) in zip(zip(xs, values), zip(xs[1:], values[1:]))
     ]
     for i, s in enumerate(slopes):
-        c.expect(
-            s < -tol,
-            f"strictly decreasing on [{xs[i]}, {xs[i + 1]}]",
-            format_sci(s, 3),
-        )
-    for i in range(len(slopes) - 1):
-        c.expect(
-            slopes[i + 1] - slopes[i] > tol,
-            f"slope increases across {xs[i + 1]} (convexity)",
-            format_sci(slopes[i + 1] - slopes[i], 3),
-        )
+        c.expect_positive(-s, f"strictly decreasing on [{xs[i]}, {xs[i + 1]}]", format_sci(s, 3))
+    for x, s0, s1 in zip(xs[1:], slopes, slopes[1:]):
+        c.expect_positive(s1 - s0, f"slope increases across {x} (convexity)")
     for x, v in zip(xs, values):
-        if x == 1:
-            ok = abs(v - value_at_1) <= tol
-        else:
-            ok = v > tol and v < value_at_1 - tol
-        c.expect(ok, f"value at x = {x} lies in (0, value-at-1]", format_sci(v, 3))
+        margin = v - value_at_1 if x == 1 else min(v, value_at_1 - v)
+        expect = c.expect_zero if x == 1 else c.expect_positive
+        expect(margin, f"value at x = {x} lies in (0, value-at-1]", format_sci(v, 3))
     return c.report()
 
 
@@ -831,7 +783,7 @@ def check_goldens(
     if not 2 <= tol_sig_digits <= 4:
         raise ValueError("tol_sig_digits must be between 2 and 4")
     cfg = cfg or OracleConfig.for_digits(50)
-    c = _Checks("reference-table", tolerance=None)
+    c = _Checks("reference-table")
     worst: tuple[Fraction, GoldenCell] | None = None
     for cell in cells:
         record = log_error(cell.formula, cell.x, cfg)
@@ -899,10 +851,8 @@ def estimate_rate_constant(
     scaled = []
     for x in points:
         gap, log_value = _log_gap(formula, x, cfg)
-        # the gap must stand ten significant digits above the oracle noise,
-        # which scales with ln Gamma(x+1) = gap + ln F(x)
-        noise = cfg.tolerance * max(Fraction(1), abs((gap + log_value).to_fraction()))
-        if abs(gap) <= noise * 10**10:
+        # the oracle noise scales with ln Gamma(x+1) = gap + ln F(x)
+        if abs(gap) <= _resolvable_floor(cfg, (gap + log_value).to_fraction()):
             raise PrecisionError(
                 f"log gap at x = {x} is below the resolvable floor at "
                 f"{cfg.target_decimal_digits} digits; raise the precision"

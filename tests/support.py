@@ -9,13 +9,16 @@ behind ``bernoulli``.  ``ln_gamma_per_step`` and ``trigamma_per_step`` are
 the reference oracles written in ``PrecisionReal`` arithmetic, one rounded
 operation per step with every ``Fraction`` coefficient absorbed where it
 is used; the integer kernels of ``precision`` must stay within the two
-computations' stated rounding budgets of them.
+computations' stated rounding budgets of them.  ``format_sci_decimal``
+is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
+precision, the reference for its integer rounding.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +31,7 @@ from windschitl import (
     ln,
     sign_criterion,
 )
-from windschitl.precision import ln_sqrt_two_pi, working_argument
+from windschitl.precision import _to_exact_fraction, ln_sqrt_two_pi, working_argument
 
 BRACKET_WIDTH = Fraction(1, 2**32)
 
@@ -199,3 +202,17 @@ def assert_sign_criterion_matches_brute_force(cases: int = 100, seed: int = 2024
             assert oracle_hi >= probe, f"probe above the crossing for {case}"
         else:
             assert result.kind is SignKind.SINGLE_CROSSING, f"{result.kind} for {case}"
+
+
+def format_sci_decimal(value, sig_digits: int) -> str:
+    """Scientific notation by ``Decimal`` division, half-even at ``sig_digits``."""
+    if sig_digits < 1:
+        raise ValueError("need at least one significant digit")
+    fr = _to_exact_fraction(value)
+    if fr == 0:
+        return "0E+0"
+    with localcontext() as ctx:
+        ctx.prec = sig_digits
+        ctx.rounding = ROUND_HALF_EVEN
+        d = Decimal(fr.numerator) / Decimal(fr.denominator)
+    return f"{d:E}"

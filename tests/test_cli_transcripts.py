@@ -1,0 +1,35 @@
+"""Byte-for-byte transcripts of whole CLI runs.
+
+Each case compares ``cli.main``'s stdout, stderr and exit code with the
+files under ``transcripts/``.  A change that alters printed output on
+purpose regenerates the affected files and says so.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from windschitl.cli import main
+
+TRANSCRIPTS = Path(__file__).parent / "transcripts"
+
+
+@pytest.mark.parametrize(
+    "name, argv, exit_code",
+    [
+        ("verify", ["verify"], 0),
+        ("verify-csv", ["verify", "--format", "csv"], 0),
+        ("rate", ["rate"], 0),
+        ("constants", ["constants"], 0),
+        # The current output of a known defect (ROADMAP item 3): at 30
+        # digits, curvature margins of 3e-21 to 5e-21 fall below the 1e-20
+        # tolerance, and missing precision is reported as three FAILs.  The
+        # change that adds an UNRESOLVED status updates this transcript.
+        ("verify-digits-30", ["verify", "--digits", "30"], 1),
+    ],
+)
+def test_cli_output_matches_its_transcript(capsysbinary, name, argv, exit_code):
+    assert main(argv) == exit_code
+    captured = capsysbinary.readouterr()
+    assert captured.out == (TRANSCRIPTS / f"{name}.stdout").read_bytes()
+    assert captured.err == (TRANSCRIPTS / f"{name}.stderr").read_bytes()

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from windschitl import (
     DomainError,
@@ -24,6 +25,7 @@ from windschitl import (
     trigamma_ref,
 )
 from windschitl.precision import (
+    MIN_PRECISION_BITS,
     _inverse_square_sum,
     _rising_product,
     _shift_steps,
@@ -33,6 +35,7 @@ from windschitl.precision import (
 )
 
 from support import (
+    format_sci_decimal,
     horner_per_step,
     ln_gamma_per_step,
     lngamma_series_fractions,
@@ -448,6 +451,47 @@ def test_format_sci_canonical_forms():
         format_sci(Fraction(1), 0)
 
 
+def _binary_value(negative: bool, man: int, exponent: int) -> PrecisionReal:
+    raw = libmp.from_man_exp(-man if negative else man, exponent)
+    return PrecisionReal._wrap(raw, max(MIN_PRECISION_BITS, raw[3]))
+
+
+def _signed(negative: bool, value: Fraction) -> Fraction:
+    return -value if negative else value
+
+
+# (value, significant digits): binary values exercise the rounding, exact
+# short decimals Decimal's trailing-zero rule, and exact halves the ties
+_SCI_CASES = st.one_of(
+    st.tuples(
+        st.builds(_binary_value, st.booleans(), st.integers(1, 2**200), st.integers(-20000, 20000)),
+        st.integers(1, 25),
+    ),
+    st.tuples(
+        st.builds(
+            lambda negative, n, j: _signed(negative, n * Fraction(10) ** j),
+            st.booleans(),
+            st.integers(1, 10**12),
+            st.integers(-40, 40),
+        ),
+        st.integers(1, 25),
+    ),
+    st.builds(
+        lambda negative, a, j: (_signed(negative, (10 * a + 5) * Fraction(10) ** j), len(str(a))),
+        st.booleans(),
+        st.integers(1, 10**6),
+        st.integers(-30, 30),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_SCI_CASES)
+def test_format_sci_matches_decimal_division(case):
+    value, sig_digits = case
+    assert format_sci(value, sig_digits) == format_sci_decimal(value, sig_digits)
+
+
 def test_unprintable_magnitudes_raise_before_any_conversion():
     huge = exp(PrecisionReal(10**7, 64))  # about 2^(1.44e7)
     for value in (huge, 1 / huge):
@@ -456,6 +500,10 @@ def test_unprintable_magnitudes_raise_before_any_conversion():
         with pytest.raises(OverflowError, match="cannot be printed"):
             round_decimal(value, 6)
     assert format_sci(exp(PrecisionReal(10**5, 64)), 3) == "2.81E+43429"
+    # near the printable edge, about 2^(2.89e6), one integer division suffices
+    edge = exp(PrecisionReal(2 * 10**6, 64))
+    assert format_sci(edge, 6) == "9.20040E+868588"
+    assert format_sci(1 / edge, 6) == "1.08691E-868589"
 
 
 def test_round_decimal_half_even():

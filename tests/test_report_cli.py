@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from windschitl import (
     FormulaId,
     GoldenCell,
+    PrecisionReal,
     TABLE_GOLDENS,
     TableSpec,
     build_table,
@@ -67,16 +68,13 @@ def test_build_table_custom_formula():
     assert format_sci(record.relative_error, 3) == "1.65E-2"
 
 
-def test_build_table_identifies_the_failing_cell(monkeypatch):
-    import windschitl.report as report
-    from windschitl import PrecisionError
-
-    def explode(formula, x, cfg):
-        raise PrecisionError("synthetic underflow")
-
-    monkeypatch.setattr(report, "log_error", explode)
-    with pytest.raises(PrecisionError, match=r"cell \(x=5, stirling\)"):
-        build_table(TableSpec(abscissas=(Fraction(5),), formulas=(FormulaId.STIRLING,)))
+def test_build_table_identifies_the_failing_cell(capsys):
+    # chen's inner logarithm has a negative argument at x = 1/100; eval and
+    # table name the formula and the argument once, in the same words
+    message = "error: chen at x = 1.00000E-2 cannot be evaluated: ln needs a positive argument\n"
+    for argv in (["eval", "chen", "0.01"], ["table", "--x", "0.01", "--formulas", "chen"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +273,11 @@ def test_usage_errors_exit_two(capsys):
             ["eval", "w2", "1e-300"],
             "relative error of w2 at x = 1.00000E-300 cannot be printed: it is exp(6.54695E+896) - 1",
         ),
+        # rendering this value alone takes mpmath about 9 s
+        (
+            ["eval", "lsm", "1e-300", "--digits", "28"],
+            "relative error of lsm at x = 1.00000E-300 cannot be printed: it is exp(1.11699E+2997) - 1",
+        ),
         (["constants", "--digits", "0"], "--digits must be positive, got 0"),
         (["constants", "--digits", "-5"], "--digits must be positive, got -5"),
     ],
@@ -282,11 +285,17 @@ def test_usage_errors_exit_two(capsys):
         "verify-too-few-digits",
         "eval-overflowing-value",
         "eval-unprintable-error",
+        "eval-unprintable-value",
         "constants-zero-digits",
         "constants-negative-digits",
     ],
 )
-def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, argv, message):
+def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, monkeypatch, argv, message):
+    # the refusal comes before any value is rendered
+    def render(self, digits):
+        raise AssertionError("a value was rendered before the refusal")
+
+    monkeypatch.setattr(PrecisionReal, "to_decimal_string", render)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
