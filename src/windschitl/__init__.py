@@ -10,7 +10,6 @@ and numeric inequality suites with explicit tolerances.
 """
 
 from .exact import (
-    DEFAULT_BRACKET_WIDTH,
     Polynomial,
     RationalFunction,
     ShapeError,
@@ -23,6 +22,7 @@ from .formulas import (
     FormulaId,
     LogErrorValue,
     Target,
+    W2_CORRECTION,
     approximate,
     log1p_defect,
     log_approximate,

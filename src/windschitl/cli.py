@@ -16,7 +16,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .formulas import FormulaId, log_error, w2_log_gap, w2star_log_gap
-from .precision import DomainError, OracleConfig, PrecisionError, exp, format_sci
+from .precision import DEFAULT_DIGITS, DomainError, OracleConfig, PrecisionError, exp, format_sci
 from .report import (
     DEFAULT_ABSCISSAS,
     DEFAULT_FORMULAS,
@@ -27,6 +27,7 @@ from .report import (
 )
 from .verify import (
     RATE_DECAY_LIMIT,
+    RATE_DIGITS,
     _linear_grid,
     check_goldens,
     estimate_rate_constant,
@@ -109,13 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one formula at one point")
     p_eval.add_argument("formula", type=_parse_formula)
     p_eval.add_argument("x", type=_parse_number)
-    p_eval.add_argument("--digits", type=int, default=50)
+    p_eval.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
 
     p_table = sub.add_parser("table", help="print the comparison table")
     p_table.add_argument("--x", type=_parse_number_list, default=None)
     p_table.add_argument("--formulas", type=_parse_formula_list, default=None)
     p_table.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p_table.add_argument("--digits", type=int, default=50)
+    p_table.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
 
     p_verify = sub.add_parser("verify", help="run the certification suite")
     p_verify.add_argument(
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_VERIFY_GRID,
         help="START:STOP:COUNT grid for the monotonicity checks",
     )
-    p_verify.add_argument("--digits", type=int, default=50)
+    p_verify.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p_verify.add_argument("--format", choices=("text", "csv"), default="text")
 
     p_rate = sub.add_parser("rate", help="estimate the x^-9 decay constant")
@@ -141,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="w2 or w2star",
     )
     p_rate.add_argument("--x", type=_parse_number_list, default=(Fraction(100), Fraction(1000)))
-    p_rate.add_argument("--digits", type=int, default=60)
+    p_rate.add_argument("--digits", type=int, default=RATE_DIGITS)
 
     p_constants = sub.add_parser("constants", help="print the sharp constants")
     p_constants.add_argument("--digits", type=int, default=12)

@@ -23,7 +23,6 @@ __all__ = [
     "SignKind",
     "SignClassification",
     "sign_criterion",
-    "DEFAULT_BRACKET_WIDTH",
 ]
 
 
@@ -412,7 +411,7 @@ class RationalFunction:
 # Single-probe polynomial sign criterion
 # ---------------------------------------------------------------------------
 
-DEFAULT_BRACKET_WIDTH = Fraction(1, 2**32)
+_BRACKET_WIDTH = Fraction(1, 2**32)
 
 
 class ShapeError(ValueError):
@@ -464,9 +463,9 @@ def _check_shape(p: Polynomial, m: int) -> None:
             raise ShapeError(f"coefficient of degree {i} must be >= 0")
 
 
-def _bisect(p: Polynomial, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def _bisect(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     # invariant: p(lo) < 0 < p(hi)
-    while hi - lo > width:
+    while hi - lo > _BRACKET_WIDTH:
         mid = (lo + hi) / 2
         v = p(mid)
         if v == 0:
@@ -482,7 +481,6 @@ def sign_criterion(
     p: Polynomial,
     m: int,
     probe: Fraction | int,
-    bracket_width: Fraction = DEFAULT_BRACKET_WIDTH,
 ) -> SignClassification:
     """Classify the sign of ``p`` on (0, probe) / (probe, oo) from one evaluation.
 
@@ -492,13 +490,11 @@ def sign_criterion(
     negative near 0, has exactly one positive root, and is positive beyond
     it, so p(probe) > 0 proves p > 0 on (probe, oo) and p(probe) < 0 proves
     p < 0 on (0, probe).  The unique crossing is bracketed by exact bisection
-    down to ``bracket_width`` (degenerate bracket if a root is hit exactly).
+    down to width 2^-32 (degenerate bracket if a root is hit exactly).
     """
     probe = _rat(probe)
     if probe <= 0:
         raise ValueError("probe must be positive")
-    if bracket_width <= 0:
-        raise ValueError("bracket width must be positive")
     _check_shape(p, m)
 
     value = p(probe)
@@ -522,4 +518,4 @@ def sign_criterion(
                 return SignClassification(kind, probe, (hi, hi))
             lo, hi = hi, hi * 2
 
-    return SignClassification(kind, probe, _bisect(p, lo, hi, bracket_width))
+    return SignClassification(kind, probe, _bisect(p, lo, hi))

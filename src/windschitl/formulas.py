@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import Polynomial, RationalFunction
 from .precision import (
     OracleConfig,
     PrecisionReal,
@@ -40,6 +41,7 @@ __all__ = [
     "approximate",
     "log_approximate",
     "log_error",
+    "W2_CORRECTION",
     "w2_correction",
     "w2_log_gap",
     "w2star_log_gap",
@@ -92,8 +94,13 @@ def _ln_windschitl_core(x: PrecisionReal) -> PrecisionReal:
     return _ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x))
 
 
+# the paper's exponent correction y(x) = 7 / (324 x^3 (35 x^2 + 33)), exactly;
+# verify derives every algebraic use of the correction from this one object
+W2_CORRECTION = RationalFunction(7, 324 * Polynomial.from_terms({3: 33, 5: 35}))
+
+
 def w2_correction(x: PrecisionReal) -> PrecisionReal:
-    """The exponent correction 7 / (324 x^3 (35 x^2 + 33))."""
+    """W2_CORRECTION at the precision of x, to a relative 16 2^-prec."""
     return 7 / (324 * x * x * x * (35 * x * x + 33))
 
 

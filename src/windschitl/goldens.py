@@ -1,9 +1,10 @@
-"""Golden regression values for the default comparison table.
+"""The published comparison table, as printed, and the golden cells it gives.
 
-Each cell pins the published 4-significant-digit relative error
-|F(x) - Gamma(x+1)| / Gamma(x+1) for one formula at one abscissa.  The
-expected values are stored as exact Fractions of the printed decimals so
-that tolerance checks are themselves exact.
+Each printed value is the 4-significant-digit relative error
+|F(x) - Gamma(x+1)| / Gamma(x+1) of one formula at one abscissa.  The
+table's axes are the default ``table`` grid, and its cells are stored as
+exact Fractions of the printed decimals so that tolerance checks are
+themselves exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .formulas import FormulaId
 
-__all__ = ["GoldenCell", "TABLE_GOLDENS"]
+__all__ = ["GoldenCell", "TABLE_ABSCISSAS", "TABLE_FORMULAS", "TABLE_GOLDENS"]
 
 
 @dataclass(frozen=True)
@@ -30,37 +31,23 @@ class GoldenCell:
             raise ValueError("expected relative error must be positive")
 
 
-def _cell(x: int, tag: str, printed: str) -> GoldenCell:
-    return GoldenCell(Fraction(x), FormulaId(tag), Fraction(Decimal(printed)))
+_PRINTED_FORMULAS = ("nemes2", "chen", "w1", "w2")
+_PRINTED_ROWS = (
+    (1, ("1.114e-4", "1.398e-4", "1.832e-4", "2.407e-5")),
+    (2, ("1.900e-6", "2.222e-6", "2.668e-6", "2.308e-7")),
+    (5, ("4.353e-9", "4.956e-9", "5.743e-9", "1.249e-10")),
+    (10, ("3.609e-11", "4.088e-11", "4.710e-11", "2.785e-13")),
+    (20, ("2.864e-13", "3.240e-13", "3.727e-13", "5.634e-16")),
+    (50, ("4.713e-16", "5.330e-16", "6.129e-16", "1.492e-19")),
+    (100, ("3.684e-18", "4.166e-18", "4.791e-18", "2.918e-22")),
+)
 
+TABLE_FORMULAS: tuple[FormulaId, ...] = tuple(FormulaId(tag) for tag in _PRINTED_FORMULAS)
+TABLE_ABSCISSAS: tuple[Fraction, ...] = tuple(Fraction(x) for x, _ in _PRINTED_ROWS)
 
-TABLE_GOLDENS: tuple[GoldenCell, ...] = (
-    _cell(1, "nemes2", "1.114e-4"),
-    _cell(1, "chen", "1.398e-4"),
-    _cell(1, "w1", "1.832e-4"),
-    _cell(1, "w2", "2.407e-5"),
-    _cell(2, "nemes2", "1.900e-6"),
-    _cell(2, "chen", "2.222e-6"),
-    _cell(2, "w1", "2.668e-6"),
-    _cell(2, "w2", "2.308e-7"),
-    _cell(5, "nemes2", "4.353e-9"),
-    _cell(5, "chen", "4.956e-9"),
-    _cell(5, "w1", "5.743e-9"),
-    _cell(5, "w2", "1.249e-10"),
-    _cell(10, "nemes2", "3.609e-11"),
-    _cell(10, "chen", "4.088e-11"),
-    _cell(10, "w1", "4.710e-11"),
-    _cell(10, "w2", "2.785e-13"),
-    _cell(20, "nemes2", "2.864e-13"),
-    _cell(20, "chen", "3.240e-13"),
-    _cell(20, "w1", "3.727e-13"),
-    _cell(20, "w2", "5.634e-16"),
-    _cell(50, "nemes2", "4.713e-16"),
-    _cell(50, "chen", "5.330e-16"),
-    _cell(50, "w1", "6.129e-16"),
-    _cell(50, "w2", "1.492e-19"),
-    _cell(100, "nemes2", "3.684e-18"),
-    _cell(100, "chen", "4.166e-18"),
-    _cell(100, "w1", "4.791e-18"),
-    _cell(100, "w2", "2.918e-22"),
+# row by row, in the printed column order
+TABLE_GOLDENS: tuple[GoldenCell, ...] = tuple(
+    GoldenCell(Fraction(x), formula, Fraction(Decimal(printed)))
+    for x, row in _PRINTED_ROWS
+    for formula, printed in zip(TABLE_FORMULAS, row, strict=True)
 )

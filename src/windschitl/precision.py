@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +38,7 @@ __all__ = [
     "pi",
     "ln_gamma_ref",
     "trigamma_ref",
+    "floor_log10",
     "format_sci",
     "round_decimal",
 ]
@@ -314,6 +315,34 @@ def _to_exact_fraction(value) -> Fraction:
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
+def floor_log10(value) -> int:
+    """floor(log10 |value|) of a nonzero rational, exactly."""
+    fr = _to_exact_fraction(value)
+    if fr == 0:
+        raise ValueError("floor_log10 needs a nonzero value")
+    num, den = abs(fr.numerator), fr.denominator
+    # the float estimate is off by at most one; one exact comparison settles it
+    e = math.floor(math.log10(num) - math.log10(den))
+    if e >= 0:
+        den *= 10**e
+    else:
+        num *= 10**-e
+    # num / den is now |value| / 10^e
+    if num < den:
+        return e - 1
+    if num >= 10 * den:
+        return e + 1
+    return e
+
+
+def _round_half_even(num: int, den: int) -> tuple[int, bool]:
+    """(num / den rounded half-even to an integer, whether it was exact), den > 0."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q, r == 0
+
+
 def format_sci(value, sig_digits: int) -> str:
     """Scientific notation rounded to ``sig_digits`` significant digits.
 
@@ -328,28 +357,17 @@ def format_sci(value, sig_digits: int) -> str:
     fr = _to_exact_fraction(value)
     if fr == 0:
         return "0E+0"
+    e = floor_log10(fr)
+    # |value| 10^k has exactly sig_digits digits before the point
+    k = sig_digits - 1 - e
     num, den = abs(fr.numerator), fr.denominator
-    # e = floor(log10 |value|): the float estimate is off by at most one
-    e = math.floor(math.log10(num) - math.log10(den))
-    while True:
-        # |value| 10^k truncated to an integer of sig_digits digits
-        k = sig_digits - 1 - e
-        if k >= 0:
-            num_k, den_k = num * 10**k, den
-        else:
-            num_k, den_k = num, den * 10**-k
-        q, r = divmod(num_k, den_k)
-        if q >= 10**sig_digits:
-            e += 1
-        elif q < 10 ** (sig_digits - 1):
-            e -= 1
-        else:
-            break
-    if 2 * r > den_k or (2 * r == den_k and q & 1):  # half-even
-        q += 1
-        if q == 10**sig_digits:
-            q, e = q // 10, e + 1
-    elif r == 0:
+    if k >= 0:
+        q, exact = _round_half_even(num * 10**k, den)
+    else:
+        q, exact = _round_half_even(num, den * 10**-k)
+    if q == 10**sig_digits:
+        q, e = q // 10, e + 1
+    elif exact:
         # an exact value keeps no trailing zero below its units digit, as Decimal
         while k > 0 and q % 10 == 0:
             q, k = q // 10, k - 1
@@ -361,11 +379,9 @@ def format_sci(value, sig_digits: int) -> str:
 def round_decimal(value, places: int) -> Decimal:
     """Exact half-even rounding to a fixed number of decimal places."""
     fr = _to_exact_fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = places + 30
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
-        return d.quantize(Decimal(1).scaleb(-places))
+    scaled = abs(fr) * Fraction(10) ** places
+    q, _ = _round_half_even(scaled.numerator, scaled.denominator)
+    return Decimal((int(fr < 0), Decimal(q).as_tuple().digits, -places))
 
 
 # ---------------------------------------------------------------------------

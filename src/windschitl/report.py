@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .formulas import FormulaId, LogErrorValue, log_error
-from .precision import OracleConfig, format_sci
+from .goldens import TABLE_ABSCISSAS, TABLE_FORMULAS
+from .precision import DEFAULT_DIGITS, OracleConfig, format_sci
 from .verify import check_goldens  # re-exported: defined with the other checks
 
 __all__ = [
@@ -26,8 +27,9 @@ __all__ = [
     "check_goldens",
 ]
 
-DEFAULT_ABSCISSAS = tuple(Fraction(v) for v in (1, 2, 5, 10, 20, 50, 100))
-DEFAULT_FORMULAS = (FormulaId.NEMES2, FormulaId.CHEN, FormulaId.W1, FormulaId.W2)
+# the default table is the published one
+DEFAULT_ABSCISSAS = TABLE_ABSCISSAS
+DEFAULT_FORMULAS = TABLE_FORMULAS
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class TableSpec:
 
     abscissas: tuple[Fraction, ...] = DEFAULT_ABSCISSAS
     formulas: tuple[FormulaId, ...] = DEFAULT_FORMULAS
-    precision_digits: int = 50
+    precision_digits: int = DEFAULT_DIGITS
 
     def __post_init__(self):
         if not self.formulas:

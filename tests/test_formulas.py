@@ -9,6 +9,7 @@ from windschitl import (
     OracleConfig,
     PrecisionReal,
     Target,
+    W2_CORRECTION,
     approximate,
     exp,
     format_sci,
@@ -146,6 +147,16 @@ def test_gap_positive_on_sample_points():
     for x in (Fraction(3, 2), 2, 5, 17, 120):
         assert w2_log_gap(x, CFG) > 0
         assert w2star_log_gap(x, CFG) > 0
+
+
+@pytest.mark.parametrize("prec", [64, 200, 1000])
+@pytest.mark.parametrize(
+    "x", [Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(10), Fraction(10**6), Fraction(1, 1000)]
+)
+def test_exact_correction_matches_the_rounded_evaluator(x, prec):
+    exact = W2_CORRECTION(x)
+    rounded = w2_correction(PrecisionReal(x, prec)).to_fraction()
+    assert abs(rounded - exact) <= 16 * exact / 2**prec
 
 
 def test_star_gap_identity():

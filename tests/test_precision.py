@@ -31,6 +31,7 @@ from windschitl.precision import (
     _shift_steps,
     _stirling_series,
     _validate_series,
+    floor_log10,
     working_argument,
 )
 
@@ -510,3 +511,20 @@ def test_round_decimal_half_even():
     assert str(round_decimal(Fraction(1000024067, 10**9), 9)) == "1.000024067"
     assert str(round_decimal(Fraction(25, 1000), 2)) == "0.02"  # half-even
     assert str(round_decimal(Fraction(35, 1000), 2)) == "0.04"
+    assert str(round_decimal(Fraction(-1, 10**12), 9)) == "-0E-9"
+    # one rounding, not a rounded quotient rounded again at the last place
+    assert str(round_decimal(Fraction(1, 2 * 10**9) + Fraction(1, 10**50), 9)) == "1E-9"
+    # no working precision to run out of
+    assert str(round_decimal(Fraction(10**50), 2)) == "1" + "0" * 50 + ".00"
+
+
+def test_floor_log10_is_exact_at_powers_of_ten():
+    for e in (-300, -20, -1, 0, 1, 20, 300):
+        power = Fraction(10) ** e
+        assert floor_log10(power) == e
+        assert floor_log10(-power) == e
+        assert floor_log10(power - Fraction(1, 10**400)) == e - 1
+        assert floor_log10(power * Fraction(10**17 - 1, 10**16)) == e
+    assert floor_log10(PrecisionReal(Fraction(3, 2), 64)) == 0
+    with pytest.raises(ValueError):
+        floor_log10(0)

@@ -112,6 +112,18 @@ def test_perturbed_curvature_coefficient_fails_with_witness():
     )
 
 
+def test_mutated_correction_fails_both_correction_checks(monkeypatch):
+    import windschitl.verify as verify
+    from windschitl import Polynomial, RationalFunction
+
+    mutated = RationalFunction(7, 324 * Polynomial.from_terms({3: 34, 5: 35}))
+    monkeypatch.setattr(verify, "W2_CORRECTION", mutated)
+    for check in (verify_convexity_polynomials, verify_best_constants):
+        report = check(CFG)
+        assert not report.passed
+        assert any("correction" in w.description for w in report.failures), report.failures
+
+
 def test_constant_function_fails_monotonicity():
     def flat(x, cfg):
         return PrecisionReal(1, 64)
