@@ -44,7 +44,7 @@ __all__ = ["main"]
 
 
 def _parse_number(text: str) -> Fraction:
-    """Exact parse of a positive decimal or p/q literal."""
+    """Exact parse of a decimal or p/q literal of any sign; the formulas check the domain."""
     try:
         if "/" in text:
             value = Fraction(text)
@@ -113,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
 
     p_table = sub.add_parser("table", help="print the comparison table")
-    p_table.add_argument("--x", type=_parse_number_list, default=None)
-    p_table.add_argument("--formulas", type=_parse_formula_list, default=None)
+    p_table.add_argument("--x", type=_parse_number_list, default=DEFAULT_ABSCISSAS)
+    p_table.add_argument("--formulas", type=_parse_formula_list, default=DEFAULT_FORMULAS)
     p_table.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p_table.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
 
@@ -186,8 +186,8 @@ def _dispatch(args) -> int:
 
     if args.command == "table":
         spec = TableSpec(
-            abscissas=args.x if args.x else DEFAULT_ABSCISSAS,
-            formulas=args.formulas if args.formulas else DEFAULT_FORMULAS,
+            abscissas=args.x,
+            formulas=args.formulas,
             precision_digits=args.digits,
         )
         render = render_csv if args.format == "csv" else render_markdown
@@ -222,7 +222,7 @@ def _dispatch(args) -> int:
         print(f"abscissas          = {','.join(str(x) for x in estimate.xs)}", file=out)
         print(f"scaled_gap_largest = {format_sci(estimate.at_largest, 12)}", file=out)
         print(f"richardson         = {format_sci(estimate.richardson, 12)}", file=out)
-        print(f"limit              = {format_sci(limit, 12)} (869/2976750)", file=out)
+        print(f"limit              = {format_sci(limit, 12)} ({limit})", file=out)
         deviation = abs(estimate.at_largest - limit) / limit
         print(f"relative_deviation = {format_sci(deviation, 3)}", file=out)
         return 0

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .exact import Polynomial, RationalFunction
 from .precision import (
+    DEFAULT_CONFIG,
     OracleConfig,
     PrecisionReal,
     exp,
@@ -29,7 +30,6 @@ from .precision import (
     tanh,
     DomainError,
     PrecisionError,
-    default_config,
     format_sci,
     working_argument,
 )
@@ -215,11 +215,8 @@ class LogErrorValue:
             ) from None
 
 
-def _log_gap(
-    formula: FormulaId, x, cfg: OracleConfig | None
-) -> tuple[PrecisionReal, PrecisionReal]:
+def _log_gap(formula: FormulaId, x, cfg: OracleConfig) -> tuple[PrecisionReal, PrecisionReal]:
     """(ln(target gamma value) - ln F(x), ln F(x)): the one route to every log gap."""
-    cfg = cfg or default_config()
     x = working_argument(x, cfg)
     shift = Fraction(1) if formula.target is Target.GAMMA_X_PLUS_1 else Fraction(1, 2)
     target = ln_gamma_ref(x + shift, cfg)
@@ -227,12 +224,11 @@ def _log_gap(
     return target - log_value, log_value
 
 
-def log_error(formula: FormulaId, x, cfg: OracleConfig | None = None) -> LogErrorValue:
+def log_error(formula: FormulaId, x, cfg: OracleConfig = DEFAULT_CONFIG) -> LogErrorValue:
     """Evaluate a formula against its target gamma value at oracle accuracy.
 
     Domain and precision failures are re-raised naming the formula and x.
     """
-    cfg = cfg or default_config()
     x = working_argument(x, cfg)
     try:
         gap, log_value = _log_gap(formula, x, cfg)
@@ -246,7 +242,7 @@ def log_error(formula: FormulaId, x, cfg: OracleConfig | None = None) -> LogErro
     )
 
 
-def w2_log_gap(x, cfg: OracleConfig | None = None) -> PrecisionReal:
+def w2_log_gap(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     """ln Gamma(x+1) - ln W2(x): the exponent-corrected formula's log error.
 
     Strictly decreasing and convex on (1, oo), falling from its value at
@@ -255,7 +251,7 @@ def w2_log_gap(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     return _log_gap(FormulaId.W2, x, cfg)[0]
 
 
-def w2star_log_gap(x, cfg: OracleConfig | None = None) -> PrecisionReal:
+def w2star_log_gap(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     """ln Gamma(x+1) - ln W2*(x), for the linear-corrected variant."""
     return _log_gap(FormulaId.W2STAR, x, cfg)[0]
 

@@ -163,13 +163,7 @@ class PrecisionReal:
             return PrecisionReal._wrap(
                 libmp.mpf_pow_int(self.raw, exponent, self.prec, _RND), self.prec
             )
-        rhs = self._coerce(exponent)
-        if rhs is None:
-            return NotImplemented
-        if libmp.mpf_sign(self.raw) <= 0:
-            raise DomainError("real power needs a positive base")
-        prec = max(self.prec, rhs.prec)
-        return PrecisionReal._wrap(libmp.mpf_pow(self.raw, rhs.raw, prec, _RND), prec)
+        return NotImplemented
 
     def __neg__(self):
         return PrecisionReal._wrap(libmp.mpf_neg(self.raw), self.prec)
@@ -435,10 +429,7 @@ class OracleConfig:
 
 
 DEFAULT_DIGITS = 50
-
-
-def default_config() -> OracleConfig:
-    return OracleConfig.for_digits(DEFAULT_DIGITS)
+DEFAULT_CONFIG = OracleConfig.for_digits(DEFAULT_DIGITS)
 
 
 def working_argument(x, cfg: OracleConfig) -> PrecisionReal:
@@ -621,7 +612,7 @@ def _shifted(x, cfg: OracleConfig, name: str) -> tuple[tuple, int, tuple, int]:
 # ---------------------------------------------------------------------------
 
 
-def ln_gamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
+def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     """ln Gamma(x) to cfg.target_decimal_digits, for real x > 0.
 
     Shifts upward with ln Gamma(x) = ln Gamma(x+n) - ln(x (x+1) ... (x+n-1))
@@ -640,7 +631,6 @@ def ln_gamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     truncation is a few ulps of that scale, far below 10^-D, since p
     carries at least ten guard digits.
     """
-    cfg = cfg or default_config()
     xr, n, y, prec = _shifted(x, cfg, "ln_gamma_ref")
     mpf_add, mpf_sub = libmp.mpf_add, libmp.mpf_sub
     lny = libmp.mpf_log(y, prec, _RND)
@@ -655,7 +645,7 @@ def ln_gamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     return PrecisionReal._wrap(result, prec)
 
 
-def trigamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
+def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     """Trigamma psi'(x) to cfg.target_decimal_digits, for real x > 0.
 
     Uses psi'(x) = psi'(x+n) + sum_{k<n} 1/(x+k)^2 to shift upward, then
@@ -669,7 +659,6 @@ def trigamma_ref(x, cfg: OracleConfig | None = None) -> PrecisionReal:
     2^-(p+10), in 1 + u sum and in u/2; the one rounding of y,
     |psi''(y)| ulp(y)/2; and three roundings to nearest at p bits.
     """
-    cfg = cfg or default_config()
     xr, n, y, prec = _shifted(x, cfg, "trigamma_ref")
     series, u, frac_bits = _stirling_series("trigamma", cfg.series_terms, y, prec)
     head = libmp.from_man_exp((1 << frac_bits) + ((series * u) >> frac_bits), -frac_bits)

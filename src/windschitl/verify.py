@@ -34,10 +34,10 @@ from .formulas import (
 )
 from .goldens import TABLE_GOLDENS, GoldenCell
 from .precision import (
+    DEFAULT_CONFIG,
     OracleConfig,
     PrecisionError,
     PrecisionReal,
-    default_config,
     exp,
     floor_log10,
     format_sci,
@@ -324,7 +324,7 @@ def pruned_curvature_minorant(full: Polynomial) -> Polynomial:
 _TRIGAMMA_GRID = tuple(_log_grid(Fraction(1, 100), Fraction(10), 30))
 
 
-def verify_trigamma_bound(cfg: OracleConfig | None = None) -> VerificationReport:
+def verify_trigamma_bound(cfg: OracleConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Certify psi'(x + 1/2) > r(x) for x > 0.
 
     Exact part: the telescoped difference -1/(x+1/2)^2 - r(x+1) + r(x)
@@ -332,7 +332,6 @@ def verify_trigamma_bound(cfg: OracleConfig | None = None) -> VerificationReport
     decreases to 0 along x, x+1, x+2, ... and is therefore positive.
     Numeric part: spot checks of the inequality itself on a log grid.
     """
-    cfg = cfg or default_config()
     c = _Checks("trigamma-bound", cfg)
 
     r = trigamma_lower_bound()
@@ -387,9 +386,8 @@ def verify_trigamma_bound(cfg: OracleConfig | None = None) -> VerificationReport
 # ---------------------------------------------------------------------------
 
 
-def verify_csch_bound(cfg: OracleConfig | None = None) -> VerificationReport:
+def verify_csch_bound(cfg: OracleConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Certify t/sinh t > h(t) > 0 on (0, 1] for the degree-10 minorant h."""
-    cfg = cfg or default_config()
     c = _Checks("csch-bound", cfg)
 
     printed = (
@@ -469,8 +467,8 @@ _CURVATURE_GRID = _linear_grid(Fraction(1), Fraction(50), 20)
 
 
 def verify_convexity_polynomials(
-    cfg: OracleConfig | None = None,
-    expected: Mapping[int, Fraction] | None = None,
+    cfg: OracleConfig = DEFAULT_CONFIG,
+    expected: Mapping[int, Fraction] = CURVATURE_COEFFS,
 ) -> VerificationReport:
     """Rebuild the degree-22 curvature numerator and certify its positivity.
 
@@ -481,8 +479,6 @@ def verify_convexity_polynomials(
     published table, prunes it to the minorant kept by the sign lists,
     and applies the single-probe criterion at t = 1.
     """
-    cfg = cfg or default_config()
-    expected = CURVATURE_COEFFS if expected is None else expected
     c = _Checks("convexity-polynomials", cfg)
 
     # the bound and tail terms are reciprocal substitutions of their x-forms
@@ -605,7 +601,7 @@ def correction_defect_derivatives() -> tuple[RationalFunction, RationalFunction,
 _SANDWICH_NS = range(1, 21)
 
 
-def verify_best_constants(cfg: OracleConfig | None = None) -> VerificationReport:
+def verify_best_constants(cfg: OracleConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Certify the sharp constants and both factorial sandwiches.
 
     The w2 sandwich: exp(y(n)) < n!/W0(n) < lambda exp(y(n)) with
@@ -614,7 +610,6 @@ def verify_best_constants(cfg: OracleConfig | None = None) -> VerificationReport
     n = 1 (that is what makes the constants sharp), so the comparison
     there is an equality check within tolerance.
     """
-    cfg = cfg or default_config()
     prec = cfg.precision_bits
     c = _Checks("best-constants", cfg)
 
@@ -719,7 +714,7 @@ _GAP_FUNCTIONS: Mapping[str, Callable] = {
 def verify_monotone_convex(
     which: str | Callable,
     grid: Sequence[Fraction | int],
-    cfg: OracleConfig | None = None,
+    cfg: OracleConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
     """Check strict decrease, convexity, and range (0, value-at-1] on a grid.
 
@@ -728,7 +723,6 @@ def verify_monotone_convex(
     asserted through strictly increasing divided differences, so uneven
     grids are fine.
     """
-    cfg = cfg or default_config()
     if isinstance(which, str):
         fn = _GAP_FUNCTIONS.get(which)
         if fn is None:
@@ -773,7 +767,7 @@ def verify_monotone_convex(
 def check_goldens(
     cells: Sequence[GoldenCell] = TABLE_GOLDENS,
     tol_sig_digits: int = 3,
-    cfg: OracleConfig | None = None,
+    cfg: OracleConfig = DEFAULT_CONFIG,
 ) -> VerificationReport:
     """Recompute each golden cell and compare to the published value.
 
@@ -784,7 +778,6 @@ def check_goldens(
     """
     if not 2 <= tol_sig_digits <= 4:
         raise ValueError("tol_sig_digits must be between 2 and 4")
-    cfg = cfg or default_config()
     c = _Checks("reference-table")
     worst: tuple[Fraction, GoldenCell] | None = None
     for cell in cells:
@@ -834,7 +827,7 @@ class RateEstimate:
 def estimate_rate_constant(
     xs: Sequence[Fraction | int],
     formula: FormulaId = FormulaId.W2,
-    cfg: OracleConfig | None = None,
+    cfg: OracleConfig = OracleConfig.for_digits(RATE_DIGITS),
 ) -> RateEstimate:
     """Estimate lim x^9 (ln Gamma(x+1) - ln F(x)) for F in {w2, w2star}.
 
@@ -842,7 +835,6 @@ def estimate_rate_constant(
     extrapolation in x^-2 across the whole sequence (the gap expands in
     odd powers of 1/x, so the scaled gap is a series in x^-2).
     """
-    cfg = cfg or OracleConfig.for_digits(RATE_DIGITS)
     if formula.value not in _GAP_FUNCTIONS:
         raise ValueError("rate estimation applies to w2 and w2star only")
     points = [Fraction(x) for x in xs]

@@ -26,6 +26,11 @@ TRANSCRIPTS = Path(__file__).parent / "transcripts"
         # tolerance, and missing precision is reported as three FAILs.  The
         # change that adds an UNRESOLVED status updates this transcript.
         ("verify-digits-30", ["verify", "--digits", "30"], 1),
+        ("eval-w2-1", ["eval", "w2", "1"], 0),
+        ("eval-w2-1-digits-200", ["eval", "w2", "1", "--digits", "200"], 0),
+        ("eval-w2-1-digits-500", ["eval", "w2", "1", "--digits", "500"], 0),
+        ("table", ["table"], 0),
+        ("table-markdown", ["table", "--format", "markdown"], 0),
     ],
 )
 def test_cli_output_matches_its_transcript(capsysbinary, name, argv, exit_code):

@@ -26,6 +26,7 @@ from windschitl import (
     w2_log_gap,
     w2star_log_gap,
 )
+from windschitl.precision import DEFAULT_DIGITS
 
 CFG = OracleConfig.for_digits(50)
 PREC = CFG.precision_bits
@@ -123,6 +124,23 @@ def test_relative_error_consistency_invariant():
 # ---------------------------------------------------------------------------
 # Error functionals
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        ln_gamma_ref,
+        trigamma_ref,
+        w2_log_gap,
+        w2star_log_gap,
+        lambda x, *cfg: log_error(FormulaId.W2, x, *cfg).log_gap,
+    ],
+    ids=["ln_gamma_ref", "trigamma_ref", "w2_log_gap", "w2star_log_gap", "log_error"],
+)
+def test_omitted_cfg_is_the_default_digits(oracle):
+    x = Fraction(3, 2)
+    implicit, explicit = oracle(x), oracle(x, OracleConfig.for_digits(DEFAULT_DIGITS))
+    assert (implicit.raw, implicit.prec) == (explicit.raw, explicit.prec)
 
 
 def test_gap_at_one_displays_as_published():

@@ -110,6 +110,11 @@ def test_integer_powers():
         PrecisionReal(0, 64) ** -1
 
 
+def test_only_integer_powers_are_defined():
+    with pytest.raises(TypeError):
+        PrecisionReal(2, 64) ** Fraction(1, 2)
+
+
 def test_values_are_immutable():
     x = PrecisionReal(1, 64)
     with pytest.raises(AttributeError):

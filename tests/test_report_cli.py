@@ -280,6 +280,9 @@ def test_usage_errors_exit_two(capsys):
         ),
         (["constants", "--digits", "0"], "--digits must be positive, got 0"),
         (["constants", "--digits", "-5"], "--digits must be positive, got -5"),
+        # an empty list is refused, not replaced by the published table's axis
+        (["table", "--x", ","], "at least one abscissa is required"),
+        (["table", "--formulas", ","], "at least one formula is required"),
     ],
     ids=[
         "verify-too-few-digits",
@@ -288,6 +291,8 @@ def test_usage_errors_exit_two(capsys):
         "eval-unprintable-value",
         "constants-zero-digits",
         "constants-negative-digits",
+        "table-empty-abscissas",
+        "table-empty-formulas",
     ],
 )
 def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, monkeypatch, argv, message):

@@ -165,6 +165,16 @@ def test_rate_constant_both_formulas():
         assert rich_dev < budget
 
 
+def test_rate_defaults_to_rate_digits():
+    xs = (Fraction(100), Fraction(1000))
+    implicit = estimate_rate_constant(xs)
+    explicit = estimate_rate_constant(xs, FormulaId.W2, OracleConfig.for_digits(60))
+    assert implicit.xs == explicit.xs and implicit.formula is explicit.formula
+    for field in ("at_largest", "richardson"):
+        got, want = getattr(implicit, field), getattr(explicit, field)
+        assert (got.raw, got.prec) == (want.raw, want.prec)
+
+
 def test_rate_makes_one_oracle_call_per_abscissa(monkeypatch):
     import windschitl.formulas as formulas
     import windschitl.verify as verify
