@@ -13,7 +13,6 @@ from .exact import (
     Polynomial,
     RationalFunction,
     ShapeError,
-    SignClassification,
     SignKind,
     bernoulli,
     sign_criterion,

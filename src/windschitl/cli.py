@@ -164,6 +164,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.digits <= 0:
+        raise ValueError(f"--digits must be positive, got {args.digits}")
     out = sys.stdout
     if args.command == "eval":
         cfg = OracleConfig.for_digits(args.digits)
@@ -229,8 +231,6 @@ def _dispatch(args) -> int:
 
     if args.command == "constants":
         digits = args.digits
-        if digits <= 0:
-            raise ValueError(f"--digits must be positive, got {digits}")
         cfg = OracleConfig.for_digits(max(digits + 10, 30))
         beta = w2_log_gap(1, cfg)
         beta_star = w2star_log_gap(1, cfg)

@@ -10,7 +10,6 @@ arithmetic lives in :mod:`windschitl.precision`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -21,7 +20,6 @@ __all__ = [
     "RationalFunction",
     "ShapeError",
     "SignKind",
-    "SignClassification",
     "sign_criterion",
 ]
 
@@ -411,8 +409,6 @@ class RationalFunction:
 # Single-probe polynomial sign criterion
 # ---------------------------------------------------------------------------
 
-_BRACKET_WIDTH = Fraction(1, 2**32)
-
 
 class ShapeError(ValueError):
     """The coefficient sign pattern does not admit the single-probe criterion."""
@@ -424,25 +420,6 @@ class SignKind(Enum):
     ALL_POSITIVE_ON_INTERVAL = "all-positive-on-interval"  # p > 0 on (probe, oo)
     ALL_NEGATIVE_ON_INTERVAL = "all-negative-on-interval"  # p < 0 on (0, probe)
     SINGLE_CROSSING = "single-crossing"  # the probe is exactly the crossing
-
-
-@dataclass(frozen=True)
-class SignClassification:
-    """Result of :func:`sign_criterion`.
-
-    ``crossing_bracket`` brackets the unique positive root: its endpoints
-    give opposite signs, except in the degenerate case where an exact
-    root was hit and both endpoints equal it.
-    """
-
-    kind: SignKind
-    probe: Fraction
-    crossing_bracket: tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        lo, hi = self.crossing_bracket
-        if lo > hi:
-            raise ValueError("bracket endpoints out of order")
 
 
 def _check_shape(p: Polynomial, m: int) -> None:
@@ -463,34 +440,15 @@ def _check_shape(p: Polynomial, m: int) -> None:
             raise ShapeError(f"coefficient of degree {i} must be >= 0")
 
 
-def _bisect(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    # invariant: p(lo) < 0 < p(hi)
-    while hi - lo > _BRACKET_WIDTH:
-        mid = (lo + hi) / 2
-        v = p(mid)
-        if v == 0:
-            return (mid, mid)
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
-
-
-def sign_criterion(
-    p: Polynomial,
-    m: int,
-    probe: Fraction | int,
-) -> SignClassification:
+def sign_criterion(p: Polynomial, m: int, probe: Fraction | int) -> SignKind:
     """Classify the sign of ``p`` on (0, probe) / (probe, oo) from one evaluation.
 
     ``p`` must have one nonpositive coefficient block at degrees 0..m (with
     the degree-m coefficient strictly negative), nonnegative coefficients at
     degrees m+1..n-1, and positive leading coefficient.  Such a polynomial is
     negative near 0, has exactly one positive root, and is positive beyond
-    it, so p(probe) > 0 proves p > 0 on (probe, oo) and p(probe) < 0 proves
-    p < 0 on (0, probe).  The unique crossing is bracketed by exact bisection
-    down to width 2^-32 (degenerate bracket if a root is hit exactly).
+    it, so p(probe) > 0 proves p > 0 on (probe, oo), p(probe) < 0 proves
+    p < 0 on (0, probe), and p(probe) == 0 makes the probe the crossing.
     """
     probe = _rat(probe)
     if probe <= 0:
@@ -498,24 +456,8 @@ def sign_criterion(
     _check_shape(p, m)
 
     value = p(probe)
-    if value == 0:
-        return SignClassification(SignKind.SINGLE_CROSSING, probe, (probe, probe))
-
     if value > 0:
-        kind = SignKind.ALL_POSITIVE_ON_INTERVAL
-        # crossing lies in (0, probe); walk down until the sign flips
-        hi, lo = probe, probe / 2
-        while (v := p(lo)) >= 0:
-            if v == 0:
-                return SignClassification(kind, probe, (lo, lo))
-            hi, lo = lo, lo / 2
-    else:
-        kind = SignKind.ALL_NEGATIVE_ON_INTERVAL
-        # crossing lies in (probe, oo); walk up until the sign flips
-        lo, hi = probe, probe * 2
-        while (v := p(hi)) <= 0:
-            if v == 0:
-                return SignClassification(kind, probe, (hi, hi))
-            lo, hi = hi, hi * 2
-
-    return SignClassification(kind, probe, _bisect(p, lo, hi))
+        return SignKind.ALL_POSITIVE_ON_INTERVAL
+    if value < 0:
+        return SignKind.ALL_NEGATIVE_ON_INTERVAL
+    return SignKind.SINGLE_CROSSING

@@ -43,6 +43,8 @@ class TableSpec:
     def __post_init__(self):
         if not self.formulas:
             raise ValueError("at least one formula is required")
+        if len(set(self.formulas)) != len(self.formulas):
+            raise ValueError("formulas must be distinct")
         if not self.abscissas:
             raise ValueError("at least one abscissa is required")
         if any(x <= 0 for x in self.abscissas):

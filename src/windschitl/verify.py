@@ -551,11 +551,11 @@ def verify_convexity_polynomials(
         "pruned minorant at t = 1 equals the published rational",
         f"computed {value_at_1}",
     )
-    classification = sign_criterion(-pruned, 3, Fraction(1))
+    kind = sign_criterion(-pruned, 3, Fraction(1))
     c.expect(
-        classification.kind is SignKind.ALL_NEGATIVE_ON_INTERVAL,
+        kind is SignKind.ALL_NEGATIVE_ON_INTERVAL,
         "single-probe criterion: negated minorant is negative on (0, 1)",
-        classification.kind.value,
+        kind.value,
     )
     c.note(
         "conclusion",

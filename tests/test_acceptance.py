@@ -163,8 +163,8 @@ def test_criterion_3_exact_proof_artifacts():
 def test_criterion_4_sign_criterion_application():
     full = rebuild_curvature_numerator().divided_by_power(11)
     pruned = pruned_curvature_minorant(full)
-    classification = sign_criterion(-pruned, 3, Fraction(1))
-    checks = [classification.kind is SignKind.ALL_NEGATIVE_ON_INTERVAL, pruned(1) > 0]
+    kind = sign_criterion(-pruned, 3, Fraction(1))
+    checks = [kind is SignKind.ALL_NEGATIVE_ON_INTERVAL, pruned(1) > 0]
 
     try:
         assert_sign_criterion_matches_brute_force(cases=100, seed=20240817)

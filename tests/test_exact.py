@@ -15,6 +15,7 @@ from windschitl import (
     sign_criterion,
 )
 from windschitl import exact
+from windschitl.verify import pruned_curvature_minorant, rebuild_curvature_numerator
 from support import (
     assert_sign_criterion_matches_brute_force,
     bernoulli_recursion,
@@ -349,26 +350,18 @@ def test_ratfun_evaluation_and_zero_denominator():
 
 def test_sign_criterion_linear_example():
     p = Polynomial((-1, 1))  # t - 1
-    result = sign_criterion(p, 0, 2)
-    assert result.kind is SignKind.ALL_POSITIVE_ON_INTERVAL
-    lo, hi = result.crossing_bracket
-    assert lo <= 1 <= hi
+    assert sign_criterion(p, 0, 2) is SignKind.ALL_POSITIVE_ON_INTERVAL
 
 
 def test_sign_criterion_probe_hits_root():
     p = Polynomial((-1, 1))
-    result = sign_criterion(p, 0, 1)
-    assert result.kind is SignKind.SINGLE_CROSSING
-    assert result.crossing_bracket == (Fraction(1), Fraction(1))
+    assert sign_criterion(p, 0, 1) is SignKind.SINGLE_CROSSING
 
 
 def test_sign_criterion_cubic_example():
     # t^3 + t^2 - t - 1 = (t - 1)(t + 1)^2, shaped with m = 1
     p = Polynomial((-1, -1, 1, 1))
-    result = sign_criterion(p, 1, Fraction(1, 2))
-    assert result.kind is SignKind.ALL_NEGATIVE_ON_INTERVAL
-    lo, hi = result.crossing_bracket
-    assert lo <= 1 <= hi
+    assert sign_criterion(p, 1, Fraction(1, 2)) is SignKind.ALL_NEGATIVE_ON_INTERVAL
     # independent check by dense scan
     oracle_lo, oracle_hi = brute_force_sign_profile(p)
     assert oracle_lo <= 1 <= oracle_hi
@@ -392,11 +385,26 @@ def test_sign_criterion_rejects_bad_probe():
         sign_criterion(Polynomial((-1, 1)), 0, 0)
 
 
-def test_sign_criterion_bracket_width_is_configurable():
+def test_sign_criterion_irrational_root():
     p = Polynomial((-2, 0, 1))  # root sqrt(2), never hit exactly
-    lo, hi = sign_criterion(p, 0, 1).crossing_bracket
-    assert hi - lo <= Fraction(1, 2**32)
-    assert p(lo) < 0 < p(hi)
+    oracle_lo, oracle_hi = brute_force_sign_profile(p)
+    assert 1 < oracle_lo and oracle_hi < 2
+    assert sign_criterion(p, 0, 1) is SignKind.ALL_NEGATIVE_ON_INTERVAL
+    assert sign_criterion(p, 0, 2) is SignKind.ALL_POSITIVE_ON_INTERVAL
+
+
+def test_sign_criterion_evaluates_the_polynomial_once(monkeypatch):
+    negated = -pruned_curvature_minorant(rebuild_curvature_numerator().divided_by_power(11))
+    evaluate = Polynomial.__call__
+    calls = []
+
+    def counted(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Polynomial, "__call__", counted)
+    assert sign_criterion(negated, 3, 1) is SignKind.ALL_NEGATIVE_ON_INTERVAL
+    assert calls == [1]
 
 
 def test_sign_criterion_agrees_with_brute_force_on_random_shapes():

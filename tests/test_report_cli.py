@@ -45,6 +45,8 @@ def test_spec_validation():
         TableSpec(abscissas=(Fraction(-1), Fraction(1)))
     with pytest.raises(ValueError):
         TableSpec(formulas=())
+    with pytest.raises(ValueError, match="formulas must be distinct"):
+        TableSpec(formulas=(FormulaId.W2, FormulaId.W2))
     with pytest.raises(ValueError):
         TableSpec(precision_digits=0)
 
@@ -283,6 +285,12 @@ def test_usage_errors_exit_two(capsys):
         # an empty list is refused, not replaced by the published table's axis
         (["table", "--x", ","], "at least one abscissa is required"),
         (["table", "--formulas", ","], "at least one formula is required"),
+        (["table", "--formulas", "w2,w2", "--x", "1"], "formulas must be distinct"),
+        # every subcommand refuses a nonpositive --digits in the flag's own words
+        (["eval", "w2", "1", "--digits", "0"], "--digits must be positive, got 0"),
+        (["verify", "--digits", "0"], "--digits must be positive, got 0"),
+        (["rate", "--digits", "0"], "--digits must be positive, got 0"),
+        (["table", "--digits", "0"], "--digits must be positive, got 0"),
     ],
     ids=[
         "verify-too-few-digits",
@@ -293,6 +301,11 @@ def test_usage_errors_exit_two(capsys):
         "constants-negative-digits",
         "table-empty-abscissas",
         "table-empty-formulas",
+        "table-repeated-formula",
+        "eval-zero-digits",
+        "verify-zero-digits",
+        "rate-zero-digits",
+        "table-zero-digits",
     ],
 )
 def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, monkeypatch, argv, message):
