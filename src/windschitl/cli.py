@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         choices=sorted(_CHECK_BUILDERS),
-        help="run only this check (repeatable)",
+        help="run only this check (repeatable, each name at most once)",
     )
     p_verify.add_argument(
         "--grid",
@@ -197,8 +197,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        cfg = OracleConfig.for_digits(args.digits)
         names = args.only or sorted(_CHECK_BUILDERS)
+        if len(set(names)) != len(names):
+            raise ValueError("checks must be distinct")
+        cfg = OracleConfig.for_digits(args.digits)
         reports = [_CHECK_BUILDERS[name](cfg, args.grid) for name in names]
         if args.format == "csv":
             out.write(reports_to_csv(reports))

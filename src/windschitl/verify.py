@@ -266,43 +266,39 @@ _PUBLISHED_NEGATIVE_KS = frozenset({20, 19, 16, 15, 11, 10, 7, 6, 4})
 
 PRUNED_VALUE_AT_ONE = Fraction(1135768202621781774901, 1792519787520000)
 
-# the correction tail of the log-gap curvature: the paper's displayed second
+# the two displayed x-forms of the log-gap curvature: the half-shifted
+# trigamma bound r(x + 1/2), cleared, and the correction tail, the second
 # derivative y''(x) of the correction y = W2_CORRECTION
+_X_BOUND = RationalFunction(
+    Fraction(7, 30) * (Polynomial((1, 2)) * Polynomial((417, 650, 815, 330, 165))),
+    Polynomial((60, 294, 623, 735, 560, 231, 77)),
+)
 _X_TAIL = RationalFunction(
     Fraction(7, 54) * Polynomial((2178, 0, 6545, 0, 6125)),
     Polynomial.monomial(5) * Polynomial((33, 0, 35)) ** 3,
-)
-
-# building blocks of the curvature numerator over t = 1/x: the trigamma-bound
-# term is _BOUND_NUM / _DENOM_6 and the correction tail is _TAIL_NUM / _CUBIC_FACTOR
-_DENOM_6 = Polynomial((77, 231, 560, 735, 623, 294, 60))
-_CUBIC_FACTOR = Polynomial((35, 0, 33)) ** 3
-_BOUND_NUM = Fraction(7, 30) * (
-    Polynomial.identity() * Polynomial((2, 1)) * Polynomial((165, 330, 815, 650, 417))
-)
-_TAIL_NUM = Fraction(7, 54) * (
-    Polynomial.monomial(7) * Polynomial((6125, 0, 6545, 0, 2178))
 )
 
 
 def rebuild_curvature_numerator() -> Polynomial:
     """Re-derive the cleared curvature numerator from scratch, exactly.
 
-    Assembles (t/2) h(t)^2 - 3t/2 + t^2/2 plus the shifted trigamma bound
-    minus the correction tail over the common denominator
-    (33t^2+35)^3 (60t^6+...+77) and returns the resulting numerator, which
-    must equal t^11 times the degree-22 published polynomial.
+    Adds (t/2) h(t)^2 - 3t/2 + t^2/2 and the half-shifted trigamma bound
+    and subtracts the correction tail, the last two taken from their
+    displayed x-forms under t = 1/x.  The sum's denominator is
+    (60t^6+...+77) (33t^2+35)^3; its numerator, returned, must equal t^11
+    times the degree-22 published polynomial.
     """
     t = Polynomial.identity()
     h = csch_truncation_poly()
     direct_terms = t * h * h * Fraction(1, 2) + Polynomial.from_terms(
         {1: Fraction(-3, 2), 2: Fraction(1, 2)}
     )
-    return (
-        direct_terms * _CUBIC_FACTOR * _DENOM_6
-        + _BOUND_NUM * _CUBIC_FACTOR
-        - _TAIL_NUM * _DENOM_6
+    curvature = (
+        RationalFunction(direct_terms)
+        + _X_BOUND.reciprocal_substitution()
+        - _X_TAIL.reciprocal_substitution()
     )
+    return curvature.num
 
 
 def pruned_curvature_minorant(full: Polynomial) -> Polynomial:
@@ -408,7 +404,7 @@ def verify_csch_bound(cfg: OracleConfig = DEFAULT_CONFIG) -> VerificationReport:
 
     # substitute t^2 = 1 - x: every coefficient of the result is positive,
     # so h > 0 on (0, 1]
-    even_part = Polynomial(printed)  # h as a polynomial in u = t^2
+    even_part = Polynomial(derived)  # h as a polynomial in u = t^2
     substituted = even_part.compose(Polynomial((1, -1)))
     published_subs = Polynomial(
         (
@@ -481,28 +477,13 @@ def verify_convexity_polynomials(
     """
     c = _Checks("convexity-polynomials", cfg)
 
-    # the bound and tail terms are reciprocal substitutions of their x-forms
-    x_bound = RationalFunction(
-        Fraction(7, 30) * (Polynomial((1, 2)) * Polynomial((417, 650, 815, 330, 165))),
-        Polynomial((60, 294, 623, 735, 560, 231, 77)),
-    )
-    c.expect(
-        x_bound.reciprocal_substitution() == RationalFunction(_BOUND_NUM, _DENOM_6),
-        "trigamma-bound term transforms correctly under t = 1/x",
-    )
+    # the two displayed x-forms that feed the numerator match their sources
     c.expect(
         _X_TAIL == W2_CORRECTION.derivative().derivative(),
         "correction-tail term is the second derivative of the w2 correction",
     )
     c.expect(
-        _X_TAIL.reciprocal_substitution() == RationalFunction(_TAIL_NUM, _CUBIC_FACTOR),
-        "correction-tail term transforms correctly under t = 1/x",
-    )
-
-    # the shifted trigamma bound itself: r(x + 1/2) equals the displayed form
-    r = trigamma_lower_bound()
-    c.expect(
-        r.compose(Polynomial((Fraction(1, 2), 1))) == x_bound,
+        trigamma_lower_bound().compose(Polynomial((Fraction(1, 2), 1))) == _X_BOUND,
         "half-shifted trigamma bound matches its cleared form",
     )
 

@@ -291,6 +291,8 @@ def test_usage_errors_exit_two(capsys):
         (["verify", "--digits", "0"], "--digits must be positive, got 0"),
         (["rate", "--digits", "0"], "--digits must be positive, got 0"),
         (["table", "--digits", "0"], "--digits must be positive, got 0"),
+        # a check named twice would run and print twice
+        (["verify", "--only", "csch-bound", "--only", "csch-bound"], "checks must be distinct"),
     ],
     ids=[
         "verify-too-few-digits",
@@ -306,6 +308,7 @@ def test_usage_errors_exit_two(capsys):
         "verify-zero-digits",
         "rate-zero-digits",
         "table-zero-digits",
+        "verify-repeated-only",
     ],
 )
 def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, monkeypatch, argv, message):

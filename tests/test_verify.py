@@ -91,6 +91,15 @@ def test_curvature_table_shape():
     assert PRUNED_VALUE_AT_ONE == Fraction(1135768202621781774901, 1792519787520000)
 
 
+def test_displayed_forms_share_the_published_denominator():
+    from windschitl import Polynomial
+    from windschitl.verify import _X_BOUND, _X_TAIL
+
+    den = _X_BOUND.reciprocal_substitution().den * _X_TAIL.reciprocal_substitution().den
+    sextic = Polynomial((77, 231, 560, 735, 623, 294, 60))
+    assert den == Polynomial((35, 0, 33)) ** 3 * sextic
+
+
 def test_correction_defect_derivative_forms_agree():
     assembled, displayed_first, displayed_second = correction_defect_derivatives()
     assert assembled == displayed_first
@@ -122,6 +131,36 @@ def test_mutated_correction_fails_both_correction_checks(monkeypatch):
         report = check(CFG)
         assert not report.passed
         assert any("correction" in w.description for w in report.failures), report.failures
+
+
+def test_mutated_trigamma_display_fails_source_and_divisibility_checks(monkeypatch):
+    import windschitl.verify as verify
+    from windschitl import Polynomial, RationalFunction
+
+    # one coefficient of the cleared r(x + 1/2) changed, x^6: 77 -> 78.  The
+    # display feeds the numerator, whose low-order cancellation breaks; any
+    # one-coefficient change leaves a term below t^11
+    shown = verify._X_BOUND
+    numerator = verify.rebuild_curvature_numerator()
+    mutated = RationalFunction(shown.num, shown.den + Polynomial.monomial(6))
+    monkeypatch.setattr(verify, "_X_BOUND", mutated)
+    assert verify.rebuild_curvature_numerator() != numerator
+    failures = [w.description for w in verify_convexity_polynomials(CFG).failures]
+    assert failures == [
+        "half-shifted trigamma bound matches its cleared form",
+        "cleared numerator is divisible by t^11",
+    ]
+
+
+def test_perturbed_csch_coefficient_fails_the_substitution(monkeypatch):
+    import windschitl.verify as verify
+
+    derived = verify.csch_truncation_coefficients()
+    perturbed = derived[:5] + (derived[5] + Fraction(1, 10**9),)
+    monkeypatch.setattr(verify, "csch_truncation_coefficients", lambda: perturbed)
+    failures = [w.description for w in verify_csch_bound(CFG).failures]
+    assert any(d.startswith("t^10 coefficient") for d in failures), failures
+    assert "substituted polynomial matches all six published coefficients" in failures
 
 
 def test_constant_function_fails_monotonicity():
