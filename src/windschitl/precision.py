@@ -244,7 +244,37 @@ def _check_prec(prec) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _is_huge_integer(x: tuple, prec: int) -> bool:
+    """Whether a raw x is integer-valued with more integer bits than prec.
+
+    mpmath 1.3.0's mpf_exp raises e to such an x by repeated squaring
+    when prec > 600: one squaring per bit of x, seconds for an x of a
+    few thousand bits.
+    """
+    _, man, exp, bc = x
+    return bool(man) and exp >= 0 and exp + bc > prec
+
+
+def _exp_huge_integer(x: tuple, prec: int) -> tuple:
+    """exp(x) for a raw x that :func:`_is_huge_integer` accepts, rounded to prec bits.
+
+    Reduces x = n ln 2 + r with |r| <= ln(2)/2 and ln 2 to wp = mag + prec
+    + 20 fraction bits, mag = bitlen(x): r is off by under |n| 2^(1-wp) <
+    2^-(prec+18), which is also the relative error of exp(r) 2^n before
+    its one rounding.
+    """
+    sign, man, exp, bc = x
+    wp = exp + bc + prec + 20
+    ln2 = libmp.ln2_fixed(wp)
+    scaled = (-man if sign else man) << (exp + wp)  # x 2^wp, exactly
+    n = (2 * scaled + ln2) // (2 * ln2)  # round(x / ln 2)
+    r = libmp.from_man_exp(scaled - n * ln2, -wp)
+    return libmp.mpf_shift(libmp.mpf_exp(r, prec, _RND), n)
+
+
 def exp(x: PrecisionReal) -> PrecisionReal:
+    if _is_huge_integer(x.raw, x.prec):
+        return PrecisionReal._wrap(_exp_huge_integer(x.raw, x.prec), x.prec)
     return PrecisionReal._wrap(libmp.mpf_exp(x.raw, x.prec, _RND), x.prec)
 
 
@@ -261,6 +291,11 @@ def sqrt(x: PrecisionReal) -> PrecisionReal:
 
 
 def sinh(x: PrecisionReal) -> PrecisionReal:
+    if _is_huge_integer(x.raw, x.prec):
+        # exp(-|x|) is far below an ulp of exp |x|: sinh x = sign(x) exp|x| / 2,
+        # as mpmath's own sinh has it
+        half = libmp.mpf_shift(_exp_huge_integer(libmp.mpf_abs(x.raw), x.prec), -1)
+        return PrecisionReal._wrap(libmp.mpf_neg(half) if x.sign < 0 else half, x.prec)
     return PrecisionReal._wrap(libmp.mpf_sinh(x.raw, x.prec, _RND), x.prec)
 
 
@@ -410,7 +445,21 @@ class OracleConfig:
 
     @property
     def shift_threshold(self) -> int:
-        return (2 * self.series_digits + 29) // 5  # ceil(0.4 D + 5)
+        """max(ceil(0.4 D + 5), ceil(1.6 D - 240)): ceil(0.4 D + 5) up to
+        D = 204, then a steeper line.
+
+        A higher threshold trades cheap shift steps (one integer product
+        each) for fewer series terms, whose Bernoulli numbers cost roughly
+        the cube of their index to build and whose Horner steps are full
+        products.  Up to about 200 digits the series is short and its
+        Bernoulli numbers cheap, so added shift steps cost more than the
+        terms they save (at D = 50, twice the threshold made a warm call
+        half as slow again); above that the series dominates.  At D = 500
+        the steeper line cuts the terms from 381 to 176 and a cold first
+        call of both oracles from about 80 to 20 ms.
+        """
+        d = self.series_digits
+        return max((2 * d + 29) // 5, (8 * d - 1196) // 5)
 
     @property
     def series_terms(self) -> int:

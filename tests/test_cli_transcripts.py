@@ -31,6 +31,8 @@ TRANSCRIPTS = Path(__file__).parent / "transcripts"
         ("eval-w2-1-digits-500", ["eval", "w2", "1", "--digits", "500"], 0),
         ("table", ["table"], 0),
         ("table-markdown", ["table", "--format", "markdown"], 0),
+        ("eval-w2-1-digits-1000", ["eval", "w2", "1", "--digits", "1000"], 0),
+        ("eval-w2-1-digits-2000", ["eval", "w2", "1", "--digits", "2000"], 0),
     ],
 )
 def test_cli_output_matches_its_transcript(capsysbinary, name, argv, exit_code):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial, log, prod
+from math import ceil, factorial, log, prod
 
 import mpmath
 import pytest
@@ -161,6 +161,24 @@ def test_hyperbolic_identities():
     assert abs(tanh(x) * sqrt(1 + sinh(x) ** 2) - sinh(x)) < tol
 
 
+def test_exp_and_sinh_of_a_huge_integer_match_mpmath():
+    # 3^5700 is near 2^9034, integer-valued at 700 bits: mpmath's own exp
+    # squares once per bit of it, seconds per call.  The reference adds
+    # 2^-2100, which moves mpmath onto its argument reduction and the value
+    # by a relative 2^-2100.
+    prec, tail = 700, (0, 1, -2100, 1)
+    for x in (PrecisionReal(3**5700, prec), PrecisionReal(-(3**5700), prec)):
+        reduced = libmp.mpf_add(x.raw, tail)  # exact
+        for ours, reference in ((exp, libmp.mpf_exp), (sinh, libmp.mpf_sinh)):
+            want = reference(reduced, prec + 64, "n")
+            ratio = libmp.mpf_div(ours(x).raw, want, prec + 64, "n")
+            assert abs(raw_fraction(ratio) - 1) < Fraction(1, 2 ** (prec - 1)), ours.__name__
+    # every other argument keeps mpmath's value, bit for bit
+    for x in (PrecisionReal(3, prec), PrecisionReal(2**prec - 1, prec), PrecisionReal(Fraction(10**150, 3), prec)):
+        assert exp(x).raw == libmp.mpf_exp(x.raw, prec, "n")
+        assert sinh(x).raw == libmp.mpf_sinh(x.raw, prec, "n")
+
+
 def test_domain_violations_raise():
     with pytest.raises(DomainError):
         ln(PrecisionReal(0, 64))
@@ -305,6 +323,21 @@ def test_oracles_match_mpmath_at_higher_precision(oracle, reference, x, digits):
     assert abs(got - want) <= Fraction(1, 10**digits) * max(1, abs(want))
 
 
+@pytest.mark.parametrize("digits", [300, 500, 1000])
+def test_oracles_match_mpmath_around_the_threshold_above_200_digits(digits):
+    cfg = OracleConfig.for_digits(digits)
+    threshold = cfg.shift_threshold
+    half = Fraction(1, 2)
+    for x in (3 * half, threshold - half, Fraction(threshold), threshold + half):
+        with mpmath.workdps(digits + 30):
+            arg = mpmath.mpf(x.numerator) / x.denominator  # exact: a half-integer
+            references = (mpmath.loggamma(arg), mpmath.psi(1, arg))
+        for oracle, reference in zip((ln_gamma_ref, trigamma_ref), references):
+            want = raw_fraction(reference._mpf_)
+            got = oracle(x, cfg).to_fraction()
+            assert abs(got - want) <= Fraction(1, 10**digits) * max(1, abs(want)), (oracle.__name__, x)
+
+
 # ---------------------------------------------------------------------------
 # Integer kernels against per-step PrecisionReal arithmetic
 # ---------------------------------------------------------------------------
@@ -343,7 +376,15 @@ def oracle_budget(n: int, cfg: OracleConfig, prec: int, value: PrecisionReal) ->
     return (3 * n + cfg.series_terms + 16) * scale / 2**prec
 
 
-@pytest.mark.parametrize("digits", [19, 30, 50, 100, 200, 300])
+def balanced_product(factors: list[int]) -> int:
+    """The product of integers, multiplied pairwise: seconds faster than math.prod
+    for hundreds of factors of thousands of bits."""
+    while len(factors) > 1:
+        factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+@pytest.mark.parametrize("digits", [19, 30, 50, 100, 200, 300, 500])
 def test_oracle_kernels_stay_within_their_error_budget(digits):
     cfg = OracleConfig.for_digits(digits)
     threshold, terms = cfg.shift_threshold, cfg.series_terms
@@ -359,13 +400,20 @@ def test_oracle_kernels_stay_within_their_error_budget(digits):
         # Each kernel on its own, before any rounding to prec bits, within
         # the bound its docstring states: guard bits that are too few fail here.
         if n:
-            factors = [w.to_fraction() + k for k in range(n)]
-            product = prod(factors)
+            num, den = w.to_fraction().as_integer_ratio()
+            scaled = [num + k * den for k in range(n)]  # (w + k) den, den = 2^s
+            # prod (w + k) = product / den^n, compared exactly in integers
+            product = balanced_product(scaled)
             got = raw_fraction(_rising_product(w.raw, n, prec))
-            assert 0 <= (product - got) / product < Fraction(1, 2 ** (prec + 8)), case
-            inverse_squares = sum(1 / f**2 for f in factors)
+            short = product * got.denominator - got.numerator * den**n  # (exact - got) den^n den(got)
+            assert 0 <= short and short << (prec + 8) < product * got.denominator, case
+            # the exact sum of 1/(w+k)^2 takes seconds to reduce; it lies in
+            # [low, low + n) 2^-g, a bracket 64 bits finer than the bound
+            g = prec + 10 + 64
+            low = sum((den * den << g) // (f * f) for f in scaled)
             got = raw_fraction(_inverse_square_sum(w.raw, n, prec))
-            assert 0 <= inverse_squares - got < Fraction(1, 2 ** (prec + 10)), case
+            assert got <= Fraction(low, 2**g), case
+            assert Fraction(low + n, 2**g) - got < Fraction(1, 2 ** (prec + 10)), case
         y = w + threshold
         y_hi = PrecisionReal(y, prec + 64)
         u_hi = 1 / (y_hi * y_hi)
@@ -402,20 +450,28 @@ def test_config_presets_scale_with_digits():
 
 
 def test_shift_threshold_is_derived_from_the_digits():
-    # ceil(0.4 D + 5), with D at least the 19 digits that 64 bits carry
-    expected = {1: 13, 19: 13, 20: 13, 25: 15, 50: 25, 100: 45, 200: 85, 500: 205, 1000: 405}
+    # max(ceil(0.4 D + 5), ceil(1.6 D - 240)), with D at least the 19 digits
+    # that 64 bits carry; the second line takes over from D = 205
+    expected = {1: 13, 19: 13, 20: 13, 25: 15, 50: 25, 100: 45, 200: 85,
+                205: 88, 300: 240, 500: 560, 1000: 1360, 2000: 2960}
     for digits, threshold in expected.items():
         assert OracleConfig.for_digits(digits).shift_threshold == threshold
 
 
-@pytest.mark.parametrize("digits", [300, 500, 1000])
+def test_shift_threshold_up_to_200_digits_is_unchanged():
+    for digits in range(1, 201):
+        d = max(digits, 19)
+        assert OracleConfig.for_digits(digits).shift_threshold == ceil(Fraction(2, 5) * d + 5)
+
+
+@pytest.mark.parametrize("digits", [300, 500, 1000, 2000])
 def test_presets_above_200_digits_pass_the_series_guard(digits):
     cfg = OracleConfig.for_digits(digits)
     _validate_series(cfg.shift_threshold, cfg.series_terms, cfg.target_decimal_digits)
 
 
 def test_derived_configs_pass_the_series_guard_and_are_tight():
-    for digits in [*range(1, 301), 500, 1000]:
+    for digits in [*range(1, 301), 500, 1000, 2000]:
         cfg = OracleConfig.for_digits(digits)
         floor = max(digits, 19)  # the digits 64 bits carry
         assert cfg.series_digits == floor
