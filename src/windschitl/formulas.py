@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import Polynomial, RationalFunction
 from .precision import (
@@ -32,6 +33,7 @@ from .precision import (
     PrecisionError,
     format_sci,
     working_argument,
+    _MEMO_SIZE,
 )
 
 __all__ = [
@@ -82,7 +84,8 @@ class FormulaId(enum.Enum):
 
 def _ln_stirling(x: PrecisionReal) -> PrecisionReal:
     # ln sqrt(2 pi x) + x ln x - x
-    return ln_sqrt_two_pi(x.prec) + ln(x) / 2 + x * ln(x) - x
+    ln_x = ln(x)
+    return ln_sqrt_two_pi(x.prec) + ln_x / 2 + x * ln_x - x
 
 
 def _ln_half_shift_base(x: PrecisionReal) -> PrecisionReal:
@@ -91,7 +94,16 @@ def _ln_half_shift_base(x: PrecisionReal) -> PrecisionReal:
 
 
 def _ln_windschitl_core(x: PrecisionReal) -> PrecisionReal:
-    return _ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x))
+    # ln W0(x), shared by W0, W2 and W2*
+    return PrecisionReal._wrap(_ln_windschitl_core_raw(x.raw, x.prec), x.prec)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ln_windschitl_core_raw(raw: tuple, prec: int) -> tuple:
+    """ln Stirling + (x/2) ln(x sinh(1/x)) at x = raw, prec bits, memoized:
+    the result depends on nothing else, and raw values are immutable tuples."""
+    x = PrecisionReal._wrap(raw, prec)
+    return (_ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x))).raw
 
 
 # the paper's exponent correction y(x) = 7 / (324 x^3 (35 x^2 + 33)), exactly;

@@ -3,7 +3,8 @@
 ``PrecisionReal`` wraps mpmath's low-level ``libmp`` layer: every value
 carries its working precision in bits and every operation rounds to
 nearest at that precision.  No global precision state exists, values are
-immutable, and all functions here are pure, so concurrent use is safe.
+immutable, and all functions here are pure, so concurrent use is safe
+(the memos behind them are thread-safe ``lru_cache``s of immutable tuples).
 
 The module also provides the ground-truth oracles ``ln_gamma_ref`` and
 ``trigamma_ref``: upward argument shifting followed by the divergent
@@ -46,6 +47,10 @@ __all__ = [
 MIN_PRECISION_BITS = 64
 _RND = "n"  # round to nearest even, everywhere
 _LOG2_10 = 3.321928094887362
+# Entries of each memo of a kernel result (here and in formulas): above the
+# distinct arguments of a default verify run (100), so none is evaluated
+# twice there, and bounded, so a stream of fresh arguments cannot grow it.
+_MEMO_SIZE = 128
 
 
 class DomainError(ValueError):
@@ -112,8 +117,11 @@ class PrecisionReal:
     def _coerce(self, other) -> PrecisionReal | None:
         if isinstance(other, PrecisionReal):
             return other
-        if isinstance(other, (int, Fraction)):
-            return PrecisionReal(Fraction(other), self.prec)
+        if isinstance(other, int):
+            return PrecisionReal._wrap(libmp.from_int(other, self.prec, _RND), self.prec)
+        if isinstance(other, Fraction):
+            raw = libmp.from_rational(other.numerator, other.denominator, self.prec, _RND)
+            return PrecisionReal._wrap(raw, self.prec)
         return None
 
     def _binary(self, other, fn):
@@ -179,10 +187,20 @@ class PrecisionReal:
     def _cmp(self, other) -> int | None:
         if isinstance(other, PrecisionReal):
             return libmp.mpf_cmp(self.raw, other.raw)
-        if isinstance(other, (int, Fraction)):
-            diff = self.to_fraction() - other
-            return (diff > 0) - (diff < 0)
-        return None
+        if isinstance(other, int):
+            num, den = other, 1
+        elif isinstance(other, Fraction):
+            num, den = other.numerator, other.denominator
+        else:
+            return None
+        # man 2^exp against num/den, den > 0, cross-multiplied in integers
+        sign, man, exp, _ = self.raw
+        lhs = -man * den if sign else man * den
+        if exp >= 0:
+            lhs <<= exp
+        else:
+            num <<= -exp
+        return (lhs > num) - (lhs < num)
 
     def __eq__(self, other):
         c = self._cmp(other)
@@ -645,15 +663,13 @@ def _inverse_square_sum(x: tuple, n: int, prec: int) -> tuple:
     return libmp.from_man_exp(total, -frac_bits)
 
 
-def _shifted(x, cfg: OracleConfig, name: str) -> tuple[tuple, int, tuple, int]:
-    """The oracles' common start: the working argument x (raw), the shift
-    count n, y = x + n (raw, rounded once) and the working precision."""
-    x = working_argument(x, cfg)
-    if x.sign <= 0:
+def _shifted(x: tuple, prec: int, cfg: OracleConfig, name: str) -> tuple[int, tuple]:
+    """The oracles' common start on a raw working argument x, checked
+    positive: the shift count n and y = x + n (raw, rounded once to prec bits)."""
+    if libmp.mpf_sign(x) <= 0:
         raise DomainError(f"{name} needs x > 0")
-    n = _shift_steps(x.raw, cfg.shift_threshold)
-    y = libmp.mpf_add(x.raw, libmp.from_int(n), x.prec, _RND) if n else x.raw
-    return x.raw, n, y, x.prec
+    n = _shift_steps(x, cfg.shift_threshold)
+    return n, (libmp.mpf_add(x, libmp.from_int(n), prec, _RND) if n else x)
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +695,20 @@ def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     values no larger than y ln y + |ln Gamma(x)|.  Everything but the
     truncation is a few ulps of that scale, far below 10^-D, since p
     carries at least ten guard digits.
+
+    Results are memoized (see :func:`_ln_gamma_raw`); a memo hit returns
+    the same bits as a fresh evaluation.
     """
-    xr, n, y, prec = _shifted(x, cfg, "ln_gamma_ref")
+    x = working_argument(x, cfg)
+    return PrecisionReal._wrap(_ln_gamma_raw(x.raw, x.prec, cfg), x.prec)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ln_gamma_raw(x: tuple, prec: int, cfg: OracleConfig) -> tuple:
+    """The :func:`ln_gamma_ref` kernel on a raw working argument at prec
+    bits, memoized on (x, prec, cfg): the result depends on nothing
+    else, and raw values are immutable tuples, so sharing them is safe."""
+    n, y = _shifted(x, prec, cfg, "ln_gamma_ref")
     mpf_add, mpf_sub = libmp.mpf_add, libmp.mpf_sub
     lny = libmp.mpf_log(y, prec, _RND)
     result = libmp.mpf_mul(mpf_sub(y, libmp.fhalf, prec, _RND), lny, prec, _RND)
@@ -689,9 +717,9 @@ def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     series = libmp.mpf_div(libmp.from_man_exp(series, -frac_bits), y, prec, _RND)
     result = mpf_add(result, series, prec, _RND)
     if n:
-        shifted_ln = libmp.mpf_log(_rising_product(xr, n, prec), prec, _RND)
+        shifted_ln = libmp.mpf_log(_rising_product(x, n, prec), prec, _RND)
         result = mpf_sub(result, shifted_ln, prec, _RND)
-    return PrecisionReal._wrap(result, prec)
+    return result
 
 
 def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
@@ -708,7 +736,9 @@ def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     2^-(p+10), in 1 + u sum and in u/2; the one rounding of y,
     |psi''(y)| ulp(y)/2; and three roundings to nearest at p bits.
     """
-    xr, n, y, prec = _shifted(x, cfg, "trigamma_ref")
+    x = working_argument(x, cfg)
+    xr, prec = x.raw, x.prec
+    n, y = _shifted(xr, prec, cfg, "trigamma_ref")
     series, u, frac_bits = _stirling_series("trigamma", cfg.series_terms, y, prec)
     head = libmp.from_man_exp((1 << frac_bits) + ((series * u) >> frac_bits), -frac_bits)
     result = libmp.mpf_div(head, y, prec, _RND)

@@ -115,13 +115,21 @@ def _resolvable_floor(cfg: OracleConfig, scale=1) -> Fraction:
     return Fraction(10) ** (10 - cfg.target_decimal_digits) * max(Fraction(1), abs(scale))
 
 
+def _witness(shown) -> str:
+    """A failed numeric expectation's witness: a string as given, a number
+    at 3 significant digits."""
+    return shown if isinstance(shown, str) else format_sci(shown, 3)
+
+
 class _Checks:
     """Accumulates pass/fail observations into one report.
 
     A failed expectation always records a witness; informational notes
     are kept too, so a failing report pinpoints the violated quantity.
     Given a ``cfg``, numeric margins are judged against the resolvable
-    floor at its digits, reported as the check's tolerance.
+    floor at its digits, reported as the check's tolerance.  A numeric
+    expectation shows ``shown`` (default the margin) only when it fails,
+    so a passing check formats nothing.
     """
 
     def __init__(self, name: str, cfg: OracleConfig | None = None) -> None:
@@ -140,15 +148,15 @@ class _Checks:
             self._witnesses.append(Witness(description, str(value), ok=False))
         return ok
 
-    def expect_positive(self, value, description: str, witness: str | None = None) -> bool:
+    def expect_positive(self, value, description: str, shown=None) -> bool:
         """Expect the margin ``value`` to resolve above zero: to exceed the tolerance."""
         ok = value > self.tolerance
-        return ok or self.expect(ok, description, witness or format_sci(value, 3))
+        return ok or self.expect(ok, description, _witness(value if shown is None else shown))
 
-    def expect_zero(self, value, description: str, witness: str | None = None) -> bool:
+    def expect_zero(self, value, description: str, shown=None) -> bool:
         """Expect the difference ``value`` to resolve to zero: within the tolerance."""
         ok = abs(value) <= self.tolerance
-        return ok or self.expect(ok, description, witness or format_sci(value, 3))
+        return ok or self.expect(ok, description, _witness(value if shown is None else shown))
 
     def note(self, description: str, value="") -> None:
         self._witnesses.append(Witness(description, str(value), ok=True))
@@ -730,13 +738,13 @@ def verify_monotone_convex(
         for (x0, v0), (x1, v1) in zip(zip(xs, values), zip(xs[1:], values[1:]))
     ]
     for i, s in enumerate(slopes):
-        c.expect_positive(-s, f"strictly decreasing on [{xs[i]}, {xs[i + 1]}]", format_sci(s, 3))
+        c.expect_positive(-s, f"strictly decreasing on [{xs[i]}, {xs[i + 1]}]", shown=s)
     for x, s0, s1 in zip(xs[1:], slopes, slopes[1:]):
         c.expect_positive(s1 - s0, f"slope increases across {x} (convexity)")
     for x, v in zip(xs, values):
         margin = v - value_at_1 if x == 1 else min(v, value_at_1 - v)
         expect = c.expect_zero if x == 1 else c.expect_positive
-        expect(margin, f"value at x = {x} lies in (0, value-at-1]", format_sci(v, 3))
+        expect(margin, f"value at x = {x} lies in (0, value-at-1]", shown=v)
     return c.report()
 
 

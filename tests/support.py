@@ -11,7 +11,9 @@ operation per step with every ``Fraction`` coefficient absorbed where it
 is used; the integer kernels of ``precision`` must stay within the two
 computations' stated rounding budgets of them.  ``format_sci_decimal``
 is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
-precision, the reference for its integer rounding.
+precision, the reference for its integer rounding.  The ``fresh_memos``
+fixture empties the kernel memos around a test that counts or patches
+what lies below them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
+import pytest
+
 from windschitl import (
     OracleConfig,
     Polynomial,
@@ -31,9 +35,31 @@ from windschitl import (
     ln,
     sign_criterion,
 )
+from windschitl import formulas, precision
 from windschitl.precision import _to_exact_fraction, ln_sqrt_two_pi, working_argument
 
 BRACKET_WIDTH = Fraction(1, 2**32)
+
+# the memos of the ln Gamma kernel and of the Windschitl core
+MEMOS = (precision._ln_gamma_raw, formulas._ln_windschitl_core_raw)
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty the kernel memos before and after the test: a test that counts
+    or patches what lies below them then sees every evaluation, and leaves
+    no value computed under a patch behind for later tests."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield MEMOS
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def bits(v: PrecisionReal) -> tuple:
+    """A value's exact identity: its raw libmp tuple and its precision."""
+    return v.raw, v.prec
+
 
 _RECURSION_VALUES = [Fraction(1)]
 

@@ -26,7 +26,10 @@ from windschitl import (
     w2_log_gap,
     w2star_log_gap,
 )
-from windschitl.precision import DEFAULT_DIGITS
+from windschitl.formulas import _ln_stirling, _ln_windschitl_core_raw
+from windschitl.precision import DEFAULT_DIGITS, _MEMO_SIZE
+
+from support import bits, fresh_memos
 
 CFG = OracleConfig.for_digits(50)
 PREC = CFG.precision_bits
@@ -119,6 +122,78 @@ def test_relative_error_consistency_invariant():
     record = log_error(FormulaId.CHEN, 7, CFG)
     reconstructed = abs(exp(-record.log_gap) - 1)
     assert abs(record.relative_error - reconstructed) == 0
+
+
+# ---------------------------------------------------------------------------
+# The Windschitl-core memo
+# ---------------------------------------------------------------------------
+
+CORE_FORMULAS = (FormulaId.W0, FormulaId.W2, FormulaId.W2STAR)
+
+
+@pytest.mark.parametrize("prec", [64, PREC, 1000])
+def test_memoized_core_is_bit_identical_to_a_fresh_evaluation(fresh_memos, prec):
+    xs = [PrecisionReal(q, prec) for q in (1, Fraction(3, 2), Fraction(7, 3), 10**5)]
+    first = [log_approximate(f, x) for x in xs for f in CORE_FORMULAS]
+    info = _ln_windschitl_core_raw.cache_info()
+    assert (info.misses, info.hits) == (len(xs), len(first) - len(xs))  # one core per x
+    _ln_windschitl_core_raw.cache_clear()
+    fresh = [log_approximate(f, x) for x in xs for f in CORE_FORMULAS]
+    assert list(map(bits, first)) == list(map(bits, fresh))
+    # and the memoized core is the expression it stands for
+    for x, w0 in zip(xs, first[:: len(CORE_FORMULAS)]):
+        assert bits(w0) == bits(_ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x)))
+
+
+def test_core_memo_key_separates_precision(fresh_memos):
+    coarse, fine = PrecisionReal(Fraction(3, 2), PREC), PrecisionReal(Fraction(3, 2), 2 * PREC)
+    at_coarse, at_fine = log_approximate(FormulaId.W0, coarse), log_approximate(FormulaId.W0, fine)
+    assert (at_coarse.prec, at_fine.prec) == (PREC, 2 * PREC)
+    assert at_coarse.raw != at_fine.raw
+    assert _ln_windschitl_core_raw.cache_info().currsize == 2
+
+
+def test_core_memo_stays_bounded(fresh_memos):
+    xs = [PrecisionReal(Fraction(k, 7), PREC) for k in range(7, _MEMO_SIZE + 47)]
+    first = [log_approximate(FormulaId.W0, x) for x in xs]
+    info = _ln_windschitl_core_raw.cache_info()
+    assert info.maxsize == _MEMO_SIZE and info.currsize <= info.maxsize
+    assert [bits(log_approximate(FormulaId.W0, x)) for x in xs[:5]] == list(map(bits, first[:5]))
+
+
+def test_memos_under_thread_contention_give_the_sequential_bits(fresh_memos):
+    import random
+    import sys
+    import threading
+
+    # more distinct arguments than either memo holds, so threads also evict
+    xs = [Fraction(k, 3) for k in range(3, _MEMO_SIZE + 35)]
+    want = {x: bits(w2_log_gap(x, CFG)) for x in xs}
+    for memo in fresh_memos:
+        memo.cache_clear()
+    orders = [random.Random(seed).sample(xs, len(xs)) for seed in range(6)]
+    results = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = [bits(w2_log_gap(x, CFG)) for x in orders[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for order, got in zip(orders, results):
+        assert got == [want[x] for x in order]
+    for memo in fresh_memos:
+        assert memo.cache_info().currsize <= _MEMO_SIZE
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from windschitl import (
 )
 from windschitl.precision import (
     MIN_PRECISION_BITS,
+    _MEMO_SIZE,
     _inverse_square_sum,
+    _ln_gamma_raw,
     _rising_product,
     _shift_steps,
     _stirling_series,
@@ -36,7 +38,9 @@ from windschitl.precision import (
 )
 
 from support import (
+    bits,
     format_sci_decimal,
+    fresh_memos,
     horner_per_step,
     ln_gamma_per_step,
     lngamma_series_fractions,
@@ -95,6 +99,66 @@ def test_comparisons_are_exact_against_rationals():
         assert (v < q) == (frac(v) < q)
         assert (v > q) == (frac(v) > q)
         assert (v == q) == (frac(v) == q)
+
+
+# integers and fractions of every sign, zero included, up to 400 bits: wider
+# than most precisions drawn below, so absorbing them rounds
+_RATIONALS = st.one_of(
+    st.integers(min_value=-(2**400), max_value=2**400),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**400), max_value=2**400),
+        st.integers(min_value=1, max_value=2**400),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_RATIONALS, prec=st.integers(min_value=MIN_PRECISION_BITS, max_value=512))
+def test_absorbed_rationals_round_as_one_correctly_rounded_division(value, prec):
+    q = Fraction(value)
+    want = libmp.from_rational(q.numerator, q.denominator, prec, "n")
+    absorbed = PrecisionReal(1, prec)._coerce(value)
+    assert (absorbed.raw, absorbed.prec) == (want, prec)
+    assert (PrecisionReal(0, prec) + value).raw == want
+
+
+@st.composite
+def _comparison_cases(draw):
+    """(x, a rational to compare it with): x of any sign with a binary
+    exponent up to +-5000; the rational equal to x, zero, x moved by
+    +-2^-k or scaled by 1 +- 2^-k, or unrelated, as an int where integral."""
+    prec = draw(st.integers(min_value=MIN_PRECISION_BITS, max_value=256))
+    man = draw(st.integers(min_value=-(2**300), max_value=2**300))
+    exp = draw(st.integers(min_value=-5000, max_value=5000))
+    x = PrecisionReal(Fraction(man) * Fraction(2) ** exp, prec)
+    exact = x.to_fraction()
+    nudge = Fraction(draw(st.sampled_from((-1, 1))), 2 ** draw(st.integers(0, 5500)))
+    kind = draw(st.sampled_from(("equal", "zero", "nudged", "scaled", "unrelated")))
+    if kind == "equal":
+        q = exact
+    elif kind == "zero":
+        q = Fraction(0)
+    elif kind == "nudged":
+        q = exact + nudge
+    elif kind == "scaled":
+        q = exact * (1 + nudge)
+    else:
+        q = Fraction(draw(_RATIONALS))
+    if q.denominator == 1 and draw(st.booleans()):
+        return x, q.numerator
+    return x, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_comparison_cases())
+def test_comparisons_with_rationals_agree_with_exact_fraction_comparison(case):
+    x, q = case
+    exact = x.to_fraction()
+    assert x._cmp(q) == (exact > q) - (exact < q)
+    assert (x < q, x <= q, x == q, x >= q, x > q) == (
+        exact < q, exact <= q, exact == q, exact >= q, exact > q
+    )
 
 
 def test_division_by_zero_raises():
@@ -258,11 +322,65 @@ def test_ln_gamma_agrees_with_independent_library_route():
         mpmath.mp.dps = 15
 
 
-def test_ln_gamma_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        ln_gamma_ref(0, CFG50)
-    with pytest.raises(DomainError):
-        ln_gamma_ref(-3, CFG50)
+def test_ln_gamma_rejects_nonpositive(fresh_memos):
+    for _ in range(3):  # on every call: a refused argument leaves nothing in the memo
+        with pytest.raises(DomainError):
+            ln_gamma_ref(0, CFG50)
+        with pytest.raises(DomainError):
+            ln_gamma_ref(-3, CFG50)
+    assert _ln_gamma_raw.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# The ln Gamma memo
+# ---------------------------------------------------------------------------
+
+
+MEMO_ARGUMENTS = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(51), Fraction(10**6 + 1, 7))
+
+
+@pytest.mark.parametrize("digits", [50, 100, 300])
+def test_memoized_ln_gamma_is_bit_identical_to_a_fresh_evaluation(fresh_memos, digits):
+    cfg = OracleConfig.for_digits(digits)
+    first = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
+    hits = _ln_gamma_raw.cache_info().hits
+    again = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
+    assert _ln_gamma_raw.cache_info().hits == hits + len(MEMO_ARGUMENTS)
+    _ln_gamma_raw.cache_clear()
+    fresh = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
+    assert list(map(bits, first)) == list(map(bits, again)) == list(map(bits, fresh))
+
+
+def test_ln_gamma_memo_key_separates_precision_and_config(fresh_memos):
+    x = Fraction(7, 3)
+    cfg50, cfg100 = OracleConfig.for_digits(50), OracleConfig.for_digits(100)
+    at50, at100 = ln_gamma_ref(x, cfg50), ln_gamma_ref(x, cfg100)
+    assert at50.prec == cfg50.precision_bits and at100.prec == cfg100.precision_bits
+    assert at50.raw != at100.raw
+    # a PrecisionReal finer than the config sets the working precision ...
+    fine = PrecisionReal(x, cfg100.precision_bits + 64)
+    at_fine = ln_gamma_ref(fine, cfg50)
+    assert at_fine.prec == fine.prec and at_fine.raw != at50.raw
+    # ... and the same bits under two configs differ in the series they sum
+    fine100 = ln_gamma_ref(fine, cfg100)
+    assert fine100.prec == fine.prec and fine100.raw != at_fine.raw
+    assert _ln_gamma_raw.cache_info().currsize == 4
+    results = [at50, at100, at_fine, fine100]  # (x, fine) by (cfg50, cfg100)
+    _ln_gamma_raw.cache_clear()
+    fresh = [ln_gamma_ref(v, cfg) for v in (x, fine) for cfg in (cfg50, cfg100)]
+    assert list(map(bits, results)) == list(map(bits, fresh))
+
+
+def test_ln_gamma_memo_stays_bounded(fresh_memos):
+    xs = [Fraction(k, 7) for k in range(1, _MEMO_SIZE + 41)]
+    first = [ln_gamma_ref(x, CFG50) for x in xs]
+    info = _ln_gamma_raw.cache_info()
+    assert info.maxsize == _MEMO_SIZE
+    assert info.currsize <= info.maxsize
+    assert info.misses == len(xs)
+    # the earliest arguments were evicted; their recomputation matches
+    assert [bits(ln_gamma_ref(x, CFG50)) for x in xs[:5]] == list(map(bits, first[:5]))
+    assert _ln_gamma_raw.cache_info().misses == len(xs) + 5
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from windschitl import cli
 from windschitl.cli import main
 from windschitl.report import DEFAULT_ABSCISSAS, DEFAULT_FORMULAS
 
+from support import fresh_memos
+
 
 # ---------------------------------------------------------------------------
 # Table construction
@@ -171,7 +173,7 @@ def test_markdown_grid_shape_and_values():
 # ---------------------------------------------------------------------------
 
 
-def test_eval_subcommand(capsys, monkeypatch):
+def test_eval_subcommand(capsys, monkeypatch, fresh_memos):
     import windschitl.formulas as formulas
 
     evaluate = formulas.log_approximate
@@ -183,6 +185,17 @@ def test_eval_subcommand(capsys, monkeypatch):
     assert "relative_error = 2.40660E-5" in out
     assert "target         = gamma(x+1)" in out
     assert "value          = 0.99997" in out
+
+
+@pytest.mark.parametrize("argv, distinct", [(["verify"], 100), (["table"], 7)])
+def test_each_distinct_kernel_argument_is_evaluated_once(capsys, fresh_memos, argv, distinct):
+    # verify's two monotone-convex checks share their 99 grid points, and
+    # best-constants and reference-table reuse all but x = 100 of theirs
+    ln_gamma_memo, core_memo = fresh_memos
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert ln_gamma_memo.cache_info().misses == distinct
+    assert core_memo.cache_info().misses == distinct
 
 
 def test_eval_rejects_nonpositive(capsys):

@@ -28,6 +28,8 @@ from windschitl.verify import (
     trigamma_lower_bound,
 )
 
+from support import fresh_memos
+
 CFG = OracleConfig.for_digits(50)
 SMALL_GRID = tuple(Fraction(k) for k in range(1, 11))
 
@@ -69,10 +71,16 @@ def test_best_constants_pass():
     assert report.passed
 
 
-def test_monotone_convex_passes_for_both_gaps():
+def test_monotone_convex_passes_for_both_gaps(monkeypatch):
+    import windschitl.verify as verify
+
+    render = verify.format_sci
+    calls = []
+    monkeypatch.setattr(verify, "format_sci", lambda *a: calls.append(a) or render(*a))
     for which in ("w2", "w2star"):
         report = verify_monotone_convex(which, SMALL_GRID, CFG)
         assert report.passed, report.failures
+    assert calls == []  # a witness is rendered only for a failed expectation
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +180,17 @@ def test_constant_function_fails_monotonicity():
     assert any("strictly decreasing" in w.description for w in report.failures)
 
 
+def test_failed_monotone_expectations_show_the_slope_and_the_value():
+    def rising(x, cfg):
+        return PrecisionReal(x, 64)
+
+    failures = verify_monotone_convex(rising, SMALL_GRID, CFG).failures
+    decreasing = [w.value for w in failures if "strictly decreasing" in w.description]
+    assert decreasing == ["1E+0"] * (len(SMALL_GRID) - 1)  # the slope, not the margin -1
+    in_range = [w.value for w in failures if "lies in" in w.description]
+    assert in_range == [f"{k}E+0" for k in range(2, 10)] + ["1.0E+1"]  # the value, not the margin
+
+
 def test_grid_preconditions_are_enforced():
     with pytest.raises(ValueError):
         verify_monotone_convex("w2", (1, 2), CFG)  # too short
@@ -214,7 +233,7 @@ def test_rate_defaults_to_rate_digits():
         assert (got.raw, got.prec) == (want.raw, want.prec)
 
 
-def test_rate_makes_one_oracle_call_per_abscissa(monkeypatch):
+def test_rate_makes_one_oracle_call_per_abscissa(monkeypatch, fresh_memos):
     import windschitl.formulas as formulas
     import windschitl.verify as verify
 
