@@ -34,6 +34,7 @@ from .precision import (
     format_sci,
     working_argument,
     _MEMO_SIZE,
+    _wrap,
 )
 
 __all__ = [
@@ -95,14 +96,14 @@ def _ln_half_shift_base(x: PrecisionReal) -> PrecisionReal:
 
 def _ln_windschitl_core(x: PrecisionReal) -> PrecisionReal:
     # ln W0(x), shared by W0, W2 and W2*
-    return PrecisionReal._wrap(_ln_windschitl_core_raw(x.raw, x.prec), x.prec)
+    return _wrap(_ln_windschitl_core_raw(x.raw, x.prec), x.prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _ln_windschitl_core_raw(raw: tuple, prec: int) -> tuple:
     """ln Stirling + (x/2) ln(x sinh(1/x)) at x = raw, prec bits, memoized:
     the result depends on nothing else, and raw values are immutable tuples."""
-    x = PrecisionReal._wrap(raw, prec)
+    x = _wrap(raw, prec)
     return (_ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x))).raw
 
 

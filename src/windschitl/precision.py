@@ -15,10 +15,12 @@ remainder is bounded in magnitude by the first omitted term.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from mpmath import libmp
 
@@ -99,18 +101,11 @@ class PrecisionReal:
                 raw = libmp.mpf_pos(libmp.from_float(value), prec, _RND)
             else:
                 raise TypeError(f"cannot build PrecisionReal from {type(value).__name__}")
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "prec", prec)
+        _set_raw(self, raw)
+        _set_prec(self, prec)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PrecisionReal is immutable")
-
-    @classmethod
-    def _wrap(cls, raw: tuple, prec: int) -> PrecisionReal:
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "raw", raw)
-        object.__setattr__(obj, "prec", prec)
-        return obj
 
     # -- arithmetic -----------------------------------------------------
 
@@ -118,10 +113,10 @@ class PrecisionReal:
         if isinstance(other, PrecisionReal):
             return other
         if isinstance(other, int):
-            return PrecisionReal._wrap(libmp.from_int(other, self.prec, _RND), self.prec)
+            return _wrap(libmp.from_int(other, self.prec, _RND), self.prec)
         if isinstance(other, Fraction):
             raw = libmp.from_rational(other.numerator, other.denominator, self.prec, _RND)
-            return PrecisionReal._wrap(raw, self.prec)
+            return _wrap(raw, self.prec)
         return None
 
     def _binary(self, other, fn):
@@ -129,7 +124,7 @@ class PrecisionReal:
         if rhs is None:
             return NotImplemented
         prec = max(self.prec, rhs.prec)
-        return PrecisionReal._wrap(fn(self.raw, rhs.raw, prec, _RND), prec)
+        return _wrap(fn(self.raw, rhs.raw, prec, _RND), prec)
 
     def __add__(self, other):
         return self._binary(other, libmp.mpf_add)
@@ -156,7 +151,7 @@ class PrecisionReal:
         if libmp.mpf_sign(rhs.raw) == 0:
             raise ZeroDivisionError("division by zero")
         prec = max(self.prec, rhs.prec)
-        return PrecisionReal._wrap(libmp.mpf_div(self.raw, rhs.raw, prec, _RND), prec)
+        return _wrap(libmp.mpf_div(self.raw, rhs.raw, prec, _RND), prec)
 
     def __rtruediv__(self, other):
         rhs = self._coerce(other)
@@ -168,16 +163,14 @@ class PrecisionReal:
         if isinstance(exponent, int):
             if exponent < 0 and libmp.mpf_sign(self.raw) == 0:
                 raise ZeroDivisionError("zero to a negative power")
-            return PrecisionReal._wrap(
-                libmp.mpf_pow_int(self.raw, exponent, self.prec, _RND), self.prec
-            )
+            return _wrap(libmp.mpf_pow_int(self.raw, exponent, self.prec, _RND), self.prec)
         return NotImplemented
 
     def __neg__(self):
-        return PrecisionReal._wrap(libmp.mpf_neg(self.raw), self.prec)
+        return _wrap(libmp.mpf_neg(self.raw), self.prec)
 
     def __abs__(self):
-        return PrecisionReal._wrap(libmp.mpf_abs(self.raw), self.prec)
+        return _wrap(libmp.mpf_abs(self.raw), self.prec)
 
     def __bool__(self) -> bool:
         return libmp.mpf_sign(self.raw) != 0
@@ -252,6 +245,19 @@ class PrecisionReal:
         return self.to_decimal_string(max(1, int(self.prec / _LOG2_10) - 2))
 
 
+# The slots' own descriptors write past the __setattr__ that refuses changes.
+_set_raw = PrecisionReal.raw.__set__
+_set_prec = PrecisionReal.prec.__set__
+
+
+def _wrap(raw: tuple, prec: int) -> PrecisionReal:
+    """A PrecisionReal holding a raw libmp value as is, with no checks or rounding."""
+    obj = object.__new__(PrecisionReal)
+    _set_raw(obj, raw)
+    _set_prec(obj, prec)
+    return obj
+
+
 def _check_prec(prec) -> None:
     if not isinstance(prec, int) or prec < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be an int >= {MIN_PRECISION_BITS} bits, got {prec}")
@@ -292,20 +298,20 @@ def _exp_huge_integer(x: tuple, prec: int) -> tuple:
 
 def exp(x: PrecisionReal) -> PrecisionReal:
     if _is_huge_integer(x.raw, x.prec):
-        return PrecisionReal._wrap(_exp_huge_integer(x.raw, x.prec), x.prec)
-    return PrecisionReal._wrap(libmp.mpf_exp(x.raw, x.prec, _RND), x.prec)
+        return _wrap(_exp_huge_integer(x.raw, x.prec), x.prec)
+    return _wrap(libmp.mpf_exp(x.raw, x.prec, _RND), x.prec)
 
 
 def ln(x: PrecisionReal) -> PrecisionReal:
     if x.sign <= 0:
         raise DomainError("ln needs a positive argument")
-    return PrecisionReal._wrap(libmp.mpf_log(x.raw, x.prec, _RND), x.prec)
+    return _wrap(libmp.mpf_log(x.raw, x.prec, _RND), x.prec)
 
 
 def sqrt(x: PrecisionReal) -> PrecisionReal:
     if x.sign < 0:
         raise DomainError("sqrt needs a nonnegative argument")
-    return PrecisionReal._wrap(libmp.mpf_sqrt(x.raw, x.prec, _RND), x.prec)
+    return _wrap(libmp.mpf_sqrt(x.raw, x.prec, _RND), x.prec)
 
 
 def sinh(x: PrecisionReal) -> PrecisionReal:
@@ -313,17 +319,17 @@ def sinh(x: PrecisionReal) -> PrecisionReal:
         # exp(-|x|) is far below an ulp of exp |x|: sinh x = sign(x) exp|x| / 2,
         # as mpmath's own sinh has it
         half = libmp.mpf_shift(_exp_huge_integer(libmp.mpf_abs(x.raw), x.prec), -1)
-        return PrecisionReal._wrap(libmp.mpf_neg(half) if x.sign < 0 else half, x.prec)
-    return PrecisionReal._wrap(libmp.mpf_sinh(x.raw, x.prec, _RND), x.prec)
+        return _wrap(libmp.mpf_neg(half) if x.sign < 0 else half, x.prec)
+    return _wrap(libmp.mpf_sinh(x.raw, x.prec, _RND), x.prec)
 
 
 def tanh(x: PrecisionReal) -> PrecisionReal:
-    return PrecisionReal._wrap(libmp.mpf_tanh(x.raw, x.prec, _RND), x.prec)
+    return _wrap(libmp.mpf_tanh(x.raw, x.prec, _RND), x.prec)
 
 
 def pi(prec: int) -> PrecisionReal:
     _check_prec(prec)
-    return PrecisionReal._wrap(libmp.mpf_pi(prec, _RND), prec)
+    return _wrap(libmp.mpf_pi(prec, _RND), prec)
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +341,7 @@ def _ln_sqrt_two_pi_raw(prec: int) -> tuple:
 def ln_sqrt_two_pi(prec: int) -> PrecisionReal:
     """ln sqrt(2*pi) at the given precision (cached)."""
     _check_prec(prec)
-    return PrecisionReal._wrap(_ln_sqrt_two_pi_raw(prec), prec)
+    return _wrap(_ln_sqrt_two_pi_raw(prec), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -573,39 +579,91 @@ def _fixed_bits(prec: int, count: int) -> int:
     return prec + 2 * count.bit_length() + 10
 
 
-@lru_cache(maxsize=None)
-def _series_fixed(series: str, terms: int, frac_bits: int) -> tuple[int, ...]:
-    """Stirling-series coefficients c_j, j = terms..1, as round(c_j 2^frac_bits):
-    c_j = B_2j / (2j(2j-1)) for "lngamma" and B_2j for "trigamma"."""
-    coeffs = []
+# Stirling-series tables kept at once: both series at 50, 100 and 200
+# digits, the precisions of the benchmark's warm workload, and two more.
+# An evicted table is rebuilt from the cached Bernoulli numbers.
+_SERIES_TABLES = 8
+
+
+@lru_cache(maxsize=_SERIES_TABLES)
+def _series_fixed(
+    series: str, terms: int, frac_bits: int, step: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The fixed-point Stirling-series coefficients and the bounds that
+    decide how many of them an argument needs: (coefficients, bounds).
+
+    c_j = B_2j / (2j(2j-1)) for "lngamma" and B_2j for "trigamma".  With
+    F = frac_bits and s = step, the coefficients are round(c_j 2^(F - s(j-1))),
+    j = terms..1.  A coefficient enters the sum times u^(j-1) <= 2^-s(j-1),
+    so its rounding costs half a unit of 2^-F there, however few bits it
+    keeps.  Where F - s(j-1) < 0, the denominator is shifted instead of the
+    numerator, and the coefficient is still rounded to nearest.
+
+    With L_j = F + bitlen(numerator) - bitlen(denominator) + 1 >= F +
+    log2 |c_j|, the first m terms suffice at u <= 2^-e2 when
+    L_(m+1) - e2 m < 0: the first omitted term is then below half a unit
+    of 2^-F.  That holds from e2 = L_(m+1) // m + 1 on.  The bounds are,
+    for m = terms-1..1, the least e2 from which some m' <= m terms
+    suffice, so they ascend (see :func:`_terms_needed`).
+    """
+    coeffs, least_e2 = [], []
     for j in range(terms, 0, -1):
         c = bernoulli(2 * j)
         if series == "lngamma":
             c /= 2 * j * (2 * j - 1)
-        coeffs.append(((c.numerator << (frac_bits + 1)) + c.denominator) // (2 * c.denominator))
-    return tuple(coeffs)
+        num, den, bits = c.numerator, c.denominator, frac_bits - step * (j - 1)
+        if j > 1:  # the least e2 from which j - 1 terms suffice
+            log_bound = frac_bits + abs(num).bit_length() - den.bit_length() + 1  # L_j
+            least_e2.append(log_bound // (j - 1) + 1)
+        if bits >= 0:
+            num <<= bits
+        else:
+            den <<= -bits
+        coeffs.append(((num << 1) + den) // (den << 1))
+    bounds = list(accumulate(reversed(least_e2), min))  # m = 1..terms-1
+    return tuple(coeffs), tuple(reversed(bounds))
 
 
-def _stirling_series(series: str, terms: int, y: tuple, prec: int) -> tuple[int, int, int]:
+def _terms_needed(bounds: tuple[int, ...], y: tuple) -> int:
+    """The fewest m <= terms for which L_(m+1) - e2 m < 0 (see
+    :func:`_series_fixed`), with e2 = 2(exp + bc - 1), so y^2 >= 2^e2."""
+    _, _, exp, bc = y
+    return len(bounds) + 1 - bisect_right(bounds, 2 * (exp + bc - 1))
+
+
+def _stirling_series(series: str, cfg: OracleConfig, y: tuple, prec: int) -> tuple[int, int, int]:
     """sum_j c_j u^(j-1) at u = 1/y^2 in fixed point, for a raw y >= the
     threshold: (the sum, u, their fraction bits F = _fixed_bits(prec, terms)).
 
-    u is rounded to nearest and the coefficients come from
-    :func:`_series_fixed`; Horner's rule runs as acc = (acc u >> F) + c_j.
-    Error budget, in units of 2^-F against the exact sum at 1/y^2:
-    terms/2 from the coefficients, terms - 1 from the truncating products
-    (later powers of u < 1 only shrink them), and below terms^2/120 from
-    the rounding of u, since the certified terms decrease for y >= the
-    threshold, so |d sum/du| <= |c_2| terms^2/2 with |c_2| <= 1/30.  That
-    is at most terms^2 units, so the sum is within 2^-(prec+10).
+    With s = 2 (bitlen(threshold) - 1), u <= 2^-s.  u is rounded to
+    nearest, to at most 2^(F-s) units, and the coefficients come from
+    :func:`_series_fixed` in falling precision: the accumulator after c_j
+    has F - s(j-1) fraction bits, so Horner's rule runs as
+    acc = ((acc u) >> (F - s)) + C_j.  Only the first m terms are summed,
+    m from :func:`_terms_needed`: the sum of the omitted ones alternates
+    and decreases through ``terms`` for every y >= the threshold (as the
+    series guard certifies), so it is below its first term, half a unit.
+
+    Error budget, in units of 2^-F against the exact all-``terms`` sum at
+    1/y^2.  An error at step j is scaled by u^(j-1) <= 2^-s(j-1) before it
+    reaches the sum, so a unit of that step costs at most one unit here,
+    and the budget is the one of a full-precision Horner loop: m/2 from the
+    coefficients, m - 1 from the truncating products, below terms^2/120
+    from the rounding of u, since the certified terms decrease, so
+    |d sum/du| <= |c_2| terms^2/2 with |c_2| <= 1/30; and below 1/2 from
+    the omitted terms.  That is at most terms^2 units, so the sum is
+    within 2^-(prec+10).
     """
+    terms = cfg.series_terms
     frac_bits = _fixed_bits(prec, terms)
+    step = 2 * (cfg.shift_threshold.bit_length() - 1)
+    coeffs, bounds = _series_fixed(series, terms, frac_bits, step)
     _, man, exp, _ = y
     shift, d = frac_bits - 2 * exp, man * man
     u = ((1 << shift) + (d >> 1)) // d if shift >= 0 else 0  # round(2^F / y^2)
-    acc = 0
-    for c in _series_fixed(series, terms, frac_bits):
-        acc = ((acc * u) >> frac_bits) + c
+    acc, drop = 0, frac_bits - step
+    for c in coeffs[terms - _terms_needed(bounds, y) :]:
+        acc = ((acc * u) >> drop) + c
     return acc, u, frac_bits
 
 
@@ -700,7 +758,7 @@ def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     the same bits as a fresh evaluation.
     """
     x = working_argument(x, cfg)
-    return PrecisionReal._wrap(_ln_gamma_raw(x.raw, x.prec, cfg), x.prec)
+    return _wrap(_ln_gamma_raw(x.raw, x.prec, cfg), x.prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -713,7 +771,7 @@ def _ln_gamma_raw(x: tuple, prec: int, cfg: OracleConfig) -> tuple:
     lny = libmp.mpf_log(y, prec, _RND)
     result = libmp.mpf_mul(mpf_sub(y, libmp.fhalf, prec, _RND), lny, prec, _RND)
     result = mpf_add(mpf_sub(result, y, prec, _RND), _ln_sqrt_two_pi_raw(prec), prec, _RND)
-    series, _, frac_bits = _stirling_series("lngamma", cfg.series_terms, y, prec)
+    series, _, frac_bits = _stirling_series("lngamma", cfg, y, prec)
     series = libmp.mpf_div(libmp.from_man_exp(series, -frac_bits), y, prec, _RND)
     result = mpf_add(result, series, prec, _RND)
     if n:
@@ -739,10 +797,10 @@ def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     x = working_argument(x, cfg)
     xr, prec = x.raw, x.prec
     n, y = _shifted(xr, prec, cfg, "trigamma_ref")
-    series, u, frac_bits = _stirling_series("trigamma", cfg.series_terms, y, prec)
+    series, u, frac_bits = _stirling_series("trigamma", cfg, y, prec)
     head = libmp.from_man_exp((1 << frac_bits) + ((series * u) >> frac_bits), -frac_bits)
     result = libmp.mpf_div(head, y, prec, _RND)
     result = libmp.mpf_add(result, libmp.from_man_exp(u, -frac_bits - 1), prec, _RND)
     if n:
         result = libmp.mpf_add(result, _inverse_square_sum(xr, n, prec), prec, _RND)
-    return PrecisionReal._wrap(result, prec)
+    return _wrap(result, prec)

@@ -9,7 +9,9 @@ behind ``bernoulli``.  ``ln_gamma_per_step`` and ``trigamma_per_step`` are
 the reference oracles written in ``PrecisionReal`` arithmetic, one rounded
 operation per step with every ``Fraction`` coefficient absorbed where it
 is used; the integer kernels of ``precision`` must stay within the two
-computations' stated rounding budgets of them.  ``format_sci_decimal``
+computations' stated rounding budgets of them.  ``exact_series_sum`` is
+the Stirling series summed exactly in integers, the reference for the
+fixed-point series kernel.  ``format_sci_decimal``
 is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
 precision, the reference for its integer rounding.  The ``fresh_memos``
 fixture empties the kernel memos around a test that counts or patches
@@ -85,6 +87,33 @@ def lngamma_series_fractions(terms: int) -> list[Fraction]:
 def trigamma_series_fractions(terms: int) -> list[Fraction]:
     """B_2j for j = 1..terms, exact."""
     return [bernoulli(2 * j) for j in range(1, terms + 1)]
+
+
+def exact_series_sum(numerators: list[int], den: int, y: Fraction) -> tuple[int, int]:
+    """sum_j (numerators[j-1] / den) / y^(2(j-1)) at a dyadic y > 0, exactly,
+    as an unreduced (numerator, denominator).
+
+    With y = o 2^e, o odd, 1/y^2 = 2^(down-up) / o^2, where up = max(2e, 0)
+    and down = max(-2e, 0).  Times den (o^2 2^up)^(T-1), the sum is the
+    integer sum_j numerators[j-1] 2^(down(j-1)) (o^2 2^up)^(T-j), evaluated
+    by halves so that every power of two is a shift.  At thousands of
+    digits and a large y it has millions of bits, so it is not reduced
+    to lowest terms.
+    """
+    o, zeros = y.numerator, y.numerator & -y.numerator
+    o, e = o // zeros, zeros.bit_length() - y.denominator.bit_length()
+    up, down = max(2 * e, 0), max(-2 * e, 0)
+    o2, terms = o * o, len(numerators)
+    # scaled[i] multiplies (o^2 2^up)^i
+    scaled = [num << (down * j) for j, num in enumerate(numerators)][::-1]
+
+    def at(lo: int, hi: int) -> int:  # sum_{lo <= i < hi} scaled[i] (o^2 2^up)^(i-lo)
+        if hi - lo == 1:
+            return scaled[lo]
+        mid = (lo + hi) // 2
+        return at(lo, mid) + ((at(mid, hi) * o2 ** (mid - lo)) << (up * (mid - lo)))
+
+    return at(0, terms), (den * o2 ** (terms - 1)) << (up * (terms - 1))
 
 
 def horner_per_step(coeffs: list[Fraction], u: PrecisionReal, prec: int) -> PrecisionReal:

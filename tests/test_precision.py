@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
-from math import ceil, factorial, log, prod
+from functools import lru_cache
+from math import ceil, factorial, floor, lcm, log, prod
+from typing import NamedTuple
 
 import mpmath
 import pytest
@@ -27,18 +29,24 @@ from windschitl import (
 from windschitl.precision import (
     MIN_PRECISION_BITS,
     _MEMO_SIZE,
+    _SERIES_TABLES,
+    _fixed_bits,
     _inverse_square_sum,
     _ln_gamma_raw,
     _rising_product,
+    _series_fixed,
     _shift_steps,
     _stirling_series,
+    _terms_needed,
     _validate_series,
+    _wrap,
     floor_log10,
     working_argument,
 )
 
 from support import (
     bits,
+    exact_series_sum,
     format_sci_decimal,
     fresh_memos,
     horner_per_step,
@@ -183,6 +191,13 @@ def test_values_are_immutable():
     x = PrecisionReal(1, 64)
     with pytest.raises(AttributeError):
         x.prec = 128
+    # a value built from a raw tuple holds that tuple and refuses changes too
+    raw = libmp.from_rational(1, 3, 100, "n")
+    y = _wrap(raw, 100)
+    assert y.raw is raw and y.prec == 100 and bits(y) == bits(PrecisionReal(Fraction(1, 3), 100))
+    for name in ("raw", "prec"):
+        with pytest.raises(AttributeError):
+            setattr(y, name, getattr(x, name))
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +554,161 @@ def test_oracle_kernels_stay_within_their_error_budget(digits):
             ("lngamma", lngamma_series_fractions(terms)),
             ("trigamma", trigamma_series_fractions(terms)),
         ):
-            total, _, frac_bits = _stirling_series(series, terms, y.raw, prec)
+            total, _, frac_bits = _stirling_series(series, cfg, y.raw, prec)
             want = horner_per_step(coeffs, u_hi, prec + 64).to_fraction()  # off by < 2^-(prec+56)
             budget = Fraction(1, 2 ** (prec + 10)) + Fraction(1, 2 ** (prec + 56))
             assert abs(Fraction(total, 2**frac_bits) - want) < budget, f"{series}, {case}"
+
+
+# ---------------------------------------------------------------------------
+# The Stirling-series kernel: falling precision and truncation at y
+# ---------------------------------------------------------------------------
+
+SERIES_FRACTIONS = {"lngamma": lngamma_series_fractions, "trigamma": trigamma_series_fractions}
+
+
+class Layout(NamedTuple):
+    """A configuration's Stirling series as the kernel lays it out."""
+
+    coeffs: list[Fraction]  # c_1..c_terms
+    numerators: list[int]  # the same over their least common denominator
+    denominator: int
+    prec: int
+    frac_bits: int  # F
+    step: int  # s = 2 (bitlen(threshold) - 1)
+
+
+@lru_cache(maxsize=None)
+def series_layout(series: str, cfg: OracleConfig) -> Layout:
+    prec, terms = cfg.precision_bits, cfg.series_terms
+    frac_bits, step = _fixed_bits(prec, terms), 2 * (cfg.shift_threshold.bit_length() - 1)
+    coeffs = SERIES_FRACTIONS[series](terms)
+    den = lcm(*(c.denominator for c in coeffs))
+    numerators = [c.numerator * (den // c.denominator) for c in coeffs]
+    return Layout(coeffs, numerators, den, prec, frac_bits, step)
+
+
+def series_table(series: str, cfg: OracleConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The kernel's (coefficients, bounds) for a configuration."""
+    layout = series_layout(series, cfg)
+    return _series_fixed(series, len(layout.coeffs), layout.frac_bits, layout.step)
+
+
+def rule_terms(coeffs: list[Fraction], frac_bits: int, e2: int) -> int:
+    """The fewest m < terms with L_(m+1) - e2 m < 0, L_j = F + bitlen(num c_j) -
+    bitlen(den c_j) + 1, or terms if there is none: the truncation rule, restated."""
+    for m in range(1, len(coeffs)):
+        c = coeffs[m]  # c_(m+1)
+        if frac_bits + abs(c.numerator).bit_length() - c.denominator.bit_length() + 1 - e2 * m < 0:
+            return m
+    return len(coeffs)
+
+
+def dyadic_raw(y: Fraction) -> tuple:
+    """The raw libmp value of a dyadic rational, exactly."""
+    man, den = y.numerator, y.denominator
+    assert den & (den - 1) == 0
+    return libmp.from_man_exp(man, 1 - den.bit_length())
+
+
+def truncation_points(layout: Layout, threshold: int) -> list[Fraction]:
+    """Each power of two above the threshold where the rule's term count
+    changes, and 255/256 of it, whose e2 is two less."""
+    counts = [rule_terms(layout.coeffs, layout.frac_bits, 2 * k) for k in range(layout.frac_bits)]
+    points = []
+    for k in range(threshold.bit_length(), layout.frac_bits):
+        if counts[k] != counts[k - 1]:
+            points += [Fraction(2**k), Fraction(255 * 2**k, 256)]
+    return [y for y in points if y >= threshold]
+
+
+def assert_series_matches_exact_sum(series: str, cfg: OracleConfig, y: Fraction) -> None:
+    """The kernel at y against the exact all-terms sum, and its term count
+    against the rule, in exact arithmetic."""
+    layout = series_layout(series, cfg)
+    coeffs, prec, frac_bits = layout.coeffs, layout.prec, layout.frac_bits
+    case = f"{series}, y = {y}, {cfg.target_decimal_digits} digits"
+    total, _, got_bits = _stirling_series(series, cfg, dyadic_raw(y), prec)
+    assert got_bits == frac_bits, case
+    num, den = exact_series_sum(layout.numerators, layout.denominator, y)
+    # |total 2^-F - num/den| < 2^-(prec+10), in integers
+    assert abs(total * den - (num << frac_bits)) << (prec + 10) < den << frac_bits, case
+    used = _terms_needed(series_table(series, cfg)[1], dyadic_raw(y))
+    assert 1 <= used <= len(coeffs), case
+    e2 = 2 * (y.numerator.bit_length() - y.denominator.bit_length())  # 2 floor(log2 y)
+    assert used == rule_terms(coeffs, frac_bits, e2), case
+    if used < len(coeffs):
+        # the first omitted term is below one unit of 2^-F
+        assert abs(coeffs[used]) / y ** (2 * used) < Fraction(1, 2**frac_bits), case
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200, 500, 2000])
+@pytest.mark.parametrize("series", ["lngamma", "trigamma"])
+def test_stirling_series_matches_the_exact_sum_where_its_length_changes(series, digits):
+    cfg = OracleConfig.for_digits(digits)
+    threshold = cfg.shift_threshold
+    points = truncation_points(series_layout(series, cfg), threshold)
+    assert points, "the term count never changes"
+    for y in [Fraction(threshold), Fraction(10**4), Fraction(10**12), *points]:
+        assert_series_matches_exact_sum(series, cfg, y)
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200, 500, 2000])
+def test_an_argument_at_the_threshold_keeps_every_term_and_a_large_one_few(digits):
+    cfg = OracleConfig.for_digits(digits)
+    for series in SERIES_FRACTIONS:
+        layout = series_layout(series, cfg)
+        bounds, threshold = series_table(series, cfg)[1], Fraction(cfg.shift_threshold)
+        assert _terms_needed(bounds, dyadic_raw(threshold)) == len(layout.coeffs)
+        assert _terms_needed(bounds, dyadic_raw(Fraction(2**layout.frac_bits))) == 1
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200, 500, 2000])
+def test_stored_coefficients_are_rounded_in_falling_precision(digits):
+    cfg = OracleConfig.for_digits(digits)
+    for series in SERIES_FRACTIONS:
+        layout = series_layout(series, cfg)
+        terms = len(layout.coeffs)
+        exponents = [layout.frac_bits - layout.step * (j - 1) for j in range(terms, 0, -1)]
+        want = [floor(c * Fraction(2) ** b + Fraction(1, 2))
+                for c, b in zip(reversed(layout.coeffs), exponents)]
+        assert list(series_table(series, cfg)[0]) == want, series
+        if digits >= 50:
+            assert min(exponents) < 0, "no coefficient with a negative exponent"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digits=st.integers(min_value=19, max_value=300),
+    man=st.integers(min_value=1, max_value=2**128),
+    scale=st.integers(min_value=0, max_value=400),
+    series=st.sampled_from(sorted(SERIES_FRACTIONS)),
+)
+def test_stirling_series_matches_the_exact_sum_at_random_arguments(digits, man, scale, series):
+    cfg = OracleConfig.for_digits(digits)
+    # y >= threshold, from just above it to about 2^530
+    y = cfg.shift_threshold + Fraction(man, 2**128) * 2**scale
+    assert_series_matches_exact_sum(series, cfg, y)
+
+
+def test_series_tables_are_bounded_and_rebuild_bit_identically():
+    _series_fixed.cache_clear()
+    try:
+        # both series at 50, 100 and 200 digits fit
+        warm = [(series, OracleConfig.for_digits(d))
+                for d in (50, 100, 200) for series in SERIES_FRACTIONS]
+        first = [series_table(*case) for case in warm]
+        assert [series_table(*case) for case in warm] == first
+        assert _series_fixed.cache_info()[:2] == (6, 6)  # hits, misses
+        # a sweep over more precisions than the cache holds evicts them
+        for digits in range(301, 301 + _SERIES_TABLES):
+            series_table("lngamma", OracleConfig.for_digits(digits))
+        assert _series_fixed.cache_info().currsize == _SERIES_TABLES
+        misses = _series_fixed.cache_info().misses
+        assert [series_table(*case) for case in warm] == first
+        assert _series_fixed.cache_info().misses == misses + 6
+    finally:
+        _series_fixed.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +799,7 @@ def test_format_sci_canonical_forms():
 
 def _binary_value(negative: bool, man: int, exponent: int) -> PrecisionReal:
     raw = libmp.from_man_exp(-man if negative else man, exponent)
-    return PrecisionReal._wrap(raw, max(MIN_PRECISION_BITS, raw[3]))
+    return _wrap(raw, max(MIN_PRECISION_BITS, raw[3]))
 
 
 def _signed(negative: bool, value: Fraction) -> Fraction:
