@@ -1,8 +1,9 @@
 """Exact big-integer, rational, and polynomial arithmetic.
 
 Everything in this module is exact: scalars are ``fractions.Fraction``
-(always canonical: positive denominator, gcd 1) and no operation ever
-rounds.  This is the substrate used to certify coefficient tables,
+(always canonical: positive denominator, gcd 1), a polynomial is integer
+numerators over one common denominator in lowest terms, and no operation
+ever rounds.  This is the substrate used to certify coefficient tables,
 rational-function identities, and polynomial sign claims; approximate
 arithmetic lives in :mod:`windschitl.precision`.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -89,21 +91,36 @@ def bernoulli(n: int) -> Fraction:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients run from degree 0 upward; trailing zeros are stripped on
-    construction, so the leading coefficient is nonzero unless the
-    polynomial is identically zero (stored as the empty tuple).
+    Stored as integer numerators over one common denominator: coefficient
+    k is ``_nums[k] / _den``.  The form is canonical: ``_den > 0``,
+    ``gcd(_den, *_nums) == 1`` and trailing zeros are stripped, so the
+    leading numerator is nonzero unless the polynomial is identically zero,
+    which is ``((), 1)``.  Equal polynomials therefore have equal pairs.
+    Every ring operation and every evaluation at an ``int`` or ``Fraction``
+    runs on the integers and reduces once, with one gcd, at the end (a
+    rational polynomial as an integer one over a common denominator, as in
+    von zur Gathen and Gerhard, *Modern Computer Algebra*, section 6.2).
+    ``coeffs`` rebuilds the canonical ``Fraction`` coefficients, degree 0
+    upward.
     Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den")
 
-    coeffs: tuple[Fraction, ...]
+    _nums: tuple[int, ...]
+    _den: int
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
         cs = [_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # over the lcm of canonical denominators the pair is already reduced:
+        # a prime power dividing it exactly divides some denominator, whose
+        # scaled numerator that prime does not divide
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        _set_nums(self, tuple(nums))
+        _set_den(self, den if nums else 1)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
@@ -144,22 +161,26 @@ class Polynomial:
     # -- structure -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The canonical Fraction coefficients, degree 0 upward."""
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._nums):
+            return Fraction(self._nums[k], self._den)
         return Fraction(0)
 
     # -- ring operations ----------------------------------------------
@@ -168,13 +189,18 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self._nums, other._nums, self._den
+        if den != other._den:
+            g = gcd(den, other._den)
+            a = [n * (other._den // g) for n in a]
+            b = [n * (den // g) for n in b]
+            den = den // g * other._den
         if len(a) < len(b):
             a, b = b, a
         cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return Polynomial(cs)
+        for i, n in enumerate(b):
+            cs[i] += n
+        return _reduced(cs, den)
 
     __radd__ = __add__
 
@@ -191,22 +217,17 @@ class Polynomial:
         return other + (-self)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _canonical(tuple(-n for n in self._nums), self._den)
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             s = _rat(other)
-            return Polynomial(tuple(c * s for c in self.coeffs))
+            return _reduced([n * s.numerator for n in self._nums], self._den * s.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    cs[i + j] += a * b
-        return Polynomial(cs)
+            return _ZERO
+        return _reduced(_convolve(self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -233,39 +254,63 @@ class Polynomial:
     # -- evaluation and transforms --------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments and generic
-        for any value supporting ``+`` and ``*`` with Fractions."""
+        """Horner evaluation.
+
+        At an ``int`` or a ``Fraction`` p/q it is exact and runs in integers,
+        homogeneous Horner sum_k n_k p^k q^(d-k) over den q^d, with one
+        reduction; any other value supporting ``+`` and ``*`` with Fractions
+        gets generic Horner over the Fraction coefficients.
+        """
+        nums = self._nums
+        if not nums:
+            return Fraction(0)
+        if isinstance(x, int):
+            acc = 0
+            for n in reversed(nums):
+                acc = acc * x + n
+            return Fraction(acc, self._den)
+        if isinstance(x, Fraction):
+            p, q = x.numerator, x.denominator
+            acc, q_power = nums[-1], 1
+            for n in reversed(nums[:-1]):
+                q_power *= q
+                acc = acc * p + n * q_power
+            return Fraction(acc, self._den * q_power)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def derivative(self) -> Polynomial:
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _reduced([i * n for i, n in enumerate(self._nums) if i], self._den)
 
     def compose(self, inner: Polynomial) -> Polynomial:
-        """self(inner(t)), exact."""
-        acc = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c)
-        return acc
+        """self(inner(t)), exact: with inner = m(t)/e, homogeneous Horner
+        sum_k n_k m(t)^k e^(d-k) over den e^d, in integers."""
+        nums, m = self._nums, inner._nums
+        if not nums or not m:
+            return Polynomial.constant(self.coefficient(0))
+        acc, e_power = [nums[-1]], 1
+        for n in reversed(nums[:-1]):
+            e_power *= inner._den
+            acc = _convolve(acc, m)
+            acc[0] += n * e_power
+        return _reduced(acc, self._den * e_power)
 
     def reciprocal_substitution(self, degree: int | None = None) -> Polynomial:
         """The polynomial t^d * self(1/t), with d >= deg(self) (default deg)."""
         d = self.degree if degree is None else degree
         if d < self.degree:
             raise ValueError("substitution degree must be >= polynomial degree")
-        padded = self.coeffs + (Fraction(0),) * (d + 1 - len(self.coeffs))
-        return Polynomial(padded[::-1])
+        return _canonical((0,) * (d - self.degree) + self._nums[::-1], self._den)
 
     def divided_by_power(self, k: int) -> Polynomial:
         """Exact division by t^k; raises if any coefficient below degree k is nonzero."""
         if k < 0:
             raise ValueError("power must be >= 0")
-        low = self.coeffs[:k]
-        if any(low):
+        if any(self._nums[:k]):
             raise ValueError(f"polynomial is not divisible by t^{k}")
-        return Polynomial(self.coeffs[k:])
+        return _canonical(self._nums[k:], self._den)
 
     # -- comparisons ----------------------------------------------------
 
@@ -273,10 +318,10 @@ class Polynomial:
         # polynomial-to-polynomial only, keeping __hash__ consistent
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -286,6 +331,48 @@ class Polynomial:
             if c:
                 parts.append(f"{c}*t^{i}" if i else str(c))
         return "Polynomial(" + " + ".join(parts) + ")"
+
+
+_set_nums = Polynomial._nums.__set__
+_set_den = Polynomial._den.__set__
+
+
+def _canonical(nums: tuple[int, ...], den: int) -> Polynomial:
+    """A Polynomial from numerators over ``den`` whose gcd with ``den`` is
+    already 1; only trailing zeros are stripped."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    p = object.__new__(Polynomial)
+    _set_nums(p, nums[:end])
+    _set_den(p, den if end else 1)
+    return p
+
+
+def _reduced(nums: list[int], den: int) -> Polynomial:
+    """A Polynomial from numerators over a positive ``den``, in lowest terms."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _ZERO
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return _canonical(tuple(nums), den)
+
+
+def _convolve(a, b) -> list[int]:
+    """The coefficients of the product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+_ZERO = Polynomial()
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +510,21 @@ class SignKind(Enum):
 
 
 def _check_shape(p: Polynomial, m: int) -> None:
-    n = p.degree
+    # the denominator is positive, so each coefficient has its numerator's sign
+    nums, n = p._nums, p.degree
     if m < 0:
         raise ShapeError("pivot index must be >= 0")
     if n <= m:
         raise ShapeError(f"degree {n} must exceed the pivot index {m}")
-    if p.leading <= 0:
+    if nums[n] <= 0:
         raise ShapeError("leading coefficient must be positive")
-    if p.coefficient(m) >= 0:
+    if nums[m] >= 0:
         raise ShapeError(f"coefficient of degree {m} must be strictly negative")
     for i in range(m):
-        if p.coefficient(i) > 0:
+        if nums[i] > 0:
             raise ShapeError(f"coefficient of degree {i} must be <= 0")
     for i in range(m + 1, n):
-        if p.coefficient(i) < 0:
+        if nums[i] < 0:
             raise ShapeError(f"coefficient of degree {i} must be >= 0")
 
 

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from mpmath import libmp
@@ -449,6 +449,9 @@ class OracleConfig:
     Arithmetic runs with ``guard_digits`` extra digits.  Arguments below
     ``shift_threshold`` are shifted upward by the functional equation
     before the ``series_terms``-term asymptotic series is applied.
+    ``shift_threshold``, ``series_terms`` and ``precision_bits`` are
+    computed once per instance; they are not fields, so equality, hashing
+    and ``repr`` see the digits alone.
     """
 
     target_decimal_digits: int
@@ -467,7 +470,7 @@ class OracleConfig:
         """D, the accuracy the series is sized for: at least what 64 bits carry."""
         return max(self.target_decimal_digits, int(MIN_PRECISION_BITS / _LOG2_10))
 
-    @property
+    @cached_property
     def shift_threshold(self) -> int:
         """max(ceil(0.4 D + 5), ceil(1.6 D - 240)): ceil(0.4 D + 5) up to
         D = 204, then a steeper line.
@@ -485,7 +488,7 @@ class OracleConfig:
         d = self.series_digits
         return max((2 * d + 29) // 5, (8 * d - 1196) // 5)
 
-    @property
+    @cached_property
     def series_terms(self) -> int:
         return _series_terms(self.shift_threshold, self.series_digits)
 
@@ -493,7 +496,7 @@ class OracleConfig:
     def guard_digits(self) -> int:
         return max(10, self.target_decimal_digits // 10)
 
-    @property
+    @cached_property
     def precision_bits(self) -> int:
         return max(
             MIN_PRECISION_BITS,
@@ -527,21 +530,26 @@ def _validate_series(threshold: int, terms: int, target_digits: int) -> None:
     through the truncation index for every argument >= threshold, and
     (b) the first omitted term at the threshold is below 10^-(target+5),
     for both the log-gamma series (terms B_2j / (2j(2j-1) y^(2j-1))) and
-    the trigamma series (terms B_2j / y^(2j+1)).
+    the trigamma series (terms B_2j / y^(2j+1)).  The decrease check
+    |B_2j+2| <= |B_2j| t^2 runs cross-multiplied in integers,
+    |num_(j+1)| den_j <= |num_j| den_(j+1) t^2.
     """
     t_sq = threshold * threshold
     budget = Fraction(1, 10 ** (target_digits + 5))
     n1 = terms + 1
     # the largest index first, so one Bernoulli pass fills the cache
     b_next = abs(bernoulli(2 * n1))
+    b = bernoulli(2)
     for j in range(1, terms + 1):
         # the raw Bernoulli ratio dominates the log-gamma term ratio, so one
         # decrease check covers both series
-        if abs(bernoulli(2 * j + 2)) > abs(bernoulli(2 * j)) * t_sq:
+        b_up = bernoulli(2 * j + 2)
+        if abs(b_up.numerator) * b.denominator > abs(b.numerator) * b_up.denominator * t_sq:
             raise PrecisionError(
                 f"asymptotic terms stop decreasing at index {j + 1} for "
                 f"threshold {threshold}; raise the threshold or lower series_terms"
             )
+        b = b_up
     lngamma_omitted = Fraction(b_next, (2 * n1) * (2 * n1 - 1)) / threshold ** (2 * n1 - 1)
     trigamma_omitted = Fraction(b_next) / threshold ** (2 * n1 + 1)
     if lngamma_omitted >= budget or trigamma_omitted >= budget:
@@ -555,16 +563,27 @@ def _validate_series(threshold: int, terms: int, target_digits: int) -> None:
 def _series_terms(threshold: int, target_digits: int) -> int:
     """Fewest terms whose first omitted term at the threshold is below
     10^-(target+5) in both series, estimated in floats with |B_2j| <=
-    2 zeta(2) (2j)! / (2 pi)^(2j) (so never too few), then certified exactly."""
+    2 zeta(2) (2j)! / (2 pi)^(2j) (so never too few), then certified exactly.
+
+    The estimate falls while (2j)^2 < (2 pi threshold)^2 and rises after,
+    so once it rises no term count meets the target and the search stops
+    with ``PrecisionError``.
+    """
     ln_budget, ln_t = -(target_digits + 5) * math.log(10), math.log(threshold)
-    terms = 1
+    terms, previous = 1, math.inf
     while True:
         m = 2 * (terms + 1)  # index of the first omitted Bernoulli number
         ln_b = math.log(math.pi**2 / 3) + math.lgamma(m + 1) - m * math.log(2 * math.pi)
         divisors = (math.log(m * (m - 1)) + (m - 1) * ln_t, (m + 1) * ln_t)  # lngamma, trigamma
-        if ln_b - min(divisors) < ln_budget:
+        estimate = ln_b - min(divisors)
+        if estimate < ln_budget:
             break
-        terms += 1
+        if estimate > previous:
+            raise PrecisionError(
+                f"no series length at threshold {threshold} meets the "
+                f"{target_digits}-digit accuracy target; raise the threshold"
+            )
+        terms, previous = terms + 1, estimate
     _validate_series(threshold, terms, target_digits)
     return terms
 
@@ -592,7 +611,10 @@ def _series_fixed(
     """The fixed-point Stirling-series coefficients and the bounds that
     decide how many of them an argument needs: (coefficients, bounds).
 
-    c_j = B_2j / (2j(2j-1)) for "lngamma" and B_2j for "trigamma".  With
+    c_j = B_2j / (2j(2j-1)) for "lngamma" and B_2j for "trigamma"; the
+    division runs on B_2j's reduced pair num/den as g = gcd(num, k),
+    (num // g) / (den (k // g)) with k = 2j(2j-1), the reduced pair that
+    ``Fraction`` division gives.  With
     F = frac_bits and s = step, the coefficients are round(c_j 2^(F - s(j-1))),
     j = terms..1.  A coefficient enters the sum times u^(j-1) <= 2^-s(j-1),
     so its rounding costs half a unit of 2^-F there, however few bits it
@@ -609,9 +631,11 @@ def _series_fixed(
     coeffs, least_e2 = [], []
     for j in range(terms, 0, -1):
         c = bernoulli(2 * j)
-        if series == "lngamma":
-            c /= 2 * j * (2 * j - 1)
         num, den, bits = c.numerator, c.denominator, frac_bits - step * (j - 1)
+        if series == "lngamma":  # num/den is reduced, so this is c / k reduced
+            k = 2 * j * (2 * j - 1)
+            g = math.gcd(num, k)
+            num, den = num // g, den * (k // g)
         if j > 1:  # the least e2 from which j - 1 terms suffice
             log_bound = frac_bits + abs(num).bit_length() - den.bit_length() + 1  # L_j
             least_e2.append(log_bound // (j - 1) + 1)

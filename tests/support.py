@@ -5,7 +5,11 @@ The brute-force sign profile here deliberately avoids the logic of
 a root bound, demands a single minus-to-plus transition, and bisects
 only the grid cell where the flip happened.  ``bernoulli_recursion`` is
 the classical recursion, an oracle independent of the tangent numbers
-behind ``bernoulli``.  ``ln_gamma_per_step`` and ``trigamma_per_step`` are
+behind ``bernoulli``.  ``FractionPolynomial`` is the polynomial
+arithmetic with one ``Fraction`` per coefficient that ``Polynomial``
+replaced with integer numerators over a common denominator; every
+operation of the two must agree coefficient for coefficient.
+``ln_gamma_per_step`` and ``trigamma_per_step`` are
 the reference oracles written in ``PrecisionReal`` arithmetic, one rounded
 operation per step with every ``Fraction`` coefficient absorbed where it
 is used; the integer kernels of ``precision`` must stay within the two
@@ -77,6 +81,75 @@ def bernoulli_recursion(n: int) -> Fraction:
         acc = sum(comb(m + 1, k) * _RECURSION_VALUES[k] for k in range(m))
         _RECURSION_VALUES.append(-acc / (m + 1))
     return _RECURSION_VALUES[n]
+
+
+class FractionPolynomial:
+    """Dense polynomial as a tuple of ``Fraction`` coefficients, degree 0
+    upward, trailing zeros stripped; every operation works coefficient by
+    coefficient in ``Fraction`` arithmetic."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, c in enumerate(b):
+            cs[i] += c
+        return FractionPolynomial(cs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return FractionPolynomial(-c for c in self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPolynomial(c * other for c in self.coeffs)
+        if not self.coeffs or not other.coeffs:
+            return FractionPolynomial()
+        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                cs[i + j] += a * b
+        return FractionPolynomial(cs)
+
+    def __pow__(self, n):
+        result = FractionPolynomial((1,))
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return FractionPolynomial(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def compose(self, inner):
+        acc = FractionPolynomial()
+        for c in reversed(self.coeffs):
+            acc = acc * inner + FractionPolynomial((c,))
+        return acc
+
+    def reciprocal_substitution(self, degree):
+        padded = self.coeffs + (Fraction(0),) * (degree + 1 - len(self.coeffs))
+        return FractionPolynomial(padded[::-1])
+
+    def divided_by_power(self, k):
+        assert not any(self.coeffs[:k])
+        return FractionPolynomial(self.coeffs[k:])
 
 
 def lngamma_series_fractions(terms: int) -> list[Fraction]:

@@ -33,6 +33,7 @@ TRANSCRIPTS = Path(__file__).parent / "transcripts"
         ("table-markdown", ["table", "--format", "markdown"], 0),
         ("eval-w2-1-digits-1000", ["eval", "w2", "1", "--digits", "1000"], 0),
         ("eval-w2-1-digits-2000", ["eval", "w2", "1", "--digits", "2000"], 0),
+        ("verify-digits-200", ["verify", "--digits", "200"], 0),
     ],
 )
 def test_cli_output_matches_its_transcript(capsysbinary, name, argv, exit_code):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from windschitl import (
     Polynomial,
+    PrecisionReal,
     RationalFunction,
     ShapeError,
     SignKind,
@@ -17,8 +18,10 @@ from windschitl import (
 from windschitl import exact
 from windschitl.verify import pruned_curvature_minorant, rebuild_curvature_numerator
 from support import (
+    FractionPolynomial,
     assert_sign_criterion_matches_brute_force,
     bernoulli_recursion,
+    bits,
     brute_force_sign_profile,
 )
 
@@ -294,6 +297,141 @@ def test_polynomial_normalization_and_degree():
     assert Polynomial((1, 2, 0, 0)).degree == 1
     assert Polynomial(()).degree == -1
     assert Polynomial((0, 0)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Integer numerators over one denominator, against the Fraction reference
+# ---------------------------------------------------------------------------
+
+# wide and coprime denominators, so the common denominator, its rescaling in
+# sums and the final gcd reduction all have work to do; integers and zeros
+# take the denominator-1 paths
+coefficient_st = st.one_of(
+    fractions_st,
+    st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6),
+    st.integers(-50, 50),
+    st.just(0),
+)
+coefficients_st = st.lists(coefficient_st, max_size=8)
+scalar_st = st.one_of(fractions_st, st.integers(-20, 20))
+
+
+def assert_canonical(p: Polynomial) -> None:
+    nums, den = p._nums, p._den
+    assert type(nums) is tuple and all(type(n) is int for n in nums)
+    assert type(den) is int and den > 0
+    assert gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    if not nums:
+        assert den == 1
+
+
+def assert_matches(p: Polynomial, ref: FractionPolynomial) -> None:
+    assert_canonical(p)
+    assert p.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+def both(cs):
+    return Polynomial(cs), FractionPolynomial(cs)
+
+
+@given(a=coefficients_st, b=coefficients_st, s=scalar_st)
+@settings(max_examples=150)
+def test_ring_operations_match_the_fraction_reference(a, b, s):
+    (p, p_ref), (q, q_ref) = both(a), both(b)
+    assert_matches(p, p_ref)
+    assert_matches(p + q, p_ref + q_ref)
+    assert_matches(q + p, q_ref + p_ref)
+    assert_matches(p - q, p_ref - q_ref)
+    assert_matches(-p, -p_ref)
+    assert_matches(p * q, p_ref * q_ref)
+    assert_matches(p * s, p_ref * s)
+    assert_matches(s * p, p_ref * s)
+    assert_matches(p + s, p_ref + FractionPolynomial((s,)))
+    assert_matches(s - p, FractionPolynomial((s,)) - p_ref)
+
+
+@given(a=coefficients_st, n=st.integers(0, 5))
+@settings(max_examples=60)
+def test_powers_match_the_fraction_reference(a, n):
+    p, p_ref = both(a[:4])
+    assert_matches(p**n, p_ref**n)
+
+
+@given(a=coefficients_st, b=coefficients_st, k=st.integers(0, 4), extra=st.integers(0, 3))
+@settings(max_examples=120)
+def test_transforms_match_the_fraction_reference(a, b, k, extra):
+    (p, p_ref), (q, q_ref) = both(a), both(b[:4])
+    assert_matches(p.derivative(), p_ref.derivative())
+    assert_matches(p.compose(q), p_ref.compose(q_ref))
+    d = p.degree + extra
+    assert_matches(p.reciprocal_substitution(d), p_ref.reciprocal_substitution(d))
+    shifted, shifted_ref = both((0,) * k + tuple(a))
+    assert_matches(shifted.divided_by_power(k), shifted_ref.divided_by_power(k))
+
+
+@given(a=coefficients_st, x=st.one_of(scalar_st, coefficient_st, st.integers(-(10**12), 10**12)))
+@settings(max_examples=150)
+def test_evaluation_at_rationals_matches_the_fraction_reference(a, x):
+    p, p_ref = both(a)
+    value = p(x)
+    assert type(value) is Fraction
+    assert value == p_ref(x)
+
+
+@given(a=coefficients_st, x=fractions_st, prec=st.sampled_from([64, 100, 200]))
+@settings(max_examples=60)
+def test_evaluation_at_precision_reals_matches_the_fraction_reference(a, x, prec):
+    point = PrecisionReal(x, prec)
+    p, p_ref = both(a)
+    value, expected = p(point), p_ref(point)
+    assert type(value) is type(expected)
+    if isinstance(value, PrecisionReal):
+        assert bits(value) == bits(expected)
+    else:  # the zero polynomial
+        assert value == expected == 0
+
+
+def test_coeffs_are_canonical_fractions():
+    p = Polynomial((Fraction(2, 4), 3, Fraction(-10, 6), 0, 0))
+    assert p.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-5, 3))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert (p._nums, p._den) == ((3, 18, -10), 6)
+    assert p.leading == Fraction(-5, 3) and p.coefficient(1) == 3 and p.coefficient(7) == 0
+    assert_canonical(p)
+    # numerators with a common factor coprime to the denominator stay as they are
+    q = Polynomial((4, 2))
+    assert (q._nums, q._den) == ((4, 2), 1)
+    zero = Polynomial((0, Fraction(0, 7)))
+    assert (zero._nums, zero._den) == ((), 1)
+    assert zero.coeffs == () and zero.leading == 0 and zero.degree == -1
+
+
+def test_equal_polynomials_built_different_ways_compare_and_hash_equal():
+    t = Polynomial.identity()
+    expanded = Polynomial((1, 2, 1))
+    built = [
+        (t + 1) ** 2,
+        (t + 1) * (t + 1),
+        t * t + 2 * t + 1,
+        Polynomial.from_terms({2: 1, 0: 1, 1: 2}),
+        Polynomial((Fraction(3, 3), Fraction(4, 2), 1, Fraction(0, 5))),
+        (expanded * Fraction(7, 3)) * Fraction(3, 7),
+        Polynomial((Fraction(1, 6), Fraction(1, 3), Fraction(1, 6))) * 6,
+        Polynomial((0, 0, 1)).compose(t + 1),
+        Polynomial((1, 2, 1, 0, 0)).reciprocal_substitution(2),
+        Polynomial.monomial(3, 4).derivative() * Fraction(1, 12) + Polynomial((1, 2)),
+        (Polynomial((0, 0, 1, 2, 1)) * Fraction(5, 2)).divided_by_power(2) * Fraction(2, 5),
+        Polynomial((Fraction(1, 2), Fraction(3, 4), 1)) + Polynomial((Fraction(1, 2), Fraction(5, 4))),
+    ]
+    for p in built:
+        assert_canonical(p)
+        assert p == expanded and hash(p) == hash(expanded)
+    assert len(set(built)) == 1
+    cancelled = (t + Fraction(1, 3)) - (t + Fraction(1, 3))
+    assert_canonical(cancelled)
+    assert cancelled == Polynomial.zero() and hash(cancelled) == hash(Polynomial.zero())
 
 
 # ---------------------------------------------------------------------------

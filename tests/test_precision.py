@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, floor, lcm, log, prod
+from pathlib import Path
 from typing import NamedTuple
 
 import mpmath
@@ -26,6 +30,8 @@ from windschitl import (
     tanh,
     trigamma_ref,
 )
+from windschitl import precision
+from windschitl.exact import bernoulli
 from windschitl.precision import (
     MIN_PRECISION_BITS,
     _MEMO_SIZE,
@@ -35,6 +41,7 @@ from windschitl.precision import (
     _ln_gamma_raw,
     _rising_product,
     _series_fixed,
+    _series_terms,
     _shift_steps,
     _stirling_series,
     _terms_needed,
@@ -781,6 +788,54 @@ def test_series_guard_rejects_low_threshold():
 def test_series_guard_rejects_nondecreasing_terms():
     with pytest.raises(PrecisionError):
         _validate_series(25, 200, 50)  # terms grow again past the minimum
+
+
+@pytest.mark.parametrize("threshold", [13, 25, 60])
+def test_series_guard_decrease_check_stops_at_the_exact_index(threshold):
+    # the first j with |B_2j+2| > |B_2j| t^2, found in Fraction arithmetic;
+    # a one-digit target keeps the omitted-term check out of the way
+    j = 1
+    while abs(bernoulli(2 * j + 2)) <= abs(bernoulli(2 * j)) * threshold**2:
+        j += 1
+    _validate_series(threshold, j - 1, 1)
+    with pytest.raises(PrecisionError, match=f"stop decreasing at index {j + 1} "):
+        _validate_series(threshold, j, 1)
+
+
+def test_series_terms_refuses_a_target_the_threshold_cannot_reach():
+    # at threshold 60 the terms' floor is near 10^-164; a search without an
+    # exit would never return, so it runs in a child under a deadline
+    code = (
+        "from windschitl.precision import PrecisionError, _series_terms\n"
+        "try:\n"
+        "    _series_terms(60, 200)\n"
+        "except PrecisionError as e:\n"
+        "    print(e)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "threshold 60" in done.stdout and "200-digit" in done.stdout
+
+
+def test_config_derived_values_are_computed_once_per_instance(monkeypatch):
+    cfg = OracleConfig.for_digits(77)
+    first = (cfg.shift_threshold, cfg.series_terms, cfg.precision_bits)
+
+    def refuse(*args):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr(precision, "_series_terms", refuse)
+    monkeypatch.setattr(precision, "bits_for_digits", refuse)
+    assert (cfg.shift_threshold, cfg.series_terms, cfg.precision_bits) == first
+    # not fields: equality, hashing and repr see the digits alone
+    fresh = OracleConfig(77)
+    assert fresh == cfg and hash(fresh) == hash(cfg)
+    assert repr(cfg) == repr(fresh) == "OracleConfig(target_decimal_digits=77)"
+    with pytest.raises(AttributeError):
+        cfg.target_decimal_digits = 3
 
 
 # ---------------------------------------------------------------------------
