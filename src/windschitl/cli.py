@@ -44,14 +44,35 @@ __all__ = ["main"]
 
 
 def _parse_number(text: str) -> Fraction:
-    """Exact parse of a decimal or p/q literal of any sign; the formulas check the domain."""
+    """Exact parse of a decimal or p/q literal of any sign; the formulas check the domain.
+
+    A value whose numerator or denominator has more digits than Python
+    prints (``sys.get_int_max_str_digits()``) is refused, before any
+    arithmetic: its result could not be printed.  A decimal exponent
+    beyond the limit by more than the mantissa's digits is refused before
+    the value is built, which could take minutes.
+    """
+    limit = sys.get_int_max_str_digits()
+    too_large = argparse.ArgumentTypeError(
+        f"too large to print: {text!r} has more than {limit} digits as an exact fraction"
+    )
     try:
         if "/" in text:
             value = Fraction(text)
         else:
-            value = Fraction(Decimal(text))
+            number = Decimal(text)
+            _, digits, exponent = number.as_tuple()
+            # c 10^e with c of n digits: the numerator has n + e digits, the
+            # denominator at least -e - n + 1
+            if limit and number.is_finite() and number and abs(exponent) > limit + len(digits):
+                raise too_large
+            value = Fraction(number)
     except (InvalidOperation, OverflowError, ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from e
+    largest = max(abs(value.numerator), value.denominator)
+    # 10^limit has more than 3 limit bits, so most values skip building it
+    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+        raise too_large
     return value
 
 

@@ -113,8 +113,20 @@ W2_CORRECTION = RationalFunction(7, 324 * Polynomial.from_terms({3: 33, 5: 35}))
 
 
 def w2_correction(x: PrecisionReal) -> PrecisionReal:
-    """W2_CORRECTION at the precision of x, to a relative 16 2^-prec."""
-    return 7 / (324 * x * x * x * (35 * x * x + 33))
+    """W2_CORRECTION at the precision of x, to a relative 16 2^-prec.
+
+    Memoized (see :func:`_w2_correction_raw`), so W2 and W2* at one point
+    share one evaluation; a memo hit returns the same bits.
+    """
+    return _wrap(_w2_correction_raw(x.raw, x.prec), x.prec)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _w2_correction_raw(raw: tuple, prec: int) -> tuple:
+    """7 / (324 x^3 (35 x^2 + 33)) at x = raw, prec bits, memoized as
+    :func:`_ln_windschitl_core_raw` is."""
+    x = _wrap(raw, prec)
+    return (7 / (324 * x * x * x * (35 * x * x + 33))).raw
 
 
 def _ln_w1(x: PrecisionReal) -> PrecisionReal:
@@ -228,11 +240,14 @@ class LogErrorValue:
             ) from None
 
 
+# ln Gamma(x + shift) is the log of each target; an int 1 takes the cheaper exact conversion
+_TARGET_SHIFT = {Target.GAMMA_X_PLUS_1: 1, Target.GAMMA_X_PLUS_HALF: Fraction(1, 2)}
+
+
 def _log_gap(formula: FormulaId, x, cfg: OracleConfig) -> tuple[PrecisionReal, PrecisionReal]:
     """(ln(target gamma value) - ln F(x), ln F(x)): the one route to every log gap."""
     x = working_argument(x, cfg)
-    shift = Fraction(1) if formula.target is Target.GAMMA_X_PLUS_1 else Fraction(1, 2)
-    target = ln_gamma_ref(x + shift, cfg)
+    target = ln_gamma_ref(x + _TARGET_SHIFT[formula.target], cfg)
     log_value = log_approximate(formula, x)
     return target - log_value, log_value
 

@@ -2,9 +2,11 @@
 
 ``PrecisionReal`` wraps mpmath's low-level ``libmp`` layer: every value
 carries its working precision in bits and every operation rounds to
-nearest at that precision.  No global precision state exists, values are
-immutable, and all functions here are pure, so concurrent use is safe
-(the memos behind them are thread-safe ``lru_cache``s of immutable tuples).
+nearest at that precision.  Each operator is one ``libmp`` call on raw
+values, with no temporary ``PrecisionReal`` for an ``int`` or ``Fraction``
+operand.  No global precision state exists, values are immutable, and all
+functions here are pure, so concurrent use is safe (the memos behind them
+are thread-safe ``lru_cache``s of immutable tuples).
 
 The module also provides the ground-truth oracles ``ln_gamma_ref`` and
 ``trigamma_ref``: upward argument shifting followed by the divergent
@@ -68,13 +70,77 @@ def bits_for_digits(digits: int) -> int:
     return int(digits * _LOG2_10) + 8
 
 
+# An int below 2^64 in magnitude is exact at every precision (>= 64 bits),
+# so libmp's cheaper unrounded conversion gives the same raw value.
+_EXACT_INT = 1 << MIN_PRECISION_BITS
+
+
+def _binary_operator(name: str, fn, reflected: bool = False, divides: bool = False):
+    """The PrecisionReal operator ``name`` over the libmp function fn(s, t, prec, rnd).
+
+    One type test on the fast path, one libmp call, one result object.  A
+    PrecisionReal operand, a subclass included, sets the precision to the
+    larger of the two; an int, bool or Fraction operand is rounded straight
+    to a raw value at self.prec, with no temporary PrecisionReal; anything
+    else gives NotImplemented.  A reflected operator passes the operands to
+    fn swapped, and ``divides`` refuses a zero right operand of fn.
+    """
+    from_int, from_rational, mpf_sign = libmp.from_int, libmp.from_rational, libmp.mpf_sign
+    new = object.__new__
+
+    def binary(self, other):
+        prec = self.prec
+        if isinstance(other, PrecisionReal):
+            if other.prec > prec:
+                prec = other.prec
+            raw = other.raw
+        elif isinstance(other, int):
+            raw = from_int(other) if -_EXACT_INT < other < _EXACT_INT else from_int(other, prec, _RND)
+        elif isinstance(other, Fraction):
+            raw = from_rational(other.numerator, other.denominator, prec, _RND)
+        else:
+            return NotImplemented
+        s, t = (raw, self.raw) if reflected else (self.raw, raw)
+        if divides and not t[1] and mpf_sign(t) == 0:
+            raise ZeroDivisionError("division by zero")
+        result = new(PrecisionReal)  # _wrap, inlined on the hottest path
+        _set_raw(result, fn(s, t, prec, _RND))
+        _set_prec(result, prec)
+        return result
+
+    binary.__name__ = name
+    binary.__qualname__ = f"PrecisionReal.{name}"
+    return binary
+
+
+def _comparison(name: str, signs: tuple[int, ...]):
+    """The exact PrecisionReal comparison ``name``: whether the sign of
+    self - other (-1, 0 or 1) is one of ``signs``, or NotImplemented where
+    ``_cmp`` gives None.  A PrecisionReal operand goes straight to libmp."""
+    mpf_cmp = libmp.mpf_cmp
+
+    def compare(self, other):
+        if isinstance(other, PrecisionReal):
+            return mpf_cmp(self.raw, other.raw) in signs
+        c = self._cmp(other)
+        return NotImplemented if c is None else c in signs
+
+    compare.__name__ = name
+    compare.__qualname__ = f"PrecisionReal.{name}"
+    return compare
+
+
 class PrecisionReal:
     """Immutable real number with an explicit precision in bits (>= 64).
 
     Arithmetic between two values rounds to nearest at the larger of the
     two precisions; int and Fraction operands are absorbed at the other
     operand's precision.  Comparisons are exact (no rounding), including
-    against int and Fraction.
+    against int and Fraction.  Each operator tests for a PrecisionReal
+    operand first and makes one libmp call (see :func:`_binary_operator`
+    and :func:`_comparison`); its result is bit for bit that of turning
+    the operand into a PrecisionReal first.  ``__init__`` builds values
+    from outside; results are made without it.
     """
 
     __slots__ = ("raw", "prec")
@@ -109,55 +175,14 @@ class PrecisionReal:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _coerce(self, other) -> PrecisionReal | None:
-        if isinstance(other, PrecisionReal):
-            return other
-        if isinstance(other, int):
-            return _wrap(libmp.from_int(other, self.prec, _RND), self.prec)
-        if isinstance(other, Fraction):
-            raw = libmp.from_rational(other.numerator, other.denominator, self.prec, _RND)
-            return _wrap(raw, self.prec)
-        return None
-
-    def _binary(self, other, fn):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        prec = max(self.prec, rhs.prec)
-        return _wrap(fn(self.raw, rhs.raw, prec, _RND), prec)
-
-    def __add__(self, other):
-        return self._binary(other, libmp.mpf_add)
-
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b, p, r: libmp.mpf_add(b, a, p, r))
-
-    def __sub__(self, other):
-        return self._binary(other, libmp.mpf_sub)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b, p, r: libmp.mpf_sub(b, a, p, r))
-
-    def __mul__(self, other):
-        return self._binary(other, libmp.mpf_mul)
-
-    def __rmul__(self, other):
-        return self._binary(other, lambda a, b, p, r: libmp.mpf_mul(b, a, p, r))
-
-    def __truediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if libmp.mpf_sign(rhs.raw) == 0:
-            raise ZeroDivisionError("division by zero")
-        prec = max(self.prec, rhs.prec)
-        return _wrap(libmp.mpf_div(self.raw, rhs.raw, prec, _RND), prec)
-
-    def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs / self
+    __add__ = _binary_operator("__add__", libmp.mpf_add)
+    __radd__ = _binary_operator("__radd__", libmp.mpf_add, reflected=True)
+    __sub__ = _binary_operator("__sub__", libmp.mpf_sub)
+    __rsub__ = _binary_operator("__rsub__", libmp.mpf_sub, reflected=True)
+    __mul__ = _binary_operator("__mul__", libmp.mpf_mul)
+    __rmul__ = _binary_operator("__rmul__", libmp.mpf_mul, reflected=True)
+    __truediv__ = _binary_operator("__truediv__", libmp.mpf_div, divides=True)
+    __rtruediv__ = _binary_operator("__rtruediv__", libmp.mpf_div, reflected=True, divides=True)
 
     def __pow__(self, exponent):
         if isinstance(exponent, int):
@@ -178,8 +203,9 @@ class PrecisionReal:
     # -- exact comparisons ----------------------------------------------
 
     def _cmp(self, other) -> int | None:
-        if isinstance(other, PrecisionReal):
-            return libmp.mpf_cmp(self.raw, other.raw)
+        """-1, 0 or 1 as self is below, at or above an int or Fraction,
+        exactly; None for any other operand (the comparisons handle a
+        PrecisionReal before they call this)."""
         if isinstance(other, int):
             num, den = other, 1
         elif isinstance(other, Fraction):
@@ -195,25 +221,11 @@ class PrecisionReal:
             num <<= -exp
         return (lhs > num) - (lhs < num)
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
+    __eq__ = _comparison("__eq__", (0,))
+    __lt__ = _comparison("__lt__", (-1,))
+    __le__ = _comparison("__le__", (-1, 0))
+    __gt__ = _comparison("__gt__", (1,))
+    __ge__ = _comparison("__ge__", (0, 1))
 
     __hash__ = None  # mixed-precision equality is value-based; hashing is a trap
 

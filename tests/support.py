@@ -19,7 +19,10 @@ fixed-point series kernel.  ``format_sci_decimal``
 is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
 precision, the reference for its integer rounding.  The ``fresh_memos``
 fixture empties the kernel memos around a test that counts or patches
-what lies below them.
+what lies below them.  ``reference_operator`` is ``PrecisionReal``
+arithmetic by the rule its operators first had: turn the operand into a
+``PrecisionReal``, take the larger precision, make the ``libmp`` call;
+the operators must give its bits, exceptions and ``NotImplemented``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from mpmath import libmp
 
 from windschitl import (
     OracleConfig,
@@ -42,12 +46,12 @@ from windschitl import (
     sign_criterion,
 )
 from windschitl import formulas, precision
-from windschitl.precision import _to_exact_fraction, ln_sqrt_two_pi, working_argument
+from windschitl.precision import _to_exact_fraction, _wrap, ln_sqrt_two_pi, working_argument
 
 BRACKET_WIDTH = Fraction(1, 2**32)
 
-# the memos of the ln Gamma kernel and of the Windschitl core
-MEMOS = (precision._ln_gamma_raw, formulas._ln_windschitl_core_raw)
+# the memos of the ln Gamma kernel, the Windschitl core and the W2 correction
+MEMOS = (precision._ln_gamma_raw, formulas._ln_windschitl_core_raw, formulas._w2_correction_raw)
 
 
 @pytest.fixture
@@ -65,6 +69,65 @@ def fresh_memos():
 def bits(v: PrecisionReal) -> tuple:
     """A value's exact identity: its raw libmp tuple and its precision."""
     return v.raw, v.prec
+
+
+# name: (libmp function, whether the operands are swapped)
+_REFERENCE_BINARY = {
+    "__add__": (libmp.mpf_add, False),
+    "__radd__": (libmp.mpf_add, True),
+    "__sub__": (libmp.mpf_sub, False),
+    "__rsub__": (libmp.mpf_sub, True),
+    "__mul__": (libmp.mpf_mul, False),
+    "__rmul__": (libmp.mpf_mul, True),
+    "__truediv__": (libmp.mpf_div, False),
+    "__rtruediv__": (libmp.mpf_div, True),
+}
+_REFERENCE_COMPARISONS = {
+    "__eq__": lambda c: c == 0,
+    "__lt__": lambda c: c < 0,
+    "__le__": lambda c: c <= 0,
+    "__gt__": lambda c: c > 0,
+    "__ge__": lambda c: c >= 0,
+}
+REFERENCE_OPERATORS = (*_REFERENCE_BINARY, "__pow__", "__neg__", "__abs__", *_REFERENCE_COMPARISONS)
+
+
+def _as_precision_real(other, prec: int) -> PrecisionReal | None:
+    """other itself, an int or Fraction rounded to nearest at prec, or None."""
+    if isinstance(other, PrecisionReal):
+        return other
+    if isinstance(other, int):
+        return _wrap(libmp.from_int(other, prec, "n"), prec)
+    if isinstance(other, Fraction):
+        return _wrap(libmp.from_rational(other.numerator, other.denominator, prec, "n"), prec)
+    return None
+
+
+def reference_operator(name: str, a: PrecisionReal, other=None):
+    """What ``a.<name>(other)`` must give: a result, ``NotImplemented``, or
+    the exception raised.  Comparisons are made on exact ``Fraction``s."""
+    if name == "__neg__":
+        return _wrap(libmp.mpf_neg(a.raw), a.prec)
+    if name == "__abs__":
+        return _wrap(libmp.mpf_abs(a.raw), a.prec)
+    if name == "__pow__":
+        if not isinstance(other, int):
+            return NotImplemented
+        if other < 0 and libmp.mpf_sign(a.raw) == 0:
+            raise ZeroDivisionError("zero to a negative power")
+        return _wrap(libmp.mpf_pow_int(a.raw, other, a.prec, "n"), a.prec)
+    b = _as_precision_real(other, a.prec)
+    if b is None:
+        return NotImplemented
+    if name in _REFERENCE_COMPARISONS:
+        diff = a.to_fraction() - b.to_fraction()
+        return _REFERENCE_COMPARISONS[name]((diff > 0) - (diff < 0))
+    fn, swapped = _REFERENCE_BINARY[name]
+    left, right = (b, a) if swapped else (a, b)
+    if fn is libmp.mpf_div and libmp.mpf_sign(right.raw) == 0:
+        raise ZeroDivisionError("division by zero")
+    prec = max(a.prec, b.prec)
+    return _wrap(fn(left.raw, right.raw, prec, "n"), prec)
 
 
 _RECURSION_VALUES = [Fraction(1)]

@@ -26,7 +26,7 @@ from windschitl import (
     w2_log_gap,
     w2star_log_gap,
 )
-from windschitl.formulas import _ln_stirling, _ln_windschitl_core_raw
+from windschitl.formulas import _ln_stirling, _ln_windschitl_core_raw, _w2_correction_raw
 from windschitl.precision import DEFAULT_DIGITS, _MEMO_SIZE
 
 from support import bits, fresh_memos
@@ -161,12 +161,31 @@ def test_core_memo_stays_bounded(fresh_memos):
     assert [bits(log_approximate(FormulaId.W0, x)) for x in xs[:5]] == list(map(bits, first[:5]))
 
 
+@pytest.mark.parametrize("prec", [64, PREC, 1000])
+def test_w2_and_w2star_share_one_memoized_correction_per_point(fresh_memos, prec):
+    xs = [PrecisionReal(q, prec) for q in (1, Fraction(3, 2), Fraction(7, 3), 10**5)]
+    first = [w2_correction(x) for x in xs]
+    again = [w2_correction(x) for x in xs]
+    assert _w2_correction_raw.cache_info()[:2] == (len(xs), len(xs))  # hits, misses
+    for x in xs:
+        log_approximate(FormulaId.W2, x)
+        log_approximate(FormulaId.W2STAR, x)
+    assert _w2_correction_raw.cache_info()[:2] == (3 * len(xs), len(xs))
+    _w2_correction_raw.cache_clear()
+    fresh = [w2_correction(x) for x in xs]
+    assert list(map(bits, first)) == list(map(bits, again)) == list(map(bits, fresh))
+    # and the memoized correction is the expression it stands for, at x's precision
+    for x, y in zip(xs, first):
+        assert y.prec == prec
+        assert bits(y) == bits(7 / (324 * x * x * x * (35 * x * x + 33)))
+
+
 def test_memos_under_thread_contention_give_the_sequential_bits(fresh_memos):
     import random
     import sys
     import threading
 
-    # more distinct arguments than either memo holds, so threads also evict
+    # more distinct arguments than any memo holds, so threads also evict
     xs = [Fraction(k, 3) for k in range(3, _MEMO_SIZE + 35)]
     want = {x: bits(w2_log_gap(x, CFG)) for x in xs}
     for memo in fresh_memos:

@@ -1,3 +1,4 @@
+import operator
 import os
 import random
 import subprocess
@@ -59,6 +60,8 @@ from support import (
     horner_per_step,
     ln_gamma_per_step,
     lngamma_series_fractions,
+    reference_operator,
+    REFERENCE_OPERATORS,
     trigamma_per_step,
     trigamma_series_fractions,
 )
@@ -133,9 +136,10 @@ _RATIONALS = st.one_of(
 def test_absorbed_rationals_round_as_one_correctly_rounded_division(value, prec):
     q = Fraction(value)
     want = libmp.from_rational(q.numerator, q.denominator, prec, "n")
-    absorbed = PrecisionReal(1, prec)._coerce(value)
-    assert (absorbed.raw, absorbed.prec) == (want, prec)
-    assert (PrecisionReal(0, prec) + value).raw == want
+    # 0 + q, q + 0 and 1 * q are exactly the absorbed operand, on either side
+    zero, one = PrecisionReal(0, prec), PrecisionReal(1, prec)
+    for absorbed in (zero + value, value + zero, one * value):
+        assert bits(absorbed) == (want, prec)
 
 
 @st.composite
@@ -174,6 +178,71 @@ def test_comparisons_with_rationals_agree_with_exact_fraction_comparison(case):
     assert (x < q, x <= q, x == q, x >= q, x > q) == (
         exact < q, exact <= q, exact == q, exact >= q, exact > q
     )
+
+
+class _Subclass(PrecisionReal):
+    """A subclass operand: its precision counts as any PrecisionReal's."""
+
+    __slots__ = ()
+
+
+@st.composite
+def _precision_reals(draw):
+    """Zero or a dyadic value of either sign, 64 to 512 bits, some of a subclass."""
+    prec = draw(st.integers(min_value=MIN_PRECISION_BITS, max_value=512))
+    man = draw(st.one_of(st.just(0), st.integers(min_value=-(2**600), max_value=2**600)))
+    value = Fraction(man, 2 ** draw(st.integers(min_value=0, max_value=700)))
+    return draw(st.sampled_from((PrecisionReal, _Subclass)))(value, prec)
+
+
+# every operand type, ints on both sides of 2^64, where the conversion
+# switches libmp calls (2^64 + 1 rounds at 64 bits), and types the
+# operators refuse
+_OPERANDS = st.one_of(
+    _precision_reals(),
+    st.integers(min_value=-(2**400), max_value=2**400),
+    st.integers(min_value=-300, max_value=300),
+    st.sampled_from((2**64 - 1, 2**64, 2**64 + 1, 2**65 - 1)).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.booleans(),
+    _RATIONALS.map(Fraction),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+_EXPONENTS = st.one_of(
+    st.integers(min_value=-20, max_value=20), st.booleans(), _RATIONALS.map(Fraction), _precision_reals()
+)
+
+
+def _outcome(fn, *args):
+    """A result's bits, a comparison's bool, NotImplemented, or (exception type, message)."""
+    try:
+        result = fn(*args)
+    except ArithmeticError as e:
+        return type(e), str(e)
+    return bits(result) if isinstance(result, PrecisionReal) else result
+
+
+@settings(max_examples=1000, deadline=None)
+@given(name=st.sampled_from(REFERENCE_OPERATORS), a=_precision_reals(), data=st.data())
+def test_operators_give_the_bits_of_the_coerce_first_reference(name, a, data):
+    method = PrecisionReal.__dict__[name]
+    if name in ("__neg__", "__abs__"):
+        args = (a,)
+    else:
+        args = (a, data.draw(_EXPONENTS if name == "__pow__" else _OPERANDS, label="other"))
+    assert _outcome(method, *args) == _outcome(reference_operator, name, *args)
+
+
+def test_unsupported_operands_raise_type_error():
+    x = PrecisionReal(3, 64)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow,
+           operator.lt, operator.le, operator.gt, operator.ge)
+    for other in (1.5, "1", None):
+        for op in ops:
+            for args in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    op(*args)
+        assert x != other and other != x
 
 
 def test_division_by_zero_raises():
@@ -716,6 +785,124 @@ def test_series_tables_are_bounded_and_rebuild_bit_identically():
         assert _series_fixed.cache_info().misses == misses + 6
     finally:
         _series_fixed.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Both oracles against the gamma function's own identities (DLMF 5.5, 5.15)
+# ---------------------------------------------------------------------------
+#
+# No reference library here: each identity combines oracle values at points
+# in different kernel regimes, and its residual, computed exactly in
+# Fractions, must lie within the sum of the budgets that the oracles'
+# docstrings state for those calls, plus the test's own logarithms.
+
+
+def _ln_bound(y: Fraction) -> Fraction:
+    """An upper bound on |ln y| for y > 0: |log2 y| < |bitlen(num) - bitlen(den)| + 1, ln 2 < 7/10."""
+    return Fraction(7, 10) * (abs(y.numerator.bit_length() - y.denominator.bit_length()) + 1)
+
+
+def _shifted_argument(x: Fraction, cfg: OracleConfig) -> Fraction:
+    """y = x + n, where both oracles apply the series (x is exact at the working bits)."""
+    return x + _shift_steps(working_argument(x, cfg).raw, cfg.shift_threshold)
+
+
+def ln_gamma_with_budget(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
+    """ln_gamma_ref(x) and the sum of its docstring's error budget: the
+    truncation, the shift product, the fixed-point series, the rounding of
+    y (|psi(y)| ulp(y)/2 <= y ln(y) 2^-p for y >= 2) and ten roundings of
+    values no larger than y ln y + |ln Gamma(x)|."""
+    value, y, unit = ln_gamma_ref(x, cfg).to_fraction(), _shifted_argument(x, cfg), Fraction(1, 2**cfg.precision_bits)
+    rounded = y * _ln_bound(y) + abs(value)
+    budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + unit / 2**8 + unit / 2**10 + 11 * rounded * unit
+    return value, budget
+
+
+def trigamma_with_budget(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
+    """trigamma_ref(x) and the sum of its docstring's error budget: the
+    truncation; five terms of 2^-(p+10) (the shift sum, the series, its last
+    truncation, and the rounding of u in 1 + u sum and in u/2); the rounding
+    of y (|psi''(y)| ulp(y)/2 <= 2^(1-p) / y); and three roundings of
+    values no larger than psi'(x)."""
+    value, y, unit = trigamma_ref(x, cfg).to_fraction(), _shifted_argument(x, cfg), Fraction(1, 2**cfg.precision_bits)
+    budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + 5 * unit / 2**10 + 2 * unit / y + 3 * (value + unit) * unit
+    return value, budget
+
+
+def _ln_with_error(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """ln q at prec + 64 bits and a bound on its error: q rounds with relative
+    error 2^-(prec+64), and ln is within 2 ulp."""
+    value = ln(PrecisionReal(q, prec + 64)).to_fraction()
+    return value, (1 + abs(value)) / 2 ** (prec + 60)
+
+
+def _ln_gamma_recurrence(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
+    """ln Gamma(x+1) - ln Gamma(x) - ln x (DLMF 5.5.1), and its budget."""
+    (a, ea), (b, eb) = ln_gamma_with_budget(x + 1, cfg), ln_gamma_with_budget(x, cfg)
+    ln_x, e = _ln_with_error(x, cfg.precision_bits)
+    return a - b - ln_x, ea + eb + e
+
+
+def _legendre_duplication(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
+    """ln Gamma(2x) - ln Gamma(x) - ln Gamma(x+1/2) - (2x-1) ln 2 + ln(pi)/2 (DLMF 5.5.5)."""
+    prec = cfg.precision_bits
+    (a, ea), (b, eb), (c, ec) = (ln_gamma_with_budget(v, cfg) for v in (2 * x, x, x + Fraction(1, 2)))
+    ln2, e2 = _ln_with_error(Fraction(2), prec)
+    ln_pi = ln(pi(prec + 64)).to_fraction()  # pi to a relative 2^-(prec+64), then 2 ulp
+    e_pi = (1 + ln_pi) / 2 ** (prec + 60)
+    return a - b - c - (2 * x - 1) * ln2 + ln_pi / 2, ea + eb + ec + abs(2 * x - 1) * e2 + e_pi / 2
+
+
+def _trigamma_duplication(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
+    """4 psi'(2x) - psi'(x) - psi'(x+1/2), the duplication formula differentiated twice."""
+    (a, ea), (b, eb), (c, ec) = (trigamma_with_budget(v, cfg) for v in (2 * x, x, x + Fraction(1, 2)))
+    return 4 * a - b - c, 4 * ea + eb + ec
+
+
+def _trigamma_recurrence(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
+    """psi'(x) - psi'(x+1) - 1/x^2 (DLMF 5.15.5)."""
+    (a, ea), (b, eb) = trigamma_with_budget(x, cfg), trigamma_with_budget(x + 1, cfg)
+    return a - b - 1 / x**2, ea + eb
+
+
+# identity: (its residual and budget, the series whose term-count edges it visits)
+IDENTITIES = {
+    "ln-gamma-recurrence": (_ln_gamma_recurrence, "lngamma"),
+    "legendre-duplication": (_legendre_duplication, "lngamma"),
+    "trigamma-duplication": (_trigamma_duplication, "trigamma"),
+    "trigamma-recurrence": (_trigamma_recurrence, "trigamma"),
+}
+
+
+def identity_points(cfg: OracleConfig, series: str) -> list[Fraction]:
+    """Points whose identity terms fall in different kernel regimes, with T
+    the threshold and E the first 2^k >= T where the series' term count
+    changes: 3/2 (every term shifted); (T+1)/2 (x and x + 1/2 shifted, 2x
+    not); T - 1/2 (x shifted one step, x + 1/2 and x + 1 not); T (none
+    shifted); E - 1 and E/2 (x + 1 and 2x at the edge)."""
+    threshold = cfg.shift_threshold
+    edge = truncation_points(series_layout(series, cfg), threshold)[0]
+    assert edge.denominator == 1 and edge.numerator & (edge.numerator - 1) == 0
+    return [Fraction(3, 2), Fraction(threshold + 1, 2), Fraction(2 * threshold - 1, 2),
+            Fraction(threshold), edge - 1, edge / 2]
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200])
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_oracles_satisfy_the_gamma_identities_within_their_budgets(identity, digits):
+    cfg = OracleConfig.for_digits(digits)
+    check, series = IDENTITIES[identity]
+    for x in identity_points(cfg, series):
+        residual, budget = check(x, cfg)
+        assert abs(residual) <= budget, f"{identity} at x = {x}, {digits} digits"
+
+
+def test_oracles_satisfy_the_gamma_identities_at_1000_digits():
+    cfg = OracleConfig.for_digits(1000)
+    x = Fraction(cfg.shift_threshold + 1, 2)  # x and x + 1/2 shifted, 2x and x + 1 not
+    for identity, (check, _) in IDENTITIES.items():
+        residual, budget = check(x, cfg)
+        assert abs(residual) <= budget, identity
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import io
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -190,12 +192,14 @@ def test_eval_subcommand(capsys, monkeypatch, fresh_memos):
 @pytest.mark.parametrize("argv, distinct", [(["verify"], 100), (["table"], 7)])
 def test_each_distinct_kernel_argument_is_evaluated_once(capsys, fresh_memos, argv, distinct):
     # verify's two monotone-convex checks share their 99 grid points, and
-    # best-constants and reference-table reuse all but x = 100 of theirs
-    ln_gamma_memo, core_memo = fresh_memos
+    # best-constants and reference-table reuse all but x = 100 of theirs;
+    # W2 and W2* share the correction at each point
+    ln_gamma_memo, core_memo, correction_memo = fresh_memos
     assert main(argv) == 0
     capsys.readouterr()
     assert ln_gamma_memo.cache_info().misses == distinct
     assert core_memo.cache_info().misses == distinct
+    assert correction_memo.cache_info().misses == distinct
 
 
 def test_eval_rejects_nonpositive(capsys):
@@ -274,6 +278,56 @@ def test_usage_errors_exit_two(capsys):
     assert main(["table", "--x", "inf"]) == 2
     assert main(["verify", "--grid", "1:inf:3"]) == 2
     assert capsys.readouterr().err.count("not a number: 'inf'") == 3
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4300 digits on int/str conversion, whatever
+    the environment sets, restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["eval", "w2", "1e100000"], "1e100000"),
+        (["eval", "w2", "1e-5000"], "1e-5000"),
+        (["table", "--x", "1,1e5000", "--formulas", "w2"], "1e5000"),
+        (["rate", "--x", "100,1e4300"], "1e4300"),
+        # building this value alone would take minutes
+        (["verify", "--grid", "1:1e99999999:3"], "1e99999999"),
+    ],
+    ids=["eval", "eval-tiny", "table", "rate", "verify-grid"],
+)
+def test_a_number_too_large_to_print_is_refused_before_any_arithmetic(capsys, monkeypatch, default_digit_limit, argv, text):
+    def dispatch(args):
+        raise AssertionError("the command ran before the refusal")
+
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"too large to print: '{text}' has more than 4300 digits as an exact fraction" in captured.err
+
+
+def test_the_refusal_is_exact_at_the_digit_limit(default_digit_limit):
+    parse = cli._parse_number
+    # 4300 digits print, 4301 do not: in the numerator or in the denominator
+    assert parse("1e4299") == 10**4299 and parse("-1e4299") == -(10**4299)
+    assert parse("9" * 4300) == 10**4300 - 1
+    assert parse("1e-4299") == Fraction(1, 10**4299)
+    assert parse("2e-4300") == Fraction(1, 5 * 10**4299)  # reduced to 4300 digits
+    assert parse("0e99999999") == 0
+    for text in ("1e4300", "-1e4300", "1" * 4301, "1e-4300", "0.1e-4299", "1e99999999", "1e-99999999"):
+        with pytest.raises(argparse.ArgumentTypeError, match="too large to print"):
+            parse(text)
+    # the limit is Python's, read at each parse; 0 lifts it
+    for raised in (5001, 0):
+        sys.set_int_max_str_digits(raised)
+        assert parse("1e5000") == 10**5000
 
 
 @pytest.mark.parametrize(
