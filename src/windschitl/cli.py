@@ -58,6 +58,8 @@ def _parse_number(text: str) -> Fraction:
     )
     try:
         if "/" in text:
+            if limit and any(sum(map(str.isdigit, side)) > limit for side in text.split("/")):
+                raise too_large
             value = Fraction(text)
         else:
             number = Decimal(text)
@@ -200,7 +202,7 @@ def _dispatch(args) -> int:
             f"formula        = {args.formula.value}",
             f"target         = {args.formula.target.value}",
             f"x              = {args.x}",
-            f"value          = {exp(record.log_value).to_decimal_string(args.digits)}",
+            f"value          = {record.format_value(args.digits)}",
             f"relative_error = {relative_error}",
             f"log_gap        = {format_sci(record.log_gap, 6)}",
         ]

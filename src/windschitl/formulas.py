@@ -14,9 +14,9 @@ decreasing and convex on (1, oo) with range (0, value-at-1).
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import Polynomial, RationalFunction
 from .precision import (
@@ -27,14 +27,14 @@ from .precision import (
     ln,
     ln_gamma_ref,
     ln_sqrt_two_pi,
+    memoized,
     sinh,
     tanh,
     DomainError,
     PrecisionError,
+    floor_log10,
     format_sci,
     working_argument,
-    _MEMO_SIZE,
-    _wrap,
 )
 
 __all__ = [
@@ -94,17 +94,10 @@ def _ln_half_shift_base(x: PrecisionReal) -> PrecisionReal:
     return ln_sqrt_two_pi(x.prec) + x * ln(x) - x
 
 
+@memoized
 def _ln_windschitl_core(x: PrecisionReal) -> PrecisionReal:
-    # ln W0(x), shared by W0, W2 and W2*
-    return _wrap(_ln_windschitl_core_raw(x.raw, x.prec), x.prec)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _ln_windschitl_core_raw(raw: tuple, prec: int) -> tuple:
-    """ln Stirling + (x/2) ln(x sinh(1/x)) at x = raw, prec bits, memoized:
-    the result depends on nothing else, and raw values are immutable tuples."""
-    x = _wrap(raw, prec)
-    return (_ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x))).raw
+    # ln W0(x), shared by W0, W2 and W2*: it depends on x's value and precision alone
+    return _ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x))
 
 
 # the paper's exponent correction y(x) = 7 / (324 x^3 (35 x^2 + 33)), exactly;
@@ -112,21 +105,11 @@ def _ln_windschitl_core_raw(raw: tuple, prec: int) -> tuple:
 W2_CORRECTION = RationalFunction(7, 324 * Polynomial.from_terms({3: 33, 5: 35}))
 
 
+@memoized
 def w2_correction(x: PrecisionReal) -> PrecisionReal:
-    """W2_CORRECTION at the precision of x, to a relative 16 2^-prec.
-
-    Memoized (see :func:`_w2_correction_raw`), so W2 and W2* at one point
-    share one evaluation; a memo hit returns the same bits.
-    """
-    return _wrap(_w2_correction_raw(x.raw, x.prec), x.prec)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _w2_correction_raw(raw: tuple, prec: int) -> tuple:
-    """7 / (324 x^3 (35 x^2 + 33)) at x = raw, prec bits, memoized as
-    :func:`_ln_windschitl_core_raw` is."""
-    x = _wrap(raw, prec)
-    return (7 / (324 * x * x * x * (35 * x * x + 33))).raw
+    """W2_CORRECTION at the precision of x, to a relative 16 2^-prec; memoized,
+    so W2 and W2* at one point share one evaluation."""
+    return 7 / (324 * x * x * x * (35 * x * x + 33))
 
 
 def _ln_w1(x: PrecisionReal) -> PrecisionReal:
@@ -234,10 +217,22 @@ class LogErrorValue:
         try:
             return format_sci(self.relative_error, sig_digits)
         except OverflowError:
-            raise OverflowError(
-                f"relative error of {self.formula.value} at x = {format_sci(self.x, 6)} "
-                f"cannot be printed: it is exp({format_sci(-self.log_gap, 6)}) - 1"
-            ) from None
+            form = f"exp({format_sci(-self.log_gap, 6)}) - 1"
+            raise self._unprintable("relative error", form) from None
+
+    def format_value(self, digits: int) -> str:
+        """F(x) to ``digits`` significant digits, or an OverflowError as above,
+        raised before F(x) is built, when its decimal exponent log_value / ln 10
+        has more digits than Python prints (``sys.get_int_max_str_digits()``)."""
+        limit, log_value = sys.get_int_max_str_digits(), self.log_value
+        exponent = log_value / ln(PrecisionReal(10, log_value.prec))
+        if limit and exponent and floor_log10(exponent) >= limit:
+            raise self._unprintable("value", f"exp({format_sci(log_value, 6)})")
+        return exp(log_value).to_decimal_string(digits)
+
+    def _unprintable(self, what: str, form: str) -> OverflowError:
+        x, formula = format_sci(self.x, 6), self.formula.value
+        return OverflowError(f"{what} of {formula} at x = {x} cannot be printed: it is {form}")
 
 
 # ln Gamma(x + shift) is the log of each target; an int 1 takes the cheaper exact conversion

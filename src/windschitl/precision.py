@@ -6,7 +6,7 @@ nearest at that precision.  Each operator is one ``libmp`` call on raw
 values, with no temporary ``PrecisionReal`` for an ``int`` or ``Fraction``
 operand.  No global precision state exists, values are immutable, and all
 functions here are pure, so concurrent use is safe (the memos behind them
-are thread-safe ``lru_cache``s of immutable tuples).
+are thread-safe ``lru_cache``s of immutable values, see :func:`memoized`).
 
 The module also provides the ground-truth oracles ``ln_gamma_ref`` and
 ``trigamma_ref``: upward argument shifting followed by the divergent
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import accumulate
 
 from mpmath import libmp
@@ -270,6 +270,17 @@ def _wrap(raw: tuple, prec: int) -> PrecisionReal:
     return obj
 
 
+def memoized(fn):
+    """fn(x, *rest) memoized on (x.raw, x.prec, *rest), which must hold all the
+    result depends on: a hit returns the immutable PrecisionReal fn returned.
+    One ``lru_cache`` of ``_MEMO_SIZE`` entries, with its ``cache_info`` and
+    ``cache_clear``; an exception is not memoized."""
+    cached = lru_cache(maxsize=_MEMO_SIZE)(lambda raw, prec, *rest: fn(_wrap(raw, prec), *rest))
+    memo = wraps(fn)(lambda x, *rest: cached(x.raw, x.prec, *rest))
+    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+    return memo
+
+
 def _check_prec(prec) -> None:
     if not isinstance(prec, int) or prec < MIN_PRECISION_BITS:
         raise ValueError(f"precision must be an int >= {MIN_PRECISION_BITS} bits, got {prec}")
@@ -344,16 +355,12 @@ def pi(prec: int) -> PrecisionReal:
     return _wrap(libmp.mpf_pi(prec, _RND), prec)
 
 
-@lru_cache(maxsize=None)
-def _ln_sqrt_two_pi_raw(prec: int) -> tuple:
-    two_pi = libmp.mpf_mul_int(libmp.mpf_pi(prec + 8, _RND), 2, prec + 8, _RND)
-    return libmp.mpf_shift(libmp.mpf_log(two_pi, prec, _RND), -1)
-
-
+@lru_cache(maxsize=None, typed=True)  # typed: a prec of 64.0 misses and is refused
 def ln_sqrt_two_pi(prec: int) -> PrecisionReal:
     """ln sqrt(2*pi) at the given precision (cached)."""
     _check_prec(prec)
-    return _wrap(_ln_sqrt_two_pi_raw(prec), prec)
+    two_pi = libmp.mpf_mul_int(libmp.mpf_pi(prec + 8, _RND), 2, prec + 8, _RND)
+    return _wrap(libmp.mpf_shift(libmp.mpf_log(two_pi, prec, _RND), -1), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +541,6 @@ def working_argument(x, cfg: OracleConfig) -> PrecisionReal:
     return PrecisionReal(x, prec)
 
 
-@lru_cache(maxsize=None)
 def _validate_series(threshold: int, terms: int, target_digits: int) -> None:
     """Exact guard for the truncated asymptotic series.
 
@@ -788,32 +794,27 @@ def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     nearest at p bits (the two logarithms and ln sqrt(2 pi) included) of
     values no larger than y ln y + |ln Gamma(x)|.  Everything but the
     truncation is a few ulps of that scale, far below 10^-D, since p
-    carries at least ten guard digits.
-
-    Results are memoized (see :func:`_ln_gamma_raw`); a memo hit returns
-    the same bits as a fresh evaluation.
+    carries at least ten guard digits.  Memoized (see :func:`_ln_gamma`).
     """
-    x = working_argument(x, cfg)
-    return _wrap(_ln_gamma_raw(x.raw, x.prec, cfg), x.prec)
+    return _ln_gamma(working_argument(x, cfg), cfg)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _ln_gamma_raw(x: tuple, prec: int, cfg: OracleConfig) -> tuple:
-    """The :func:`ln_gamma_ref` kernel on a raw working argument at prec
-    bits, memoized on (x, prec, cfg): the result depends on nothing
-    else, and raw values are immutable tuples, so sharing them is safe."""
+@memoized
+def _ln_gamma(arg: PrecisionReal, cfg: OracleConfig) -> PrecisionReal:
+    """The :func:`ln_gamma_ref` kernel on a working argument: it depends on nothing else."""
+    x, prec = arg.raw, arg.prec
     n, y = _shifted(x, prec, cfg, "ln_gamma_ref")
     mpf_add, mpf_sub = libmp.mpf_add, libmp.mpf_sub
     lny = libmp.mpf_log(y, prec, _RND)
     result = libmp.mpf_mul(mpf_sub(y, libmp.fhalf, prec, _RND), lny, prec, _RND)
-    result = mpf_add(mpf_sub(result, y, prec, _RND), _ln_sqrt_two_pi_raw(prec), prec, _RND)
+    result = mpf_add(mpf_sub(result, y, prec, _RND), ln_sqrt_two_pi(prec).raw, prec, _RND)
     series, _, frac_bits = _stirling_series("lngamma", cfg, y, prec)
     series = libmp.mpf_div(libmp.from_man_exp(series, -frac_bits), y, prec, _RND)
     result = mpf_add(result, series, prec, _RND)
     if n:
         shifted_ln = libmp.mpf_log(_rising_product(x, n, prec), prec, _RND)
         result = mpf_sub(result, shifted_ln, prec, _RND)
-    return result
+    return _wrap(result, prec)
 
 
 def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:

@@ -51,7 +51,7 @@ from windschitl.precision import _to_exact_fraction, _wrap, ln_sqrt_two_pi, work
 BRACKET_WIDTH = Fraction(1, 2**32)
 
 # the memos of the ln Gamma kernel, the Windschitl core and the W2 correction
-MEMOS = (precision._ln_gamma_raw, formulas._ln_windschitl_core_raw, formulas._w2_correction_raw)
+MEMOS = (precision._ln_gamma, formulas._ln_windschitl_core, formulas.w2_correction)
 
 
 @pytest.fixture

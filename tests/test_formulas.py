@@ -26,7 +26,7 @@ from windschitl import (
     w2_log_gap,
     w2star_log_gap,
 )
-from windschitl.formulas import _ln_stirling, _ln_windschitl_core_raw, _w2_correction_raw
+from windschitl.formulas import _ln_stirling, _ln_windschitl_core
 from windschitl.precision import DEFAULT_DIGITS, _MEMO_SIZE
 
 from support import bits, fresh_memos
@@ -125,7 +125,7 @@ def test_relative_error_consistency_invariant():
 
 
 # ---------------------------------------------------------------------------
-# The Windschitl-core memo
+# The Windschitl-core and W2-correction memos
 # ---------------------------------------------------------------------------
 
 CORE_FORMULAS = (FormulaId.W0, FormulaId.W2, FormulaId.W2STAR)
@@ -135,9 +135,9 @@ CORE_FORMULAS = (FormulaId.W0, FormulaId.W2, FormulaId.W2STAR)
 def test_memoized_core_is_bit_identical_to_a_fresh_evaluation(fresh_memos, prec):
     xs = [PrecisionReal(q, prec) for q in (1, Fraction(3, 2), Fraction(7, 3), 10**5)]
     first = [log_approximate(f, x) for x in xs for f in CORE_FORMULAS]
-    info = _ln_windschitl_core_raw.cache_info()
+    info = _ln_windschitl_core.cache_info()
     assert (info.misses, info.hits) == (len(xs), len(first) - len(xs))  # one core per x
-    _ln_windschitl_core_raw.cache_clear()
+    _ln_windschitl_core.cache_clear()
     fresh = [log_approximate(f, x) for x in xs for f in CORE_FORMULAS]
     assert list(map(bits, first)) == list(map(bits, fresh))
     # and the memoized core is the expression it stands for
@@ -145,33 +145,17 @@ def test_memoized_core_is_bit_identical_to_a_fresh_evaluation(fresh_memos, prec)
         assert bits(w0) == bits(_ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x)))
 
 
-def test_core_memo_key_separates_precision(fresh_memos):
-    coarse, fine = PrecisionReal(Fraction(3, 2), PREC), PrecisionReal(Fraction(3, 2), 2 * PREC)
-    at_coarse, at_fine = log_approximate(FormulaId.W0, coarse), log_approximate(FormulaId.W0, fine)
-    assert (at_coarse.prec, at_fine.prec) == (PREC, 2 * PREC)
-    assert at_coarse.raw != at_fine.raw
-    assert _ln_windschitl_core_raw.cache_info().currsize == 2
-
-
-def test_core_memo_stays_bounded(fresh_memos):
-    xs = [PrecisionReal(Fraction(k, 7), PREC) for k in range(7, _MEMO_SIZE + 47)]
-    first = [log_approximate(FormulaId.W0, x) for x in xs]
-    info = _ln_windschitl_core_raw.cache_info()
-    assert info.maxsize == _MEMO_SIZE and info.currsize <= info.maxsize
-    assert [bits(log_approximate(FormulaId.W0, x)) for x in xs[:5]] == list(map(bits, first[:5]))
-
-
 @pytest.mark.parametrize("prec", [64, PREC, 1000])
 def test_w2_and_w2star_share_one_memoized_correction_per_point(fresh_memos, prec):
     xs = [PrecisionReal(q, prec) for q in (1, Fraction(3, 2), Fraction(7, 3), 10**5)]
     first = [w2_correction(x) for x in xs]
     again = [w2_correction(x) for x in xs]
-    assert _w2_correction_raw.cache_info()[:2] == (len(xs), len(xs))  # hits, misses
+    assert w2_correction.cache_info()[:2] == (len(xs), len(xs))  # hits, misses
     for x in xs:
         log_approximate(FormulaId.W2, x)
         log_approximate(FormulaId.W2STAR, x)
-    assert _w2_correction_raw.cache_info()[:2] == (3 * len(xs), len(xs))
-    _w2_correction_raw.cache_clear()
+    assert w2_correction.cache_info()[:2] == (3 * len(xs), len(xs))
+    w2_correction.cache_clear()
     fresh = [w2_correction(x) for x in xs]
     assert list(map(bits, first)) == list(map(bits, again)) == list(map(bits, fresh))
     # and the memoized correction is the expression it stands for, at x's precision

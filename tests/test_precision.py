@@ -39,7 +39,7 @@ from windschitl.precision import (
     _SERIES_TABLES,
     _fixed_bits,
     _inverse_square_sum,
-    _ln_gamma_raw,
+    _ln_gamma,
     _rising_product,
     _series_fixed,
     _series_terms,
@@ -49,10 +49,12 @@ from windschitl.precision import (
     _validate_series,
     _wrap,
     floor_log10,
+    ln_sqrt_two_pi,
     working_argument,
 )
 
 from support import (
+    MEMOS,
     bits,
     exact_series_sum,
     format_sci_decimal,
@@ -350,6 +352,18 @@ def test_gap_at_one_from_elementary_functions():
     assert format_sci(value, 4) == "2.407E-5"
 
 
+def test_ln_sqrt_two_pi_is_cached_and_checks_its_precision():
+    for prec in (64, 207, 1000):
+        value = ln_sqrt_two_pi(prec)
+        assert ln_sqrt_two_pi(prec) is value and value.prec == prec
+        assert abs(value - ln(2 * pi(prec + 8)) / 2) <= Fraction(1, 2 ** (prec - 2))
+    # a cached int precision does not answer for an equal float
+    with pytest.raises(ValueError):
+        ln_sqrt_two_pi(64.0)
+    with pytest.raises(ValueError):
+        ln_sqrt_two_pi(63)
+
+
 # ---------------------------------------------------------------------------
 # ln_gamma_ref
 # ---------------------------------------------------------------------------
@@ -419,59 +433,76 @@ def test_ln_gamma_rejects_nonpositive(fresh_memos):
             ln_gamma_ref(0, CFG50)
         with pytest.raises(DomainError):
             ln_gamma_ref(-3, CFG50)
-    assert _ln_gamma_raw.cache_info().currsize == 0
+    assert _ln_gamma.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
-# The ln Gamma memo
+# The memos: precision.memoized under the ln Gamma kernel, the Windschitl
+# core and the W2 correction
 # ---------------------------------------------------------------------------
 
 
 MEMO_ARGUMENTS = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(51), Fraction(10**6 + 1, 7))
 
 
-@pytest.mark.parametrize("digits", [50, 100, 300])
-def test_memoized_ln_gamma_is_bit_identical_to_a_fresh_evaluation(fresh_memos, digits):
-    cfg = OracleConfig.for_digits(digits)
-    first = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
-    hits = _ln_gamma_raw.cache_info().hits
-    again = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
-    assert _ln_gamma_raw.cache_info().hits == hits + len(MEMO_ARGUMENTS)
-    _ln_gamma_raw.cache_clear()
-    fresh = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
-    assert list(map(bits, first)) == list(map(bits, again)) == list(map(bits, fresh))
+def through(memo, x: PrecisionReal) -> PrecisionReal:
+    """One call of a memo at x; the ln Gamma kernel also takes its config."""
+    return memo(x, CFG50) if memo is _ln_gamma else memo(x)
 
 
-def test_ln_gamma_memo_key_separates_precision_and_config(fresh_memos):
-    x = Fraction(7, 3)
-    cfg50, cfg100 = OracleConfig.for_digits(50), OracleConfig.for_digits(100)
-    at50, at100 = ln_gamma_ref(x, cfg50), ln_gamma_ref(x, cfg100)
-    assert at50.prec == cfg50.precision_bits and at100.prec == cfg100.precision_bits
-    assert at50.raw != at100.raw
-    # a PrecisionReal finer than the config sets the working precision ...
-    fine = PrecisionReal(x, cfg100.precision_bits + 64)
-    at_fine = ln_gamma_ref(fine, cfg50)
-    assert at_fine.prec == fine.prec and at_fine.raw != at50.raw
-    # ... and the same bits under two configs differ in the series they sum
-    fine100 = ln_gamma_ref(fine, cfg100)
-    assert fine100.prec == fine.prec and fine100.raw != at_fine.raw
-    assert _ln_gamma_raw.cache_info().currsize == 4
-    results = [at50, at100, at_fine, fine100]  # (x, fine) by (cfg50, cfg100)
-    _ln_gamma_raw.cache_clear()
-    fresh = [ln_gamma_ref(v, cfg) for v in (x, fine) for cfg in (cfg50, cfg100)]
-    assert list(map(bits, results)) == list(map(bits, fresh))
+@pytest.mark.parametrize("memo", MEMOS, ids=lambda memo: memo.__name__)
+def test_memo_key_separates_precision(fresh_memos, memo):
+    # 3/2 has the same raw value at both precisions, so only the key's
+    # precision keeps the two results apart
+    prec = CFG50.precision_bits
+    coarse, fine = PrecisionReal(Fraction(3, 2), prec), PrecisionReal(Fraction(3, 2), 2 * prec)
+    at_coarse, at_fine = through(memo, coarse), through(memo, fine)
+    assert (at_coarse.prec, at_fine.prec) == (prec, 2 * prec)
+    assert at_coarse.raw != at_fine.raw
+    assert memo.cache_info().currsize == 2
+    # a hit returns the stored value itself
+    assert through(memo, PrecisionReal(Fraction(3, 2), prec)) is at_coarse
+    assert memo.cache_info()[:2] == (1, 2)  # hits, misses
 
 
-def test_ln_gamma_memo_stays_bounded(fresh_memos):
-    xs = [Fraction(k, 7) for k in range(1, _MEMO_SIZE + 41)]
-    first = [ln_gamma_ref(x, CFG50) for x in xs]
-    info = _ln_gamma_raw.cache_info()
+@pytest.mark.parametrize("memo", MEMOS, ids=lambda memo: memo.__name__)
+def test_memo_stays_bounded(fresh_memos, memo):
+    xs = [PrecisionReal(Fraction(k, 7), CFG50.precision_bits) for k in range(1, _MEMO_SIZE + 41)]
+    first = [through(memo, x) for x in xs]
+    info = memo.cache_info()
     assert info.maxsize == _MEMO_SIZE
     assert info.currsize <= info.maxsize
     assert info.misses == len(xs)
     # the earliest arguments were evicted; their recomputation matches
-    assert [bits(ln_gamma_ref(x, CFG50)) for x in xs[:5]] == list(map(bits, first[:5]))
-    assert _ln_gamma_raw.cache_info().misses == len(xs) + 5
+    assert [bits(through(memo, x)) for x in xs[:5]] == list(map(bits, first[:5]))
+    assert memo.cache_info().misses == len(xs) + 5
+
+
+@pytest.mark.parametrize("digits", [50, 100, 300])
+def test_memoized_ln_gamma_is_bit_identical_to_a_fresh_evaluation(fresh_memos, digits):
+    cfg = OracleConfig.for_digits(digits)
+    first = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
+    hits = _ln_gamma.cache_info().hits
+    again = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
+    assert _ln_gamma.cache_info().hits == hits + len(MEMO_ARGUMENTS)
+    _ln_gamma.cache_clear()
+    fresh = [ln_gamma_ref(x, cfg) for x in MEMO_ARGUMENTS]
+    assert list(map(bits, first)) == list(map(bits, again)) == list(map(bits, fresh))
+
+
+def test_ln_gamma_memo_key_includes_the_config(fresh_memos):
+    x = Fraction(7, 3)
+    cfg50, cfg100 = OracleConfig.for_digits(50), OracleConfig.for_digits(100)
+    # a PrecisionReal finer than both configs sets the working precision,
+    # so the same bits under two configs differ only in the series they sum
+    fine = PrecisionReal(x, cfg100.precision_bits + 64)
+    at50, at100 = ln_gamma_ref(fine, cfg50), ln_gamma_ref(fine, cfg100)
+    assert at50.prec == at100.prec == fine.prec
+    assert at50.raw != at100.raw
+    assert _ln_gamma.cache_info().currsize == 2
+    _ln_gamma.cache_clear()
+    fresh = [ln_gamma_ref(fine, cfg) for cfg in (cfg50, cfg100)]
+    assert list(map(bits, (at50, at100))) == list(map(bits, fresh))
 
 
 # ---------------------------------------------------------------------------
@@ -897,9 +928,10 @@ def test_oracles_satisfy_the_gamma_identities_within_their_budgets(identity, dig
         assert abs(residual) <= budget, f"{identity} at x = {x}, {digits} digits"
 
 
-def test_oracles_satisfy_the_gamma_identities_at_1000_digits():
-    cfg = OracleConfig.for_digits(1000)
-    x = Fraction(cfg.shift_threshold + 1, 2)  # x and x + 1/2 shifted, 2x and x + 1 not
+@pytest.mark.parametrize("digits", [1000, 2000])
+def test_oracles_satisfy_the_gamma_identities_at_high_precision(digits):
+    cfg = OracleConfig.for_digits(digits)
+    x = Fraction(cfg.shift_threshold + 1, 2)  # x, x + 1/2 and x + 1 shifted, 2x not
     for identity, (check, _) in IDENTITIES.items():
         residual, budget = check(x, cfg)
         assert abs(residual) <= budget, identity

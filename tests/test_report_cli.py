@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from windschitl import (
     FormulaId,
     GoldenCell,
+    LogErrorValue,
     PrecisionReal,
     TABLE_GOLDENS,
     TableSpec,
     build_table,
     check_goldens,
     format_sci,
+    ln,
     render_csv,
     render_markdown,
 )
@@ -299,8 +301,11 @@ def default_digit_limit():
         (["rate", "--x", "100,1e4300"], "1e4300"),
         # building this value alone would take minutes
         (["verify", "--grid", "1:1e99999999:3"], "1e99999999"),
+        # int() refuses a p/q side of 4301 digits
+        (["eval", "w2", "1" * 4301 + "/3"], "1" * 4301 + "/3"),
+        (["eval", "w2", "3/" + "1" * 4301], "3/" + "1" * 4301),
     ],
-    ids=["eval", "eval-tiny", "table", "rate", "verify-grid"],
+    ids=["eval", "eval-tiny", "table", "rate", "verify-grid", "eval-numerator", "eval-denominator"],
 )
 def test_a_number_too_large_to_print_is_refused_before_any_arithmetic(capsys, monkeypatch, default_digit_limit, argv, text):
     def dispatch(args):
@@ -321,7 +326,10 @@ def test_the_refusal_is_exact_at_the_digit_limit(default_digit_limit):
     assert parse("1e-4299") == Fraction(1, 10**4299)
     assert parse("2e-4300") == Fraction(1, 5 * 10**4299)  # reduced to 4300 digits
     assert parse("0e99999999") == 0
-    for text in ("1e4300", "-1e4300", "1" * 4301, "1e-4300", "0.1e-4299", "1e99999999", "1e-99999999"):
+    assert parse("1" * 4300 + "/3") == Fraction(int("1" * 4300), 3)
+    assert parse("-3/" + "1" * 4300) == Fraction(-3, int("1" * 4300))
+    refused = ("1e4300", "-1e4300", "1" * 4301, "1e-4300", "0.1e-4299", "1e99999999", "1e-99999999")
+    for text in (*refused, "1" * 4301 + "/3", "-3/" + "1" * 4301):
         with pytest.raises(argparse.ArgumentTypeError, match="too large to print"):
             parse(text)
     # the limit is Python's, read at each parse; 0 lifts it
@@ -388,6 +396,49 @@ def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Gamma(x+1) has a decimal exponent of about 4303 digits
+        ("1e4299", "value of w2 at x = 1.00000E+4299 cannot be printed: it is exp(9.89781E+4302)"),
+        # 4300 digits parse, in the numerator or in the denominator
+        ("1" * 4300 + "/3", "value of w2 at x = 3.70370E+4298 cannot be printed: it is exp(3.66549E+4302)"),
+        (
+            "3/" + "1" * 4300,
+            "relative error of w2 at x = 2.70000E-4299 cannot be printed: it is exp(3.32620E+12892) - 1",
+        ),
+    ],
+    ids=["decimal", "numerator", "denominator"],
+)
+def test_a_value_with_an_unprintable_decimal_exponent_is_refused_before_rendering(
+    capsys, monkeypatch, default_digit_limit, text, message
+):
+    def render(self, digits):
+        raise AssertionError("a value was rendered before the refusal")
+
+    monkeypatch.setattr(PrecisionReal, "to_decimal_string", render)
+    assert main(["eval", "w2", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_format_value_refuses_exactly_a_decimal_exponent_past_the_digit_limit(monkeypatch, default_digit_limit, sign):
+    # F(x) = 10^E with E = log_value / ln 10; E of 4300 digits renders, of 4301 does not
+    monkeypatch.setattr(PrecisionReal, "to_decimal_string", lambda self, digits: "rendered")
+    prec = 207
+    one, ln10 = PrecisionReal(1, prec), ln(PrecisionReal(10, prec))
+    for scale, printable in ((Fraction(999, 1000), True), (Fraction(1001, 1000), False)):
+        log_value = sign * ln10 * (scale * 10**4300)
+        record = LogErrorValue(one, FormulaId.W2, log_value, log_gap=one, relative_error=one)
+        if printable:
+            assert record.format_value(10) == "rendered"
+        else:
+            with pytest.raises(OverflowError, match=r"value of w2 at x = 1E\+0 cannot be printed"):
+                record.format_value(10)
 
 
 @pytest.mark.parametrize(
