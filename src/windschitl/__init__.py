@@ -38,6 +38,7 @@ from .precision import (
     PrecisionError,
     PrecisionReal,
     exp,
+    expm1,
     format_sci,
     ln,
     ln_gamma_ref,

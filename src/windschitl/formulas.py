@@ -24,9 +24,11 @@ from .precision import (
     OracleConfig,
     PrecisionReal,
     exp,
+    expm1,
     ln,
     ln_gamma_ref,
     ln_sqrt_two_pi,
+    ln_stirling_term,
     memoized,
     sinh,
     tanh,
@@ -84,14 +86,13 @@ class FormulaId(enum.Enum):
 
 
 def _ln_stirling(x: PrecisionReal) -> PrecisionReal:
-    # ln sqrt(2 pi x) + x ln x - x
-    ln_x = ln(x)
-    return ln_sqrt_two_pi(x.prec) + ln_x / 2 + x * ln_x - x
+    # ln sqrt(2 pi x) + x ln x - x = ln sqrt(2 pi) + (x + 1/2) ln x - x
+    return ln_stirling_term(x, 1)
 
 
 def _ln_half_shift_base(x: PrecisionReal) -> PrecisionReal:
     # ln sqrt(2 pi) + x ln x - x, shared by the Gamma(x+1/2) formulas
-    return ln_sqrt_two_pi(x.prec) + x * ln(x) - x
+    return ln_stirling_term(x, 0)
 
 
 @memoized
@@ -200,8 +201,9 @@ class LogErrorValue:
 
     ``log_value`` is ln F(x) at the precision of ``x``; ``log_gap`` is
     ln(true value) - ln(approximation); ``relative_error`` is
-    |approximation - true| / true = |exp(-log_gap) - 1|, derived from the
-    same evaluation.
+    |approximation - true| / true = |expm1(-log_gap)|, derived from the
+    same evaluation by :func:`precision.expm1`, with no cancellation: it is
+    within one ulp of that value at the computed gap, however small the gap.
     """
 
     x: PrecisionReal
@@ -259,7 +261,7 @@ def log_error(formula: FormulaId, x, cfg: OracleConfig = DEFAULT_CONFIG) -> LogE
         raise type(e)(
             f"{formula.value} at x = {format_sci(x, 6)} cannot be evaluated: {e}"
         ) from e
-    rel = abs(exp(-gap) - 1)
+    rel = abs(expm1(-gap))
     return LogErrorValue(
         x=x, formula=formula, log_value=log_value, log_gap=gap, relative_error=rel
     )

@@ -36,11 +36,13 @@ __all__ = [
     "OracleConfig",
     "working_argument",
     "exp",
+    "expm1",
     "ln",
     "sqrt",
     "sinh",
     "tanh",
     "pi",
+    "ln_stirling_term",
     "ln_gamma_ref",
     "trigamma_ref",
     "floor_log10",
@@ -319,10 +321,55 @@ def _exp_huge_integer(x: tuple, prec: int) -> tuple:
     return libmp.mpf_shift(libmp.mpf_exp(r, prec, _RND), n)
 
 
+def _exp_raw(x: tuple, prec: int) -> tuple:
+    """exp of a raw x, rounded to prec bits, by mpmath or :func:`_exp_huge_integer`."""
+    if _is_huge_integer(x, prec):
+        return _exp_huge_integer(x, prec)
+    return libmp.mpf_exp(x, prec, _RND)
+
+
 def exp(x: PrecisionReal) -> PrecisionReal:
-    if _is_huge_integer(x.raw, x.prec):
-        return _wrap(_exp_huge_integer(x.raw, x.prec), x.prec)
-    return _wrap(libmp.mpf_exp(x.raw, x.prec, _RND), x.prec)
+    return _wrap(_exp_raw(x.raw, x.prec), x.prec)
+
+
+# expm1 sums its series while wp / |mag|, about its term count, is at most
+# this; past it, exp at more bits costs less (at 2000 bits and |x| near
+# 2^-15, the 99 terms took 0.5 ms and exp 0.24 ms).
+_EXPM1_SERIES_RATIO = 40
+# Bits exp carries beyond prec + max(-mag, 0) where expm1 takes 1 from it:
+# |exp(x) - 1| >= min(1/2, |x|) / 2, so an ulp of exp costs under 2^-7 ulp.
+_EXPM1_EXP_BITS = 12
+
+
+def expm1(x: PrecisionReal) -> PrecisionReal:
+    """exp(x) - 1 at the precision of x, rounded once: within half an ulp
+    and 2^-7 of one, with no cancellation.
+
+    With 2^(mag-1) <= |x| < 2^mag, where mag < 0 and the series is short
+    (wp <= _EXPM1_SERIES_RATIO |mag|), sum_k x^k / k! runs in fixed point
+    on |x| at wp = _fixed_bits(prec, prec) - mag fraction bits, each term
+    truncated once: fewer than prec terms are nonzero and an error shrinks
+    by |x| / k < 1/2 from one term to the next, so the sum is off by under
+    2 prec units, a relative 2^-(prec+13) of |exp(x) - 1| >= |x| / 2.
+    Otherwise exp(x) is taken at prec + max(-mag, 0) + _EXPM1_EXP_BITS
+    bits, which cover the bits that subtracting 1 cancels (by :func:`exp`'s
+    route for a huge integer), and 1 is subtracted.
+    """
+    sign, man, exp, bc = x.raw
+    prec, mag = x.prec, exp + bc
+    if not man:
+        return x
+    wp = _fixed_bits(prec, prec) - mag
+    if mag >= 0 or wp > _EXPM1_SERIES_RATIO * -mag:
+        e = _exp_raw(x.raw, prec + max(-mag, 0) + _EXPM1_EXP_BITS)
+        return _wrap(libmp.mpf_sub(e, libmp.fone, prec, _RND), prec)
+    power = man << (exp + wp)  # |x| 2^wp, exactly: exp + wp > prec - bc >= 0
+    term, total, k = power, 0, 1
+    while term:
+        total += -term if sign and k & 1 else term
+        k += 1
+        term = (term * power >> wp) // k
+    return _wrap(libmp.from_man_exp(total, -wp, prec, _RND), prec)
 
 
 def ln(x: PrecisionReal) -> PrecisionReal:
@@ -709,6 +756,54 @@ def _stirling_series(series: str, cfg: OracleConfig, y: tuple, prec: int) -> tup
     return acc, u, frac_bits
 
 
+def _ln_fixed(x: tuple, frac_bits: int) -> int:
+    """ln of a positive raw x in fixed point: within 1.25 units of 2^-frac_bits.
+
+    |ln x| < 2^b with b = bitlen(|exp + bc| + 1), so mpf_log at frac_bits +
+    b + 2 bits is within a quarter unit, and to_fixed floors it.
+    """
+    _, _, exp, bc = x
+    bits = frac_bits + (abs(exp + bc) + 1).bit_length() + 2
+    return libmp.to_fixed(libmp.mpf_log(x, max(bits, MIN_PRECISION_BITS), _RND), frac_bits)
+
+
+# Guard bits of the fixed-point Stirling term: its few units of 2^-F are a
+# small fraction of an ulp of its largest part.
+_STIRLING_GUARD = 12
+
+
+def _stirling_fixed(x: tuple, twice_a: int, prec: int) -> tuple[int, int]:
+    """ln sqrt(2 pi) + (x + a) ln x - x for a positive raw x, a = twice_a / 2
+    in {-1/2, 0, 1/2}, unrounded: (T, F), the value being T 2^-F.
+
+    With e = exp + bc, every part of the sum is below 2^mag, mag = max(e, 0)
+    + 1 + bitlen(|e| + 1), and F = prec + _STIRLING_GUARD - mag puts a unit
+    at 2^-(prec+12) of that.  x + a is the exact N 2^-t, and ln x at
+    F + bitlen(N) + 2 - t fraction bits (:func:`_ln_fixed`) times N, shifted
+    right by bitlen(N) + 2, is within 1.5 units; -x and ln sqrt(2 pi), the
+    cached prec-bit constant within 2^-(prec+1), are floored.  So T 2^-F is
+    within 3.5 units and 2^-(prec+1).
+    """
+    _, man, exp, bc = x
+    e = exp + bc
+    frac_bits = prec + _STIRLING_GUARD - (max(e, 0) + 1 + (abs(e) + 1).bit_length())
+    if exp >= 0:
+        num, t = (man << (exp + 1)) + twice_a, 1
+    else:
+        num, t = (man << 1) + (twice_a << -exp), 1 - exp
+    lead = num.bit_length() + 2  # |N| < 2^(lead - 2)
+    total = (num * _ln_fixed(x, frac_bits + lead - t)) >> lead
+    total -= libmp.to_fixed(x, frac_bits) - libmp.to_fixed(ln_sqrt_two_pi(prec).raw, frac_bits)
+    return total, frac_bits
+
+
+def _fixed_quotient(value: int, value_bits: int, y: tuple, frac_bits: int) -> int:
+    """floor((value 2^-value_bits / y) 2^frac_bits) for a positive raw y: less than one unit low."""
+    _, man, exp, _ = y
+    shift = frac_bits - value_bits - exp
+    return (value << shift) // man if shift >= 0 else value // (man << -shift)
+
+
 def _shift_steps(x: tuple, threshold: int) -> int:
     """n, the number of k >= 0 with x + k < threshold, for a positive raw x."""
     if libmp.mpf_cmp(x, libmp.from_int(threshold)) >= 0:
@@ -728,18 +823,26 @@ def _scaled_integer(x: tuple) -> tuple[int, int]:
 def _rising_product(x: tuple, n: int, prec: int) -> tuple:
     """x (x+1) ... (x+n-1) for a positive raw x and n >= 1, as an unrounded raw value.
 
-    The factors are the exact integers m + k 2^s.  Their running product
-    is truncated to wp = _fixed_bits(prec, n) bits: n - 1 truncations,
-    each of relative error below 2^(1-wp), so the product's relative
-    error, and the absolute error of its logarithm, is below
-    (n - 1) 2^(2-wp) < 2^-(prec+8).
+    The factors are the exact integers m + k 2^s over 2^s, multiplied in
+    pairs from both ends: (x+k)(x+n-1-k) is W + k(n-1-k) 2^(2s) over
+    2^(2s), with W = m^2 + (n-1) m 2^s, and an odd n adds the middle factor
+    m + ((n-1)/2) 2^s.  Each pair and each running product is truncated
+    downward to wp = _fixed_bits(prec, n) bits: at most n truncations,
+    each of relative error below 2^(1-wp), so the product is low, by a
+    relative error (and its logarithm by an absolute one) below
+    n 2^(1-wp) < 2^-(prec+8).
     """
     m, s = _scaled_integer(x)
-    wp, step = _fixed_bits(prec, n), 1 << s
-    product, dropped, factor = m, 0, m
-    for _ in range(n - 1):
-        factor += step
-        product *= factor
+    wp = _fixed_bits(prec, n)
+    product = m + ((n - 1) // 2 << s) if n & 1 else 1
+    dropped, w = 0, m * m + ((n - 1) * m << s)
+    for k in range(n // 2):
+        pair = w + (k * (n - 1 - k) << 2 * s)
+        excess = pair.bit_length() - wp
+        if excess > 0:
+            pair >>= excess
+            dropped += excess
+        product *= pair
         excess = product.bit_length() - wp
         if excess > 0:
             product >>= excess
@@ -777,6 +880,14 @@ def _shifted(x: tuple, prec: int, cfg: OracleConfig, name: str) -> tuple[int, tu
 # ---------------------------------------------------------------------------
 
 
+def ln_stirling_term(x: PrecisionReal, twice_a: int) -> PrecisionReal:
+    """ln sqrt(2 pi) + (x + twice_a/2) ln x - x for x > 0, twice_a in {-1, 0, 1},
+    rounded once to the precision of x: within half an ulp plus 3.5 units
+    of 2^-F and 2^-(p+1) (see :func:`_stirling_fixed`)."""
+    total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
+    return _wrap(libmp.from_man_exp(total, -frac_bits, x.prec, _RND), x.prec)
+
+
 def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     """ln Gamma(x) to cfg.target_decimal_digits, for real x > 0.
 
@@ -786,15 +897,19 @@ def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     The configuration's certified term count bounds the truncation
     remainder by the first omitted term, below the target accuracy.
 
-    Error budget, with p the working bits: the series truncation, below
-    10^-(D+5); the shift product (:func:`_rising_product`), below
-    2^-(p+8) in its logarithm; the fixed-point series
-    (:func:`_stirling_series`), below 2^-(p+10) before its division by y;
-    the one rounding of y, |psi(y)| ulp(y)/2; and ten roundings to
-    nearest at p bits (the two logarithms and ln sqrt(2 pi) included) of
-    values no larger than y ln y + |ln Gamma(x)|.  Everything but the
-    truncation is a few ulps of that scale, far below 10^-D, since p
-    carries at least ten guard digits.  Memoized (see :func:`_ln_gamma`).
+    The sum runs in one integer at the F fraction bits of
+    :func:`_stirling_fixed` at y, with p the working bits, and is rounded
+    once.  Error budget: the series truncation, below 10^-(D+5); the
+    Stirling main term, 3.5 units of 2^-F and 2^-(p+1) from ln sqrt(2 pi);
+    the series (:func:`_stirling_series`), below 2^-(p+10) before its
+    division by y, and one unit from the division; the shift product
+    (:func:`_rising_product`), below 2^-(p+8) in its logarithm, and 1.25
+    units from that logarithm (:func:`_ln_fixed`); the one rounding of y,
+    |psi(y)| ulp(y)/2; and one rounding to nearest at p bits.  The 6
+    units of 2^-F are below 2^-(p+9) of 2^mag >= y ln y (see
+    :func:`_stirling_fixed`), so everything but the truncation is a few
+    ulps of y ln y + |ln Gamma(x)|, far below 10^-D, since p carries at
+    least ten guard digits.  Memoized (see :func:`_ln_gamma`).
     """
     return _ln_gamma(working_argument(x, cfg), cfg)
 
@@ -804,17 +919,12 @@ def _ln_gamma(arg: PrecisionReal, cfg: OracleConfig) -> PrecisionReal:
     """The :func:`ln_gamma_ref` kernel on a working argument: it depends on nothing else."""
     x, prec = arg.raw, arg.prec
     n, y = _shifted(x, prec, cfg, "ln_gamma_ref")
-    mpf_add, mpf_sub = libmp.mpf_add, libmp.mpf_sub
-    lny = libmp.mpf_log(y, prec, _RND)
-    result = libmp.mpf_mul(mpf_sub(y, libmp.fhalf, prec, _RND), lny, prec, _RND)
-    result = mpf_add(mpf_sub(result, y, prec, _RND), ln_sqrt_two_pi(prec).raw, prec, _RND)
-    series, _, frac_bits = _stirling_series("lngamma", cfg, y, prec)
-    series = libmp.mpf_div(libmp.from_man_exp(series, -frac_bits), y, prec, _RND)
-    result = mpf_add(result, series, prec, _RND)
+    total, frac_bits = _stirling_fixed(y, -1, prec)
+    series, _, series_bits = _stirling_series("lngamma", cfg, y, prec)
+    total += _fixed_quotient(series, series_bits, y, frac_bits)
     if n:
-        shifted_ln = libmp.mpf_log(_rising_product(x, n, prec), prec, _RND)
-        result = mpf_sub(result, shifted_ln, prec, _RND)
-    return _wrap(result, prec)
+        total -= _ln_fixed(_rising_product(x, n, prec), frac_bits)
+    return _wrap(libmp.from_man_exp(total, -frac_bits, prec, _RND), prec)
 
 
 def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
@@ -824,20 +934,23 @@ def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     (1 + u sum_j B_2j u^(j-1)) / y + u/2 with u = 1/y^2, with the same
     truncation guarantee as :func:`ln_gamma_ref`.
 
-    Error budget, with p the working bits: the series truncation, below
-    10^-(D+5); the shift sum (:func:`_inverse_square_sum`), below
+    The three parts are summed in one integer at G = max(F, F_n) + 1
+    fraction bits, F the series' and F_n the shift sum's, and rounded
+    once.  Error budget, with p the working bits: the series truncation,
+    below 10^-(D+5); the shift sum (:func:`_inverse_square_sum`), below
     2^-(p+10); the fixed-point series (:func:`_stirling_series`), below
-    2^-(p+10), then one more truncation and the rounding of u, each below
-    2^-(p+10), in 1 + u sum and in u/2; the one rounding of y,
-    |psi''(y)| ulp(y)/2; and three roundings to nearest at p bits.
+    2^-(p+10), then the floor of u times it and the rounding of u, each
+    below 2^-(p+10), in 1 + u sum and in u/2; the floor of the division by
+    y, one unit of 2^-G; the one rounding of y, |psi''(y)| ulp(y)/2; and
+    one rounding to nearest at p bits.
     """
     x = working_argument(x, cfg)
     xr, prec = x.raw, x.prec
     n, y = _shifted(xr, prec, cfg, "trigamma_ref")
     series, u, frac_bits = _stirling_series("trigamma", cfg, y, prec)
-    head = libmp.from_man_exp((1 << frac_bits) + ((series * u) >> frac_bits), -frac_bits)
-    result = libmp.mpf_div(head, y, prec, _RND)
-    result = libmp.mpf_add(result, libmp.from_man_exp(u, -frac_bits - 1), prec, _RND)
+    total_bits = max(frac_bits, _fixed_bits(prec, n)) + 1
+    head = (1 << frac_bits) + ((series * u) >> frac_bits)  # 1 + u sum, at frac_bits
+    total = _fixed_quotient(head, frac_bits, y, total_bits) + (u << (total_bits - frac_bits - 1))
     if n:
-        result = libmp.mpf_add(result, _inverse_square_sum(xr, n, prec), prec, _RND)
-    return _wrap(result, prec)
+        total += libmp.to_fixed(_inverse_square_sum(xr, n, prec), total_bits)
+    return _wrap(libmp.from_man_exp(total, -total_bits, prec, _RND), prec)

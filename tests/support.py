@@ -15,14 +15,17 @@ operation per step with every ``Fraction`` coefficient absorbed where it
 is used; the integer kernels of ``precision`` must stay within the two
 computations' stated rounding budgets of them.  ``exact_series_sum`` is
 the Stirling series summed exactly in integers, the reference for the
-fixed-point series kernel.  ``format_sci_decimal``
+fixed-point series kernel.  ``expm1_reference`` is
+``mpmath.expm1`` at twice the precision, and ``ulps_off`` measures a
+value against a reference in ulps.  ``format_sci_decimal``
 is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
 precision, the reference for its integer rounding.  The ``fresh_memos``
 fixture empties the kernel memos around a test that counts or patches
 what lies below them.  ``reference_operator`` is ``PrecisionReal``
 arithmetic by the rule its operators first had: turn the operand into a
-``PrecisionReal``, take the larger precision, make the ``libmp`` call;
-the operators must give its bits, exceptions and ``NotImplemented``.
+``PrecisionReal``, take the larger precision, make the ``libmp`` call
+(comparisons are exact); the operators must give its bits, exceptions and
+``NotImplemented``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import pytest
 from mpmath import libmp
 
@@ -71,6 +75,22 @@ def bits(v: PrecisionReal) -> tuple:
     return v.raw, v.prec
 
 
+def ulps_off(got: PrecisionReal, want: Fraction) -> Fraction:
+    """|got - want| in units of the last place of want at got's precision."""
+    if not want:
+        return Fraction(0 if not got else 1)
+    exponent = abs(want).numerator.bit_length() - abs(want).denominator.bit_length()
+    if abs(want) < Fraction(2) ** exponent:
+        exponent -= 1  # now 2^exponent <= |want| < 2^(exponent+1)
+    return abs(got.to_fraction() - want) / Fraction(2) ** (exponent + 1 - got.prec)
+
+
+def expm1_reference(x: PrecisionReal) -> Fraction:
+    """exp(x) - 1 from mpmath at twice the precision of x, exactly as a Fraction."""
+    with mpmath.workprec(2 * x.prec):
+        return Fraction(*(int(v) for v in libmp.to_rational(mpmath.expm1(mpmath.mpf(x.raw))._mpf_)))
+
+
 # name: (libmp function, whether the operands are swapped)
 _REFERENCE_BINARY = {
     "__add__": (libmp.mpf_add, False),
@@ -105,7 +125,8 @@ def _as_precision_real(other, prec: int) -> PrecisionReal | None:
 
 def reference_operator(name: str, a: PrecisionReal, other=None):
     """What ``a.<name>(other)`` must give: a result, ``NotImplemented``, or
-    the exception raised.  Comparisons are made on exact ``Fraction``s."""
+    the exception raised.  Comparisons are made on exact ``Fraction``s of
+    both operands, an int or Fraction unrounded, as the operators compare."""
     if name == "__neg__":
         return _wrap(libmp.mpf_neg(a.raw), a.prec)
     if name == "__abs__":
@@ -120,7 +141,7 @@ def reference_operator(name: str, a: PrecisionReal, other=None):
     if b is None:
         return NotImplemented
     if name in _REFERENCE_COMPARISONS:
-        diff = a.to_fraction() - b.to_fraction()
+        diff = a.to_fraction() - (b.to_fraction() if other is b else Fraction(other))
         return _REFERENCE_COMPARISONS[name]((diff > 0) - (diff < 0))
     fn, swapped = _REFERENCE_BINARY[name]
     left, right = (b, a) if swapped else (a, b)

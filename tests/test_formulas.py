@@ -26,10 +26,11 @@ from windschitl import (
     w2_log_gap,
     w2star_log_gap,
 )
+from windschitl import formulas
 from windschitl.formulas import _ln_stirling, _ln_windschitl_core
 from windschitl.precision import DEFAULT_DIGITS, _MEMO_SIZE
 
-from support import bits, fresh_memos
+from support import bits, expm1_reference, fresh_memos, ulps_off
 
 CFG = OracleConfig.for_digits(50)
 PREC = CFG.precision_bits
@@ -118,10 +119,33 @@ def test_half_shift_formula_is_compared_to_gamma_x_plus_half():
     assert record.relative_error < Fraction(1, 10**5)
 
 
-def test_relative_error_consistency_invariant():
-    record = log_error(FormulaId.CHEN, 7, CFG)
-    reconstructed = abs(exp(-record.log_gap) - 1)
-    assert abs(record.relative_error - reconstructed) == 0
+def gap_ulps(record) -> Fraction:
+    """relative_error against |expm1(-log_gap)| from mpmath at twice the precision, in ulps."""
+    return ulps_off(record.relative_error, abs(expm1_reference(-record.log_gap)))
+
+
+# gaps from 1e-2 down to 2^-(prec+60), where exp(-gap) - 1 cancels all but a few bits
+GAP_EXPONENTS = (7, 30, 100, 300)
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200])
+def test_relative_error_is_within_an_ulp_of_expm1_of_the_gap(monkeypatch, digits):
+    cfg = OracleConfig.for_digits(digits)
+    prec = cfg.precision_bits
+    # the formulas' own gaps, of both signs (positive for W2, negative for Chen)
+    for formula in FormulaId:
+        for x in (1, Fraction(1234, 1000), 7, 500):
+            record = log_error(formula, x, cfg)
+            assert gap_ulps(record) <= 1, (formula, x)
+    # log_error's relative error at chosen gaps, through the same call
+    gaps = [Fraction(1, 100)] + [Fraction(3, 2**e) for e in GAP_EXPONENTS] + [Fraction(1, 2 ** (prec + 60))]
+    for gap in gaps:
+        for value in (gap, -gap):
+            chosen = PrecisionReal(value, prec)
+            monkeypatch.setattr(formulas, "_log_gap", lambda formula, x, cfg: (chosen, chosen))
+            record = log_error(FormulaId.W2, 1, cfg)
+            assert record.log_gap is chosen
+            assert gap_ulps(record) <= 1, value
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from windschitl import (
     PrecisionError,
     PrecisionReal,
     exp,
+    expm1,
     format_sci,
     ln,
     ln_gamma_ref,
@@ -44,12 +45,14 @@ from windschitl.precision import (
     _series_fixed,
     _series_terms,
     _shift_steps,
+    _stirling_fixed,
     _stirling_series,
     _terms_needed,
     _validate_series,
     _wrap,
     floor_log10,
     ln_sqrt_two_pi,
+    ln_stirling_term,
     working_argument,
 )
 
@@ -57,6 +60,7 @@ from support import (
     MEMOS,
     bits,
     exact_series_sum,
+    expm1_reference,
     format_sci_decimal,
     fresh_memos,
     horner_per_step,
@@ -66,6 +70,7 @@ from support import (
     REFERENCE_OPERATORS,
     trigamma_per_step,
     trigamma_series_fractions,
+    ulps_off,
 )
 
 CFG50 = OracleConfig.for_digits(50)
@@ -336,6 +341,49 @@ def test_exp_and_sinh_of_a_huge_integer_match_mpmath():
         assert sinh(x).raw == libmp.mpf_sinh(x.raw, prec, "n")
 
 
+# half an ulp from the one rounding, and 2^-6 of one for the error before it
+EXPM1_ULPS = Fraction(1, 2) + Fraction(1, 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prec=st.integers(min_value=64, max_value=2000),
+    magnitude=st.integers(min_value=-4000, max_value=3),
+    fraction=st.integers(min_value=0, max_value=2**64 - 1),
+    negative=st.booleans(),
+)
+def test_expm1_is_within_an_ulp_of_mpmath_at_twice_the_precision(prec, magnitude, fraction, negative):
+    # |x| in [2^(magnitude-1), 2^magnitude), with a full prec-bit mantissa
+    man = (1 << (prec - 1)) + (fraction << (prec - 1)) // 2**64 | 1
+    x = _wrap(libmp.from_man_exp(-man if negative else man, magnitude - prec), prec)
+    got = expm1(x)
+    assert got.prec == prec
+    assert ulps_off(got, expm1_reference(x)) <= EXPM1_ULPS
+
+
+def test_expm1_at_zero_and_on_both_sides_of_its_switches():
+    # expm1 leaves its series for exp where |x| reaches 1/2 and, at each
+    # precision, where the series grows long; 2^-m and the value just
+    # below it lie on either side of every power of two up to 2^-60
+    assert expm1(PrecisionReal(0, 64)).raw == libmp.fzero
+    for prec in (64, 207, 2000):
+        for m in range(61):
+            for x in (Fraction(1, 2**m), Fraction(1, 2**m) - Fraction(1, 2 ** (m + prec))):
+                for value in (x, -x):
+                    xr = PrecisionReal(value, prec)
+                    assert ulps_off(expm1(xr), expm1_reference(xr)) <= EXPM1_ULPS, (prec, value)
+
+
+def test_expm1_of_a_huge_integer_behaves_as_exp():
+    # as for exp above: mpmath's own exp would take seconds on this argument
+    prec, tail = 700, (0, 1, -2100, 1)
+    x = PrecisionReal(3**5700, prec)
+    want = libmp.mpf_exp(libmp.mpf_add(x.raw, tail), prec + 64, "n")
+    ratio = libmp.mpf_div(expm1(x).raw, want, prec + 64, "n")
+    assert abs(raw_fraction(ratio) - 1) < Fraction(1, 2 ** (prec - 1))
+    assert expm1(-x).to_fraction() == -1
+
+
 def test_domain_violations_raise():
     with pytest.raises(DomainError):
         ln(PrecisionReal(0, 64))
@@ -578,6 +626,35 @@ def test_oracles_match_mpmath_around_the_threshold_above_200_digits(digits):
             assert abs(got - want) <= Fraction(1, 10**digits) * max(1, abs(want)), (oracle.__name__, x)
 
 
+def stirling_term_budget(x: PrecisionReal, twice_a: int) -> Fraction:
+    """What ln_stirling_term's docstring allows before its one rounding:
+    3.5 units of 2^-F and 2^-(p+1)."""
+    _, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
+    return Fraction(7, 2 ** (frac_bits + 1)) + Fraction(1, 2 ** (x.prec + 1))
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200, 500])
+def test_ln_gamma_and_the_stirling_term_stay_within_their_one_rounding_budgets(digits):
+    cfg = OracleConfig.for_digits(digits)
+    threshold, prec = cfg.shift_threshold, cfg.precision_bits
+    points = [Fraction(1, 1000), Fraction(3, 2), Fraction(12345, 1000), Fraction(2 * threshold - 1, 2),
+              Fraction(threshold), Fraction(2 * threshold + 1, 2), Fraction(10**7 + 1, 1000), Fraction(10**12)]
+    for x in points:
+        w = working_argument(x, cfg)  # full-mantissa where x is not dyadic
+        with mpmath.workprec(2 * prec + 64):
+            arg = mpmath.mpf(w.raw)
+            want = raw_fraction(mpmath.loggamma(arg)._mpf_)
+            ln_arg, half_ln_two_pi = mpmath.log(arg), mpmath.log(2 * mpmath.pi) / 2
+            stirling = {a2: raw_fraction((half_ln_two_pi + (arg + mpmath.mpf(a2) / 2) * ln_arg - arg)._mpf_)
+                        for a2 in (-1, 0, 1)}
+        value, budget = ln_gamma_with_budget(w.to_fraction(), cfg)
+        assert abs(value - want) <= budget, f"ln_gamma_ref at x = {x}, {digits} digits"
+        for a2, exact in stirling.items():
+            got = ln_stirling_term(w, a2)
+            half_ulp = abs(got.to_fraction()) / 2**prec
+            assert abs(got.to_fraction() - exact) <= stirling_term_budget(w, a2) + half_ulp, (x, a2, digits)
+
+
 # ---------------------------------------------------------------------------
 # Integer kernels against per-step PrecisionReal arithmetic
 # ---------------------------------------------------------------------------
@@ -639,14 +716,18 @@ def test_oracle_kernels_stay_within_their_error_budget(digits):
             assert abs(got - want) <= oracle_budget(n, cfg, prec, want), f"{kernel.__name__}, {case}"
         # Each kernel on its own, before any rounding to prec bits, within
         # the bound its docstring states: guard bits that are too few fail here.
-        if n:
-            num, den = w.to_fraction().as_integer_ratio()
-            scaled = [num + k * den for k in range(n)]  # (w + k) den, den = 2^s
-            # prod (w + k) = product / den^n, compared exactly in integers
+        # The shift product pairs its factors, so it runs at odd and even
+        # counts, 1 and 2 among them, as well as at the oracle's own n.
+        num, den = w.to_fraction().as_integer_ratio()
+        for count in sorted({1, 2, 3, n, n + 1} - {0}):
+            scaled = [num + k * den for k in range(count)]  # (w + k) den, den = 2^s
+            # prod (w + k) = product / den^count, compared exactly in integers
             product = balanced_product(scaled)
-            got = raw_fraction(_rising_product(w.raw, n, prec))
-            short = product * got.denominator - got.numerator * den**n  # (exact - got) den^n den(got)
-            assert 0 <= short and short << (prec + 8) < product * got.denominator, case
+            got = raw_fraction(_rising_product(w.raw, count, prec))
+            short = product * got.denominator - got.numerator * den**count  # (exact - got) den^count den(got)
+            assert 0 <= short and short << (prec + 8) < product * got.denominator, f"{count} factors, {case}"
+        if n:
+            scaled = [num + k * den for k in range(n)]
             # the exact sum of 1/(w+k)^2 takes seconds to reduce; it lies in
             # [low, low + n) 2^-g, a bracket 64 bits finer than the bound
             g = prec + 10 + 64
@@ -840,23 +921,26 @@ def _shifted_argument(x: Fraction, cfg: OracleConfig) -> Fraction:
 
 def ln_gamma_with_budget(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
     """ln_gamma_ref(x) and the sum of its docstring's error budget: the
-    truncation, the shift product, the fixed-point series, the rounding of
-    y (|psi(y)| ulp(y)/2 <= y ln(y) 2^-p for y >= 2) and ten roundings of
-    values no larger than y ln y + |ln Gamma(x)|."""
-    value, y, unit = ln_gamma_ref(x, cfg).to_fraction(), _shifted_argument(x, cfg), Fraction(1, 2**cfg.precision_bits)
-    rounded = y * _ln_bound(y) + abs(value)
-    budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + unit / 2**8 + unit / 2**10 + 11 * rounded * unit
+    truncation; six units of 2^-F, F the fraction bits of the Stirling term
+    at y, and 2^-(p+1) from ln sqrt(2 pi); the shift product and the
+    series, 2^-(p+8) and 2^-(p+10); the rounding of y (|psi(y)| ulp(y)/2 <=
+    y ln(y) 2^-p for y >= 2); and one rounding of the value."""
+    prec = cfg.precision_bits
+    value, y, unit = ln_gamma_ref(x, cfg).to_fraction(), _shifted_argument(x, cfg), Fraction(1, 2**prec)
+    _, frac_bits = _stirling_fixed(PrecisionReal(y, prec).raw, -1, prec)
+    fixed = 6 * Fraction(1, 2**frac_bits) + unit / 2 + unit / 2**8 + unit / 2**10
+    budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + fixed + (y * _ln_bound(y) + abs(value)) * unit
     return value, budget
 
 
 def trigamma_with_budget(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
     """trigamma_ref(x) and the sum of its docstring's error budget: the
     truncation; five terms of 2^-(p+10) (the shift sum, the series, its last
-    truncation, and the rounding of u in 1 + u sum and in u/2); the rounding
-    of y (|psi''(y)| ulp(y)/2 <= 2^(1-p) / y); and three roundings of
-    values no larger than psi'(x)."""
+    truncation, and the rounding of u in 1 + u sum and in u/2) and the floor
+    of the division by y, below 2^-(p+11); the rounding of y (|psi''(y)|
+    ulp(y)/2 <= 2^(1-p) / y); and one rounding of the value."""
     value, y, unit = trigamma_ref(x, cfg).to_fraction(), _shifted_argument(x, cfg), Fraction(1, 2**cfg.precision_bits)
-    budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + 5 * unit / 2**10 + 2 * unit / y + 3 * (value + unit) * unit
+    budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + 11 * unit / 2**11 + 2 * unit / y + value * unit
     return value, budget
 
 
