@@ -122,63 +122,135 @@ _CHECK_BUILDERS = {
 }
 
 
+# The CLI's grammar, declared once: each command's help and its arguments,
+# each the name and keyword arguments of add_argument.  _build_parser
+# turns it into argparse; _parse_plain reads a plain command line from it.
+_COMMANDS = {
+    "eval": (
+        "evaluate one formula at one point",
+        (
+            ("formula", {"type": _parse_formula}),
+            ("x", {"type": _parse_number}),
+            ("--digits", {"type": int, "default": DEFAULT_DIGITS}),
+        ),
+    ),
+    "table": (
+        "print the comparison table",
+        (
+            ("--x", {"type": _parse_number_list, "default": DEFAULT_ABSCISSAS}),
+            ("--formulas", {"type": _parse_formula_list, "default": DEFAULT_FORMULAS}),
+            ("--format", {"choices": ("csv", "markdown"), "default": "csv"}),
+            ("--digits", {"type": int, "default": DEFAULT_DIGITS}),
+        ),
+    ),
+    "verify": (
+        "run the certification suite",
+        (
+            (
+                "--only",
+                {
+                    "action": "append",
+                    "choices": sorted(_CHECK_BUILDERS),
+                    "help": "run only this check (repeatable, each name at most once)",
+                },
+            ),
+            (
+                "--grid",
+                {
+                    "type": _parse_grid,
+                    "default": DEFAULT_VERIFY_GRID,
+                    "help": "START:STOP:COUNT grid for the monotonicity checks",
+                },
+            ),
+            ("--digits", {"type": int, "default": DEFAULT_DIGITS}),
+            ("--format", {"choices": ("text", "csv"), "default": "text"}),
+        ),
+    ),
+    "rate": (
+        "estimate the x^-9 decay constant",
+        (
+            ("--formula", {"type": _parse_formula, "default": FormulaId.W2, "help": "w2 or w2star"}),
+            ("--x", {"type": _parse_number_list, "default": (Fraction(100), Fraction(1000))}),
+            ("--digits", {"type": int, "default": RATE_DIGITS}),
+        ),
+    ),
+    "constants": (
+        "print the sharp constants",
+        (("--digits", {"type": int, "default": 12}),),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of :data:`_COMMANDS`: it words every usage, help and error text."""
     parser = argparse.ArgumentParser(
         prog="windschitl",
         description="Windschitl-type gamma approximations: evaluation, "
         "comparison tables, and exact certification of the sharp constants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate one formula at one point")
-    p_eval.add_argument("formula", type=_parse_formula)
-    p_eval.add_argument("x", type=_parse_number)
-    p_eval.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
-
-    p_table = sub.add_parser("table", help="print the comparison table")
-    p_table.add_argument("--x", type=_parse_number_list, default=DEFAULT_ABSCISSAS)
-    p_table.add_argument("--formulas", type=_parse_formula_list, default=DEFAULT_FORMULAS)
-    p_table.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p_table.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
-
-    p_verify = sub.add_parser("verify", help="run the certification suite")
-    p_verify.add_argument(
-        "--only",
-        action="append",
-        choices=sorted(_CHECK_BUILDERS),
-        help="run only this check (repeatable, each name at most once)",
-    )
-    p_verify.add_argument(
-        "--grid",
-        type=_parse_grid,
-        default=DEFAULT_VERIFY_GRID,
-        help="START:STOP:COUNT grid for the monotonicity checks",
-    )
-    p_verify.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
-    p_verify.add_argument("--format", choices=("text", "csv"), default="text")
-
-    p_rate = sub.add_parser("rate", help="estimate the x^-9 decay constant")
-    p_rate.add_argument(
-        "--formula",
-        type=_parse_formula,
-        default=FormulaId.W2,
-        help="w2 or w2star",
-    )
-    p_rate.add_argument("--x", type=_parse_number_list, default=(Fraction(100), Fraction(1000)))
-    p_rate.add_argument("--digits", type=int, default=RATE_DIGITS)
-
-    p_constants = sub.add_parser("constants", help="print the sharp constants")
-    p_constants.add_argument("--digits", type=int, default=12)
-
+    for command, (help_text, arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        for name, kwargs in arguments:
+            p_command.add_argument(name, **kwargs)
     return parser
 
 
+def _dest(name: str) -> str:
+    """The attribute argparse stores an argument under."""
+    return name.lstrip("-").replace("-", "_")
+
+
+def _parse_plain(argv) -> argparse.Namespace | None:
+    """The namespace argparse would return for a plain command line, else None.
+
+    Plain means: a command, then each of its options spelled in full and
+    followed by a value that does not start with "-", and exactly its
+    positionals, in any order.  Values are converted and checked as
+    argparse does, from the same declaration.  Every other line (help,
+    abbreviations, --opt=value, "--", a value argparse would refuse) gives
+    None, and argparse parses it again and words the message.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _COMMANDS[argv[0]][1]
+    options = {name: kwargs for name, kwargs in arguments if name.startswith("-")}
+    positionals = [(name, kwargs) for name, kwargs in arguments if not name.startswith("-")]
+    values = {_dest(name): kwargs.get("default") for name, kwargs in arguments}
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            kwargs = options.get(word)
+            value = next(words, None)
+            if kwargs is None or value is None or value.startswith("-"):
+                return None
+            name = word
+        elif positionals:
+            (name, kwargs), value = positionals.pop(0), word
+        else:
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        dest = _dest(name)
+        if kwargs.get("action") == "append":
+            value = (values[dest] or []) + [value]
+        values[dest] = value
+    if positionals:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    args = _parse_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         return _dispatch(args)
     except (DomainError, OverflowError, PrecisionError, ValueError, ZeroDivisionError) as e:

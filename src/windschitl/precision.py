@@ -780,9 +780,10 @@ def _stirling_fixed(x: tuple, twice_a: int, prec: int) -> tuple[int, int]:
     + 1 + bitlen(|e| + 1), and F = prec + _STIRLING_GUARD - mag puts a unit
     at 2^-(prec+12) of that.  x + a is the exact N 2^-t, and ln x at
     F + bitlen(N) + 2 - t fraction bits (:func:`_ln_fixed`) times N, shifted
-    right by bitlen(N) + 2, is within 1.5 units; -x and ln sqrt(2 pi), the
-    cached prec-bit constant within 2^-(prec+1), are floored.  So T 2^-F is
-    within 3.5 units and 2^-(prec+1).
+    right by bitlen(N) + 2, is within 1.5 units; -x and ln sqrt(2 pi) are
+    floored, the constant taken at prec + _STIRLING_GUARD bits, so within
+    2^-(prec+12), a quarter unit at most, before its floor.  So T 2^-F is
+    within 3.75 units.
     """
     _, man, exp, bc = x
     e = exp + bc
@@ -793,7 +794,8 @@ def _stirling_fixed(x: tuple, twice_a: int, prec: int) -> tuple[int, int]:
         num, t = (man << 1) + (twice_a << -exp), 1 - exp
     lead = num.bit_length() + 2  # |N| < 2^(lead - 2)
     total = (num * _ln_fixed(x, frac_bits + lead - t)) >> lead
-    total -= libmp.to_fixed(x, frac_bits) - libmp.to_fixed(ln_sqrt_two_pi(prec).raw, frac_bits)
+    constant = ln_sqrt_two_pi(prec + _STIRLING_GUARD).raw
+    total -= libmp.to_fixed(x, frac_bits) - libmp.to_fixed(constant, frac_bits)
     return total, frac_bits
 
 
@@ -882,8 +884,8 @@ def _shifted(x: tuple, prec: int, cfg: OracleConfig, name: str) -> tuple[int, tu
 
 def ln_stirling_term(x: PrecisionReal, twice_a: int) -> PrecisionReal:
     """ln sqrt(2 pi) + (x + twice_a/2) ln x - x for x > 0, twice_a in {-1, 0, 1},
-    rounded once to the precision of x: within half an ulp plus 3.5 units
-    of 2^-F and 2^-(p+1) (see :func:`_stirling_fixed`)."""
+    rounded once to the precision of x: within half an ulp plus 3.75 units
+    of 2^-F (see :func:`_stirling_fixed`)."""
     total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
     return _wrap(libmp.from_man_exp(total, -frac_bits, x.prec, _RND), x.prec)
 
@@ -900,9 +902,9 @@ def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     The sum runs in one integer at the F fraction bits of
     :func:`_stirling_fixed` at y, with p the working bits, and is rounded
     once.  Error budget: the series truncation, below 10^-(D+5); the
-    Stirling main term, 3.5 units of 2^-F and 2^-(p+1) from ln sqrt(2 pi);
-    the series (:func:`_stirling_series`), below 2^-(p+10) before its
-    division by y, and one unit from the division; the shift product
+    Stirling main term, 3.75 units of 2^-F; the series
+    (:func:`_stirling_series`), below 2^-(p+10) before its division by y,
+    and one unit from the division; the shift product
     (:func:`_rising_product`), below 2^-(p+8) in its logarithm, and 1.25
     units from that logarithm (:func:`_ln_fixed`); the one rounding of y,
     |psi(y)| ulp(y)/2; and one rounding to nearest at p bits.  The 6

@@ -628,9 +628,26 @@ def test_oracles_match_mpmath_around_the_threshold_above_200_digits(digits):
 
 def stirling_term_budget(x: PrecisionReal, twice_a: int) -> Fraction:
     """What ln_stirling_term's docstring allows before its one rounding:
-    3.5 units of 2^-F and 2^-(p+1)."""
+    3.75 units of 2^-F."""
     _, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
-    return Fraction(7, 2 ** (frac_bits + 1)) + Fraction(1, 2 ** (x.prec + 1))
+    return Fraction(15, 2 ** (frac_bits + 2))
+
+
+def stirling_term_references(x: PrecisionReal) -> dict[int, Fraction]:
+    """ln sqrt(2 pi) + (x + twice_a/2) ln x - x for each twice_a in {-1, 0, 1},
+    by mpmath at 2p + 64 bits."""
+    with mpmath.workprec(2 * x.prec + 64):
+        arg = mpmath.mpf(x.raw)
+        ln_arg, half_ln_two_pi = mpmath.log(arg), mpmath.log(2 * mpmath.pi) / 2
+        return {a2: raw_fraction((half_ln_two_pi + (arg + mpmath.mpf(a2) / 2) * ln_arg - arg)._mpf_)
+                for a2 in (-1, 0, 1)}
+
+
+def assert_stirling_term_within_budget(x: PrecisionReal, context) -> None:
+    for a2, exact in stirling_term_references(x).items():
+        got = ln_stirling_term(x, a2)
+        half_ulp = abs(got.to_fraction()) / 2**x.prec
+        assert abs(got.to_fraction() - exact) <= stirling_term_budget(x, a2) + half_ulp, (context, a2)
 
 
 @pytest.mark.parametrize("digits", [19, 50, 200, 500])
@@ -642,17 +659,18 @@ def test_ln_gamma_and_the_stirling_term_stay_within_their_one_rounding_budgets(d
     for x in points:
         w = working_argument(x, cfg)  # full-mantissa where x is not dyadic
         with mpmath.workprec(2 * prec + 64):
-            arg = mpmath.mpf(w.raw)
-            want = raw_fraction(mpmath.loggamma(arg)._mpf_)
-            ln_arg, half_ln_two_pi = mpmath.log(arg), mpmath.log(2 * mpmath.pi) / 2
-            stirling = {a2: raw_fraction((half_ln_two_pi + (arg + mpmath.mpf(a2) / 2) * ln_arg - arg)._mpf_)
-                        for a2 in (-1, 0, 1)}
+            want = raw_fraction(mpmath.loggamma(mpmath.mpf(w.raw))._mpf_)
         value, budget = ln_gamma_with_budget(w.to_fraction(), cfg)
         assert abs(value - want) <= budget, f"ln_gamma_ref at x = {x}, {digits} digits"
-        for a2, exact in stirling.items():
-            got = ln_stirling_term(w, a2)
-            half_ulp = abs(got.to_fraction()) / 2**prec
-            assert abs(got.to_fraction() - exact) <= stirling_term_budget(w, a2) + half_ulp, (x, a2, digits)
+        assert_stirling_term_within_budget(w, (x, digits))
+
+
+@pytest.mark.parametrize("prec", [64, 207, 738])
+def test_the_stirling_term_stays_within_its_budget_where_it_nearly_cancels(prec):
+    """On [1/2, 5/2) the term is far smaller than its parts (0.027 at x = 3/2
+    and a = 0), so the error of ln sqrt(2 pi) would show in its last bits."""
+    for k in range(8, 40):
+        assert_stirling_term_within_budget(PrecisionReal(Fraction(k, 16), prec), (Fraction(k, 16), prec))
 
 
 # ---------------------------------------------------------------------------
@@ -922,13 +940,13 @@ def _shifted_argument(x: Fraction, cfg: OracleConfig) -> Fraction:
 def ln_gamma_with_budget(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Fraction]:
     """ln_gamma_ref(x) and the sum of its docstring's error budget: the
     truncation; six units of 2^-F, F the fraction bits of the Stirling term
-    at y, and 2^-(p+1) from ln sqrt(2 pi); the shift product and the
-    series, 2^-(p+8) and 2^-(p+10); the rounding of y (|psi(y)| ulp(y)/2 <=
-    y ln(y) 2^-p for y >= 2); and one rounding of the value."""
+    at y; the shift product and the series, 2^-(p+8) and 2^-(p+10); the
+    rounding of y (|psi(y)| ulp(y)/2 <= y ln(y) 2^-p for y >= 2); and one
+    rounding of the value."""
     prec = cfg.precision_bits
     value, y, unit = ln_gamma_ref(x, cfg).to_fraction(), _shifted_argument(x, cfg), Fraction(1, 2**prec)
     _, frac_bits = _stirling_fixed(PrecisionReal(y, prec).raw, -1, prec)
-    fixed = 6 * Fraction(1, 2**frac_bits) + unit / 2 + unit / 2**8 + unit / 2**10
+    fixed = 6 * Fraction(1, 2**frac_bits) + unit / 2**8 + unit / 2**10
     budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + fixed + (y * _ln_bound(y) + abs(value)) * unit
     return value, budget
 

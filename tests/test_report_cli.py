@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import sys
@@ -475,6 +476,95 @@ def test_grid_option_controls_monotone_checks(capsys):
     assert main(["verify", "--only", "monotone-convex-w2", "--grid", "1:6:6"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS monotone-convex-w2")
+
+
+# ---------------------------------------------------------------------------
+# Parsing: a plain command line is read from the declared grammar, and
+# wherever that route answers, it answers as argparse does
+# ---------------------------------------------------------------------------
+
+# well-formed values for each declared argument, then values argparse refuses
+# or that the plain route leaves to argparse
+WELL_FORMED_VALUES = {
+    "formula": st.sampled_from([f.value for f in FormulaId]),
+    "x": st.sampled_from(["1", "3/2", "0.5", "1e3", "100"]),
+    "--digits": st.integers(1, 300).map(str),
+    "--x": st.lists(st.sampled_from(["1", "2.5", "7/3", "1e2"]), max_size=3).map(",".join),
+    "--formulas": st.lists(st.sampled_from([f.value for f in FormulaId]), max_size=3).map(",".join),
+    "--format": st.sampled_from(["csv", "markdown", "text"]),
+    "--only": st.sampled_from(sorted(cli._CHECK_BUILDERS)),
+    "--grid": st.sampled_from(["1:50:5", "2:3:3", "1/2:7:4"]),
+    "--formula": st.sampled_from(["w2", "w2star", "w0"]),
+}
+ODD_VALUES = st.sampled_from(["-1", "-5", "abc", "", "1:2", "nosuch", "inf", "1,", "--", "-h", "1e100000"])
+
+
+@st.composite
+def command_lines(draw, odd=True):
+    """A command, then its option/value pairs and positionals in any order,
+    options repeated; with odd=True, mixed with what argparse must handle."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    names = [name for name, _ in cli._COMMANDS[command][1]]
+    options = [name for name in names if name.startswith("-")]
+    value = lambda name: draw(ODD_VALUES if odd and draw(st.integers(0, 9)) == 0 else WELL_FORMED_VALUES[name])
+    items = [[value(name)] for name in names if not name.startswith("-")]
+    for name in draw(st.lists(st.sampled_from(options), max_size=5)):
+        items.insert(draw(st.integers(0, len(items))), [name, value(name)])
+    if odd:
+        oddities = [
+            lambda name: [name[: draw(st.integers(3, len(name)))], value(name)],  # abbreviation
+            lambda name: [f"{name}={value(name)}"],
+            lambda name: ["--"],
+            lambda name: [draw(st.sampled_from(["-h", "--help"]))],
+            lambda name: [value("x")],  # a positional too many
+            lambda name: [name],  # an option without its value
+        ]
+        if draw(st.integers(0, 2)) == 0:
+            for oddity in draw(st.lists(st.sampled_from(oddities), min_size=1, max_size=2)):
+                items.insert(draw(st.integers(0, len(items))), oddity(draw(st.sampled_from(options))))
+        if draw(st.integers(0, 5)) == 0 and items:
+            items.pop(draw(st.integers(0, len(items) - 1)))  # a positional may go missing
+        if draw(st.integers(0, 9)) == 0:
+            command = draw(st.sampled_from(["", "-h", "--help", "ev", "frobnicate"]))
+    return [command] + [word for item in items for word in item]
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it refuses the line or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_the_plain_route_agrees_with_argparse_or_declines(argv):
+    plain = cli._parse_plain(argv)
+    assert plain is None or vars(plain) == argparse_vars(argv), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_lines(odd=False))
+def test_the_plain_route_serves_every_well_formed_line(argv):
+    expected = argparse_vars(argv)
+    plain = cli._parse_plain(argv)
+    if expected is None:  # a well-formed value argparse still refuses, such as --format text for table
+        assert plain is None, argv
+    else:
+        assert plain is not None and vars(plain) == expected, argv
+
+
+def test_every_declared_argument_uses_only_what_the_plain_route_reads():
+    for _, arguments in cli._COMMANDS.values():
+        for name, kwargs in arguments:
+            assert set(kwargs) <= {"type", "default", "choices", "action", "help"}, name
+            assert kwargs.get("action", "append") == "append", name
+            # argparse would convert a string default by its type, and the plain route does not
+            assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), name
+            # a positional has no default and no action
+            assert name.startswith("-") or not {"default", "action"} & set(kwargs), name
 
 
 # ---------------------------------------------------------------------------
