@@ -53,13 +53,10 @@ def _parse_number(text: str) -> Fraction:
     the value is built, which could take minutes.
     """
     limit = sys.get_int_max_str_digits()
-    too_large = argparse.ArgumentTypeError(
-        f"too large to print: {text!r} has more than {limit} digits as an exact fraction"
-    )
     try:
         if "/" in text:
             if limit and any(sum(map(str.isdigit, side)) > limit for side in text.split("/")):
-                raise too_large
+                raise _too_large(text, limit)
             value = Fraction(text)
         else:
             number = Decimal(text)
@@ -67,15 +64,21 @@ def _parse_number(text: str) -> Fraction:
             # c 10^e with c of n digits: the numerator has n + e digits, the
             # denominator at least -e - n + 1
             if limit and number.is_finite() and number and abs(exponent) > limit + len(digits):
-                raise too_large
+                raise _too_large(text, limit)
             value = Fraction(number)
     except (InvalidOperation, OverflowError, ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from e
     largest = max(abs(value.numerator), value.denominator)
     # 10^limit has more than 3 limit bits, so most values skip building it
     if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
-        raise too_large
+        raise _too_large(text, limit)
     return value
+
+
+def _too_large(text: str, limit: int) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(
+        f"too large to print: {text!r} has more than {limit} digits as an exact fraction"
+    )
 
 
 def _parse_number_list(text: str) -> tuple[Fraction, ...]:

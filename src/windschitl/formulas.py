@@ -14,10 +14,11 @@ decreasing and convex on (1, oo) with range (0, value-at-1).
 from __future__ import annotations
 
 import enum
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .exact import Polynomial, RationalFunction
 from .precision import (
     DEFAULT_CONFIG,
@@ -195,8 +196,7 @@ def approximate(formula: FormulaId, x: PrecisionReal) -> PrecisionReal:
     return exp(log_approximate(formula, x))
 
 
-@dataclass(frozen=True)
-class LogErrorValue:
+class LogErrorValue(Record):
     """Error of one formula at one abscissa against the reference oracle.
 
     ``log_value`` is ln F(x) at the precision of ``x``; ``log_gap`` is
@@ -206,11 +206,21 @@ class LogErrorValue:
     within one ulp of that value at the computed gap, however small the gap.
     """
 
-    x: PrecisionReal
-    formula: FormulaId
-    log_value: PrecisionReal
-    log_gap: PrecisionReal
-    relative_error: PrecisionReal
+    def __init__(
+        self,
+        x: PrecisionReal,
+        formula: FormulaId,
+        log_value: PrecisionReal,
+        log_gap: PrecisionReal,
+        relative_error: PrecisionReal,
+    ):
+        vars(self).update(
+            x=x,
+            formula=formula,
+            log_value=log_value,
+            log_gap=log_gap,
+            relative_error=relative_error,
+        )
 
     def format_relative_error(self, sig_digits: int) -> str:
         """``format_sci`` of the relative error, or an OverflowError that names
@@ -225,11 +235,17 @@ class LogErrorValue:
     def format_value(self, digits: int) -> str:
         """F(x) to ``digits`` significant digits, or an OverflowError as above,
         raised before F(x) is built, when its decimal exponent log_value / ln 10
-        has more digits than Python prints (``sys.get_int_max_str_digits()``)."""
+        has more digits than Python prints (``sys.get_int_max_str_digits()``).
+        ln 10 is taken only when log_value's binary exponent cannot decide."""
         limit, log_value = sys.get_int_max_str_digits(), self.log_value
-        exponent = log_value / ln(PrecisionReal(10, log_value.prec))
-        if limit and exponent and floor_log10(exponent) >= limit:
-            raise self._unprintable("value", f"exp({format_sci(log_value, 6)})")
+        _, man, exponent, bits = log_value.raw
+        # |log_value| < 2^(exponent + bits) and ln 10 > 2, so the decimal
+        # exponent is below 2^(exponent + bits - 1): printable while that is
+        # at most 10^limit, with 13 % to spare for the float product
+        if limit and man and exponent + bits - 1 > limit * math.log2(10):
+            decimal_exponent = log_value / ln(PrecisionReal(10, log_value.prec))
+            if floor_log10(decimal_exponent) >= limit:
+                raise self._unprintable("value", f"exp({format_sci(log_value, 6)})")
         return exp(log_value).to_decimal_string(digits)
 
     def _unprintable(self, what: str, form: str) -> OverflowError:

@@ -9,26 +9,22 @@ themselves exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
+from ._record import Record
 from .formulas import FormulaId
 
 __all__ = ["GoldenCell", "TABLE_ABSCISSAS", "TABLE_FORMULAS", "TABLE_GOLDENS"]
 
 
-@dataclass(frozen=True)
-class GoldenCell:
-    x: Fraction
-    formula: FormulaId
-    expected_relative_error: Fraction
-
-    def __post_init__(self):
-        if self.x <= 0:
+class GoldenCell(Record):
+    def __init__(self, x: Fraction, formula: FormulaId, expected_relative_error: Fraction):
+        if x <= 0:
             raise ValueError("abscissa must be positive")
-        if self.expected_relative_error <= 0:
+        if expected_relative_error <= 0:
             raise ValueError("expected relative error must be positive")
+        vars(self).update(x=x, formula=formula, expected_relative_error=expected_relative_error)
 
 
 _PRINTED_FORMULAS = ("nemes2", "chen", "w1", "w2")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
@@ -26,6 +25,7 @@ from itertools import accumulate
 
 from mpmath import libmp
 
+from ._record import Record
 from .exact import bernoulli
 
 __all__ = [
@@ -508,8 +508,7 @@ def round_decimal(value, places: int) -> Decimal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(Record):
     """Accuracy contract for the reference oracles: one number, the digits.
 
     Arithmetic runs with ``guard_digits`` extra digits.  Arguments below
@@ -520,11 +519,20 @@ class OracleConfig:
     and ``repr`` see the digits alone.
     """
 
-    target_decimal_digits: int
-
-    def __post_init__(self):
-        if self.target_decimal_digits <= 0:
+    def __init__(self, target_decimal_digits: int):
+        if target_decimal_digits <= 0:
             raise ValueError("target_decimal_digits must be positive")
+        vars(self).update(target_decimal_digits=target_decimal_digits)
+
+    # part of every oracle memo key, so written out over the one field:
+    # cheaper than Record's generic pair
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.target_decimal_digits == other.target_decimal_digits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.target_decimal_digits)
 
     @classmethod
     def for_digits(cls, digits: int) -> OracleConfig:

@@ -10,10 +10,10 @@ byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .formulas import FormulaId, LogErrorValue, log_error
 from .goldens import TABLE_ABSCISSAS, TABLE_FORMULAS
 from .precision import DEFAULT_DIGITS, OracleConfig, format_sci
@@ -32,27 +32,28 @@ DEFAULT_ABSCISSAS = TABLE_ABSCISSAS
 DEFAULT_FORMULAS = TABLE_FORMULAS
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(Record):
     """What to tabulate: abscissas x formulas at a given oracle accuracy."""
 
-    abscissas: tuple[Fraction, ...] = DEFAULT_ABSCISSAS
-    formulas: tuple[FormulaId, ...] = DEFAULT_FORMULAS
-    precision_digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        if not self.formulas:
+    def __init__(
+        self,
+        abscissas: tuple[Fraction, ...] = DEFAULT_ABSCISSAS,
+        formulas: tuple[FormulaId, ...] = DEFAULT_FORMULAS,
+        precision_digits: int = DEFAULT_DIGITS,
+    ):
+        if not formulas:
             raise ValueError("at least one formula is required")
-        if len(set(self.formulas)) != len(self.formulas):
+        if len(set(formulas)) != len(formulas):
             raise ValueError("formulas must be distinct")
-        if not self.abscissas:
+        if not abscissas:
             raise ValueError("at least one abscissa is required")
-        if any(x <= 0 for x in self.abscissas):
+        if any(x <= 0 for x in abscissas):
             raise ValueError("abscissas must be positive")
-        if any(b <= a for a, b in zip(self.abscissas, self.abscissas[1:])):
+        if any(b <= a for a, b in zip(abscissas, abscissas[1:])):
             raise ValueError("abscissas must be strictly increasing")
-        if self.precision_digits <= 0:
+        if precision_digits <= 0:
             raise ValueError("precision_digits must be positive")
+        vars(self).update(abscissas=abscissas, formulas=formulas, precision_digits=precision_digits)
 
     @property
     def config(self) -> OracleConfig:

@@ -24,7 +24,7 @@ from windschitl import (
     render_csv,
     render_markdown,
 )
-from windschitl import cli
+from windschitl import cli, formulas, verify
 from windschitl.cli import main
 from windschitl.report import DEFAULT_ABSCISSAS, DEFAULT_FORMULAS
 
@@ -102,7 +102,18 @@ def test_wrong_mantissa_fixture_fails_with_named_cell():
     ]
     report = check_goldens(cells=broken)
     assert not report.passed
-    assert any("x=2, w2" in w.description for w in report.failures)
+    (failure,) = report.failures
+    assert "x=2, w2" in failure.description
+    assert failure.value.startswith("computed 2.30") and failure.value.endswith(", published 9.999E-7")
+
+
+def test_passing_cells_format_no_witness(monkeypatch):
+    shown = []
+    format_sci = verify.format_sci
+    monkeypatch.setattr(verify, "format_sci", lambda value, digits: shown.append(digits) or format_sci(value, digits))
+    report = check_goldens(cells=TABLE_GOLDENS[:8])
+    assert report.passed
+    assert shown == [3]  # the worst-cell note's severity alone
 
 
 def test_w2_column_survives_four_digit_tolerance():
@@ -339,6 +350,23 @@ def test_the_refusal_is_exact_at_the_digit_limit(default_digit_limit):
         assert parse("1e5000") == 10**5000
 
 
+def test_a_number_that_parses_builds_no_error(monkeypatch, default_digit_limit):
+    built = []
+
+    class Counted(argparse.ArgumentTypeError):
+        def __init__(self, message):
+            built.append(message)
+            super().__init__(message)
+
+    monkeypatch.setattr(cli.argparse, "ArgumentTypeError", Counted)
+    for text in ("1", "-2.5", "3/4", "1e4299", "1" * 4300 + "/3"):
+        cli._parse_number(text)
+    assert built == []
+    with pytest.raises(Counted, match="too large to print: '1e4300'"):
+        cli._parse_number("1e4300")
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -442,6 +470,26 @@ def test_format_value_refuses_exactly_a_decimal_exponent_past_the_digit_limit(mo
                 record.format_value(10)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_format_value_takes_ln_10_only_where_the_binary_exponent_cannot_decide(
+    monkeypatch, default_digit_limit, sign
+):
+    # |log_value| < 2^m bounds the decimal exponent by 2^(m-1) / (ln 10 / 2),
+    # which 10^4300 exceeds up to m = 14285
+    monkeypatch.setattr(PrecisionReal, "to_decimal_string", lambda self, digits: "rendered")
+    taken = []
+    monkeypatch.setattr(formulas, "ln", lambda x: taken.append(x) or ln(x))
+    prec = 207
+    one = PrecisionReal(1, prec)
+    below = PrecisionReal(2**14285 - 2 ** (14285 - prec), prec)  # m = 14285
+    at = PrecisionReal(2**14285, prec)  # m = 14286; still printable, at 0.71 10^4300
+    for log_value, takes_ln in ((one, False), (one - one, False), (below, False), (at, True)):
+        record = LogErrorValue(one, FormulaId.W2, sign * log_value, log_gap=one, relative_error=one)
+        assert record.format_value(10) == "rendered"
+        assert len(taken) == takes_ln
+        taken.clear()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -466,7 +514,7 @@ def test_unprintable_table_cell_names_its_argument(capsys, argv, message):
 
 
 def test_verify_grids_follow_the_linear_grid_rule():
-    from windschitl import cli
+    from windschitl import cli, formulas, verify
 
     assert cli.DEFAULT_VERIFY_GRID == tuple(1 + Fraction(i, 2) for i in range(99))  # 1..50
     assert cli._parse_grid("1:6:6") == tuple(Fraction(k) for k in range(1, 7))
