@@ -14,13 +14,13 @@ decreasing and convex on (1, oo) with range (0, value-at-1).
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from fractions import Fraction
 
 from ._record import Record
 from .exact import Polynomial, RationalFunction
 from .precision import (
+    _LOG2_10,
     DEFAULT_CONFIG,
     OracleConfig,
     PrecisionReal,
@@ -242,7 +242,7 @@ class LogErrorValue(Record):
         # |log_value| < 2^(exponent + bits) and ln 10 > 2, so the decimal
         # exponent is below 2^(exponent + bits - 1): printable while that is
         # at most 10^limit, with 13 % to spare for the float product
-        if limit and man and exponent + bits - 1 > limit * math.log2(10):
+        if limit and man and exponent + bits - 1 > limit * _LOG2_10:
             decimal_exponent = log_value / ln(PrecisionReal(10, log_value.prec))
             if floor_log10(decimal_exponent) >= limit:
                 raise self._unprintable("value", f"exp({format_sci(log_value, 6)})")

@@ -524,16 +524,6 @@ class OracleConfig(Record):
             raise ValueError("target_decimal_digits must be positive")
         vars(self).update(target_decimal_digits=target_decimal_digits)
 
-    # part of every oracle memo key, so written out over the one field:
-    # cheaper than Record's generic pair
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.target_decimal_digits == other.target_decimal_digits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.target_decimal_digits)
-
     @classmethod
     def for_digits(cls, digits: int) -> OracleConfig:
         """The oracle configuration for a target accuracy."""

@@ -776,13 +776,12 @@ def check_goldens(
         published = cell.expected_relative_error
         band = Fraction(10) ** floor_log10(published) / (2 * 10 ** (tol_sig_digits - 1))
         offset = abs(computed - published)
-        if offset >= band:
-            c.expect(
-                False,
-                f"cell (x={cell.x}, {cell.formula.value}) matches to "
-                f"{tol_sig_digits} significant digits",
-                f"computed {format_sci(computed, 6)}, published {format_sci(published, 4)}",
-            )
+        offset < band or c.expect(
+            False,
+            f"cell (x={cell.x}, {cell.formula.value}) matches to "
+            f"{tol_sig_digits} significant digits",
+            f"computed {format_sci(computed, 6)}, published {format_sci(published, 4)}",
+        )
         severity = offset / band
         if worst is None or severity > worst[0]:
             worst = (severity, cell)

@@ -514,7 +514,7 @@ def test_unprintable_table_cell_names_its_argument(capsys, argv, message):
 
 
 def test_verify_grids_follow_the_linear_grid_rule():
-    from windschitl import cli, formulas, verify
+    from windschitl import cli
 
     assert cli.DEFAULT_VERIFY_GRID == tuple(1 + Fraction(i, 2) for i in range(99))  # 1..50
     assert cli._parse_grid("1:6:6") == tuple(Fraction(k) for k in range(1, 7))
