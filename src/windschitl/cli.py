@@ -5,12 +5,14 @@ comparison table as CSV or Markdown), ``verify`` (the certification
 suite; exit code 1 on any failure), ``rate`` (the x^-9 decay constant),
 and ``constants`` (the sharp constants).  Results go to stdout,
 diagnostics to stderr; exit codes are 0 (success), 1 (verification
-failure), 2 (usage or domain error).
+failure, or a reader that closed stdout before the command finished), 2
+(usage or domain error).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -255,7 +257,20 @@ def main(argv=None) -> int:
         except SystemExit as e:
             return int(e.code or 0)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`verify | head -1`); the output left in
+        # the buffer goes to the null device, as Python's signal docs advise
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # an in-memory stdout has no descriptor
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except (DomainError, OverflowError, PrecisionError, ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "bernoulli",
+    "tangent_numbers",
     "Polynomial",
     "RationalFunction",
     "ShapeError",
@@ -39,48 +40,59 @@ def _rat(value) -> Fraction:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_bernoulli_lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = []
+_tangent_lock = threading.Lock()
+_tangent_cache: list[int] = [0]  # T_0 = 0 pads the list, so T_k sits at index k
+_bernoulli_cache: dict[int, Fraction] = {}  # B_n at even n >= 2, as built
 
 
-def _bernoulli_table(m: int) -> list[Fraction]:
-    """B_0 .. B_(2m+1), the even indices from the tangent numbers T_1 .. T_m.
-
-    Brent and Harvey, "Fast computation of Bernoulli, tangent and secant
-    numbers" (2011): integer recurrences give T_k, and
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) exactly.
-    """
+def _tangent_table(m: int) -> list[int]:
+    """T_0 .. T_m (at least T_1), from Brent and Harvey, "Fast computation
+    of Bernoulli, tangent and secant numbers" (2011): an O(m^2) recurrence
+    on integers only."""
     t = [0, 1] + [0] * (m - 1)  # t[k] = T_k
     for k in range(2, m + 1):
         t[k] = (k - 1) * t[k - 1]
     for k in range(2, m + 1):
         for j in range(k, m + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    table = [Fraction(1), Fraction(-1, 2)]
-    for k in range(1, m + 1):
-        four_k = 1 << (2 * k)
-        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
-        table += (b if k % 2 else -b, Fraction(0))
-    return table
+    return t
+
+
+def tangent_numbers(m: int) -> list[int]:
+    """A copy of [T_0, ..., T_m]: T_0 = 0 and the tangent numbers 1, 2, 16,
+    272, ... of tan x = sum_k T_k x^(2k-1) / (2k-1)!.
+
+    One pass yields every index up to its limit and cannot be extended, so
+    a cache miss at least doubles the cached range; a caller that needs
+    many indices should ask for the largest first.  The cache is guarded
+    so concurrent callers always observe the same values.
+    """
+    if m >= len(_tangent_cache):
+        with _tangent_lock:
+            size = len(_tangent_cache)
+            if m >= size:
+                _tangent_cache.extend(_tangent_table(max(m, 2 * size))[size:])
+    return _tangent_cache[: m + 1]
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, convention B_1 = -1/2.
 
-    Computed exactly from integer tangent numbers.  One pass yields every
-    index up to its limit and cannot be extended, so a cache miss at least
-    doubles the cached range; a caller that needs many indices should ask
-    for the largest first.  The cache is guarded so concurrent callers
-    always observe the same values.
+    Exact: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the cached
+    tangent numbers (:func:`tangent_numbers`), and 0 at odd n > 1.  The
+    ``Fraction`` (one gcd) is built when first asked for, then cached.
     """
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    if n >= len(_bernoulli_cache):
-        with _bernoulli_lock:
-            size = len(_bernoulli_cache)
-            if n >= size:
-                _bernoulli_cache.extend(_bernoulli_table(max(n, 2 * size) // 2)[size:])
-    return _bernoulli_cache[n]
+    if n < 2 or n & 1:
+        if n < 0:
+            raise ValueError("Bernoulli index must be >= 0")
+        return Fraction(1) if n == 0 else Fraction(-1, 2) if n == 1 else Fraction(0)
+    b = _bernoulli_cache.get(n)
+    if b is None:
+        k, four_k = n // 2, 1 << n
+        b = Fraction(n * tangent_numbers(k)[k], four_k * (four_k - 1))
+        # setdefault is atomic: racing callers all keep the first value stored
+        b = _bernoulli_cache.setdefault(n, b if k & 1 else -b)
+    return b
 
 
 # ---------------------------------------------------------------------------

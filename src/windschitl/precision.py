@@ -26,7 +26,8 @@ from itertools import accumulate
 from mpmath import libmp
 
 from ._record import Record
-from .exact import bernoulli
+from .exact import bernoulli  # noqa: F401 - unused here; perfbench/tests/test_tracing.py checks this binding
+from .exact import tangent_numbers
 
 __all__ = [
     "MIN_PRECISION_BITS",
@@ -536,21 +537,20 @@ class OracleConfig(Record):
 
     @cached_property
     def shift_threshold(self) -> int:
-        """max(ceil(0.4 D + 5), ceil(1.6 D - 240)): ceil(0.4 D + 5) up to
-        D = 204, then a steeper line.
+        """max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240)):
+        the first line up to D = 50, the second up to D = 297, the third above.
 
-        A higher threshold trades cheap shift steps (one integer product
-        each) for fewer series terms, whose Bernoulli numbers cost roughly
-        the cube of their index to build and whose Horner steps are full
-        products.  Up to about 200 digits the series is short and its
-        Bernoulli numbers cheap, so added shift steps cost more than the
-        terms they save (at D = 50, twice the threshold made a warm call
-        half as slow again); above that the series dominates.  At D = 500
-        the steeper line cuts the terms from 381 to 176 and a cold first
-        call of both oracles from about 80 to 20 ms.
+        A higher threshold trades shift steps for fewer series terms, each
+        a full product per call and a tangent number and two coefficients
+        to set up per process.  From 50 to 250 digits the second line
+        left warm calls on the benchmark's mix flat or a few percent faster
+        and halved a cold ``eval`` at 200 digits.  Above 300 digits a
+        full-mantissa argument's shift steps cost a warm process more than
+        the terms saved (2D made ``verify --digits 500`` a third slower).
+        perfbench pins 25 at D = 50, though 35 measured 1-4 % faster warm.
         """
         d = self.series_digits
-        return max((2 * d + 29) // 5, (8 * d - 1196) // 5)
+        return max((2 * d + 29) // 5, (17 * d - 331) // 20, (8 * d - 1196) // 5)
 
     @cached_property
     def series_terms(self) -> int:
@@ -593,29 +593,26 @@ def _validate_series(threshold: int, terms: int, target_digits: int) -> None:
     through the truncation index for every argument >= threshold, and
     (b) the first omitted term at the threshold is below 10^-(target+5),
     for both the log-gamma series (terms B_2j / (2j(2j-1) y^(2j-1))) and
-    the trigamma series (terms B_2j / y^(2j+1)).  The decrease check
-    |B_2j+2| <= |B_2j| t^2 runs cross-multiplied in integers,
-    |num_(j+1)| den_j <= |num_j| den_(j+1) t^2.
+    the trigamma series (terms B_2j / y^(2j+1)).  Both run on the tangent
+    numbers, |B_2j| = 2j T_j / (4^j (4^j - 1)), cross-multiplied in
+    integers: the decrease check |B_2j+2| <= |B_2j| t^2 is
+    (j+1) T_(j+1) (4^j - 1) <= 4 j T_j (4^(j+1) - 1) t^2.
     """
-    t_sq = threshold * threshold
-    budget = Fraction(1, 10 ** (target_digits + 5))
-    n1 = terms + 1
-    # the largest index first, so one Bernoulli pass fills the cache
-    b_next = abs(bernoulli(2 * n1))
-    b = bernoulli(2)
-    for j in range(1, terms + 1):
+    t_sq, n1 = threshold * threshold, terms + 1
+    tangents = tangent_numbers(n1)
+    for j in range(1, n1):
         # the raw Bernoulli ratio dominates the log-gamma term ratio, so one
         # decrease check covers both series
-        b_up = bernoulli(2 * j + 2)
-        if abs(b_up.numerator) * b.denominator > abs(b.numerator) * b_up.denominator * t_sq:
+        four_j = 1 << (2 * j)
+        if (j + 1) * tangents[j + 1] * (four_j - 1) > 4 * j * tangents[j] * (4 * four_j - 1) * t_sq:
             raise PrecisionError(
                 f"asymptotic terms stop decreasing at index {j + 1} for "
                 f"threshold {threshold}; raise the threshold or lower series_terms"
             )
-        b = b_up
-    lngamma_omitted = Fraction(b_next, (2 * n1) * (2 * n1 - 1)) / threshold ** (2 * n1 - 1)
-    trigamma_omitted = Fraction(b_next) / threshold ** (2 * n1 + 1)
-    if lngamma_omitted >= budget or trigamma_omitted >= budget:
+    # |B_2n1| / (2n1 (2n1-1) t^(2n1-1)) and |B_2n1| / t^(2n1+1) against 10^-(target+5)
+    scaled, four_n1 = tangents[n1] * 10 ** (target_digits + 5), 1 << (2 * n1)
+    below = four_n1 * (four_n1 - 1) * threshold ** (2 * n1 - 1)
+    if scaled >= (2 * n1 - 1) * below or 2 * n1 * scaled >= below * t_sq:
         raise PrecisionError(
             f"first omitted series term at threshold {threshold} exceeds the "
             f"{target_digits}-digit accuracy target; raise series_terms or the threshold"
@@ -674,34 +671,39 @@ def _series_fixed(
     """The fixed-point Stirling-series coefficients and the bounds that
     decide how many of them an argument needs: (coefficients, bounds).
 
-    c_j = B_2j / (2j(2j-1)) for "lngamma" and B_2j for "trigamma"; the
-    division runs on B_2j's reduced pair num/den as g = gcd(num, k),
-    (num // g) / (den (k // g)) with k = 2j(2j-1), the reduced pair that
-    ``Fraction`` division gives.  With
-    F = frac_bits and s = step, the coefficients are round(c_j 2^(F - s(j-1))),
-    j = terms..1.  A coefficient enters the sum times u^(j-1) <= 2^-s(j-1),
-    so its rounding costs half a unit of 2^-F there, however few bits it
-    keeps.  Where F - s(j-1) < 0, the denominator is shifted instead of the
-    numerator, and the coefficient is still rounded to nearest.
+    c_j = B_2j / (2j(2j-1)) for "lngamma" and B_2j for "trigamma", read
+    from the tangent numbers as (-1)^(j-1) 2^-2j num/den, the pair not
+    reduced: T_j / ((2j-1)(4^j-1)) and 2j T_j / (4^j-1).  With F =
+    frac_bits and s = step, the coefficients are round(c_j 2^(F -
+    s(j-1))), j = terms..1, which depends on the value alone.  A
+    coefficient enters the sum times u^(j-1) <= 2^-s(j-1), so its
+    rounding costs half a unit of 2^-F there, however few bits it keeps.
+    Where the exponent is negative, the denominator is shifted instead of
+    the numerator, and the coefficient is still rounded to nearest.
 
-    With L_j = F + bitlen(numerator) - bitlen(denominator) + 1 >= F +
-    log2 |c_j|, the first m terms suffice at u <= 2^-e2 when
-    L_(m+1) - e2 m < 0: the first omitted term is then below half a unit
-    of 2^-F.  That holds from e2 = L_(m+1) // m + 1 on.  The bounds are,
-    for m = terms-1..1, the least e2 from which some m' <= m terms
-    suffice, so they ascend (see :func:`_terms_needed`).
+    With L_j = F + floor(log2 |c_j|) + 1 > F + log2 |c_j|, the first m
+    terms suffice at u <= 2^-e2 when L_(m+1) - e2 m < 0: the first
+    omitted term is then below half a unit of 2^-F.  That holds from e2 =
+    L_(m+1) // m + 1 on.  The bounds are, for m = terms-1..1, the least
+    e2 from which some m' <= m terms suffice, so they ascend (see
+    :func:`_terms_needed`).
     """
+    tangents = tangent_numbers(terms)
     coeffs, least_e2 = [], []
     for j in range(terms, 0, -1):
-        c = bernoulli(2 * j)
-        num, den, bits = c.numerator, c.denominator, frac_bits - step * (j - 1)
-        if series == "lngamma":  # num/den is reduced, so this is c / k reduced
-            k = 2 * j * (2 * j - 1)
-            g = math.gcd(num, k)
-            num, den = num // g, den * (k // g)
+        # |c_j| = (num / den) 2^-2j, the power of two kept in the shift
+        num, den = tangents[j], (1 << (2 * j)) - 1
+        if series == "lngamma":
+            den *= 2 * j - 1
+        else:
+            num *= 2 * j
+        bits = frac_bits - step * (j - 1) - 2 * j
         if j > 1:  # the least e2 from which j - 1 terms suffice
-            log_bound = frac_bits + abs(num).bit_length() - den.bit_length() + 1  # L_j
-            least_e2.append(log_bound // (j - 1) + 1)
+            e = num.bit_length() - den.bit_length()
+            e -= (num << max(-e, 0)) < (den << max(e, 0))  # floor(log2 |c_j|) + 2j
+            least_e2.append((frac_bits + e - 2 * j + 1) // (j - 1) + 1)  # from L_j
+        if not j & 1:
+            num = -num
         if bits >= 0:
             num <<= bits
         else:

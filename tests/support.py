@@ -15,7 +15,12 @@ operation per step with every ``Fraction`` coefficient absorbed where it
 is used; the integer kernels of ``precision`` must stay within the two
 computations' stated rounding budgets of them.  ``exact_series_sum`` is
 the Stirling series summed exactly in integers, the reference for the
-fixed-point series kernel.  ``expm1_reference`` is
+fixed-point series kernel.  ``floor_log2``, ``series_fixed_fractions``
+and ``validate_series_fractions`` are the Stirling-series set-up on
+reduced ``Fraction`` Bernoulli numbers, with the truncation bounds
+stated from the value; the integer set-up from tangent numbers must give
+the same tables and the same verdicts.  ``tangent_from_recursion`` is T_k recovered from
+``bernoulli_recursion``.  ``expm1_reference`` is
 ``mpmath.expm1`` at twice the precision, and ``ulps_off`` measures a
 value against a reference in ulps.  ``format_sci_decimal``
 is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
@@ -34,7 +39,7 @@ import functools
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 import mpmath
 import pytest
@@ -167,6 +172,15 @@ def bernoulli_recursion(n: int) -> Fraction:
     return _RECURSION_VALUES[n]
 
 
+def tangent_from_recursion(k: int) -> int:
+    """T_k = |B_2k| 4^k (4^k - 1) / (2k) for k >= 1, from the recursion, and T_0 = 0."""
+    if k == 0:
+        return 0
+    t = abs(bernoulli_recursion(2 * k)) * 4**k * (4**k - 1) / (2 * k)
+    assert t.denominator == 1
+    return t.numerator
+
+
 class FractionPolynomial:
     """Dense polynomial as a tuple of ``Fraction`` coefficients, degree 0
     upward, trailing zeros stripped; every operation works coefficient by
@@ -244,6 +258,47 @@ def lngamma_series_fractions(terms: int) -> list[Fraction]:
 def trigamma_series_fractions(terms: int) -> list[Fraction]:
     """B_2j for j = 1..terms, exact."""
     return [bernoulli(2 * j) for j in range(1, terms + 1)]
+
+
+def floor_log2(c: Fraction) -> int:
+    """floor(log2 |c|) of a nonzero rational, decided by one Fraction comparison."""
+    e = abs(c.numerator).bit_length() - c.denominator.bit_length()
+    return e if abs(c) >= Fraction(2) ** e else e - 1
+
+
+def series_fixed_fractions(series: str, terms: int, frac_bits: int, step: int):
+    """``precision._series_fixed`` on Fractions: each c_j reduced, rounded
+    as floor(c_j 2^(F - s(j-1)) + 1/2), and each bound from L_j = F +
+    floor(log2 |c_j|) + 1: for m = terms-1..1, the least e2 from which
+    some m' <= m terms suffice, L_(m'+1) // m' + 1."""
+    coeffs = (lngamma_series_fractions if series == "lngamma" else trigamma_series_fractions)(terms)
+    rounded = [floor(c * Fraction(2) ** (frac_bits - step * (j - 1)) + Fraction(1, 2))
+               for j, c in zip(range(terms, 0, -1), reversed(coeffs))]
+    least = [(frac_bits + floor_log2(coeffs[j - 1]) + 1) // (j - 1) + 1 for j in range(2, terms + 1)]
+    bounds = [min(least[:m]) for m in range(terms - 1, 0, -1)]
+    return tuple(rounded), tuple(bounds)
+
+
+def validate_series_fractions(threshold: int, terms: int, target_digits: int) -> None:
+    """``precision._validate_series`` on reduced Fraction Bernoulli numbers,
+    with its messages."""
+    from windschitl.precision import PrecisionError
+
+    for j in range(1, terms + 1):
+        if abs(bernoulli(2 * j + 2)) > abs(bernoulli(2 * j)) * threshold**2:
+            raise PrecisionError(
+                f"asymptotic terms stop decreasing at index {j + 1} for "
+                f"threshold {threshold}; raise the threshold or lower series_terms"
+            )
+    n1, budget = terms + 1, Fraction(1, 10 ** (target_digits + 5))
+    b_next = abs(bernoulli(2 * n1))
+    lngamma_omitted = b_next / ((2 * n1) * (2 * n1 - 1)) / threshold ** (2 * n1 - 1)
+    trigamma_omitted = b_next / threshold ** (2 * n1 + 1)
+    if lngamma_omitted >= budget or trigamma_omitted >= budget:
+        raise PrecisionError(
+            f"first omitted series term at threshold {threshold} exceeds the "
+            f"{target_digits}-digit accuracy target; raise series_terms or the threshold"
+        )
 
 
 def exact_series_sum(numerators: list[int], den: int, y: Fraction) -> tuple[int, int]:

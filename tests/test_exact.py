@@ -23,6 +23,7 @@ from support import (
     bernoulli_recursion,
     bits,
     brute_force_sign_profile,
+    tangent_from_recursion,
 )
 
 # ---------------------------------------------------------------------------
@@ -58,19 +59,26 @@ def test_bernoulli_matches_the_recursion_through_200():
 
 
 def test_bernoulli_cache_grows_once_then_serves_smaller_indices(monkeypatch):
-    monkeypatch.setattr(exact, "_bernoulli_cache", [])
+    monkeypatch.setattr(exact, "_tangent_cache", [0])
+    monkeypatch.setattr(exact, "_bernoulli_cache", {})
     assert bernoulli(300) == bernoulli_recursion(300)
-    filled = len(exact._bernoulli_cache)
-    assert filled > 300
+    filled = len(exact._tangent_cache)
+    assert filled > 150
     assert bernoulli(120) == bernoulli_recursion(120)
-    assert len(exact._bernoulli_cache) == filled
+    assert len(exact._tangent_cache) == filled
+    assert exact._tangent_cache == [tangent_from_recursion(k) for k in range(filled)]
+    assert exact.tangent_numbers(60) == exact._tangent_cache[:61]
+    # a miss at least doubles the range: T_151 asks for T_0 .. T_302
+    exact.tangent_numbers(filled)
+    assert len(exact._tangent_cache) == 2 * filled + 1
 
 
 def test_bernoulli_cache_growth_under_thread_contention(monkeypatch):
     import sys
     import threading
 
-    monkeypatch.setattr(exact, "_bernoulli_cache", [])
+    monkeypatch.setattr(exact, "_tangent_cache", [0])
+    monkeypatch.setattr(exact, "_bernoulli_cache", {})
     orders = [(40, 200, 10, 120), (200, 3, 120, 41), (1, 121, 60, 199)] * 4
     results = [None] * len(orders)
     start = threading.Barrier(len(orders))
@@ -90,10 +98,15 @@ def test_bernoulli_cache_growth_under_thread_contention(monkeypatch):
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    cache = exact._bernoulli_cache
     for order, values in zip(orders, results):
         assert values == [bernoulli_recursion(n) for n in order]
-    cache = exact._bernoulli_cache
-    assert cache == [bernoulli_recursion(n) for n in range(len(cache))]
+        # every caller got the one value stored for an even index
+        assert all(v is cache[n] for n, v in zip(order, values) if n in cache)
+    assert sorted(cache) == [10, 40, 60, 120, 200]
+    tangents = exact._tangent_cache
+    assert len(tangents) > 100  # T_100, for B_200
+    assert tangents == [tangent_from_recursion(k) for k in range(len(tangents))]
 
 
 def test_bernoulli_cross_checked_by_csch_coefficients():

@@ -61,6 +61,7 @@ from support import (
     bits,
     exact_series_sum,
     expm1_reference,
+    floor_log2,
     format_sci_decimal,
     fresh_memos,
     horner_per_step,
@@ -68,9 +69,11 @@ from support import (
     lngamma_series_fractions,
     reference_operator,
     REFERENCE_OPERATORS,
+    series_fixed_fractions,
     trigamma_per_step,
     trigamma_series_fractions,
     ulps_off,
+    validate_series_fractions,
 )
 
 CFG50 = OracleConfig.for_digits(50)
@@ -801,11 +804,10 @@ def series_table(series: str, cfg: OracleConfig) -> tuple[tuple[int, ...], tuple
 
 
 def rule_terms(coeffs: list[Fraction], frac_bits: int, e2: int) -> int:
-    """The fewest m < terms with L_(m+1) - e2 m < 0, L_j = F + bitlen(num c_j) -
-    bitlen(den c_j) + 1, or terms if there is none: the truncation rule, restated."""
+    """The fewest m < terms with L_(m+1) - e2 m < 0, L_j = F + floor(log2 |c_j|)
+    + 1, or terms if there is none: the truncation rule, restated."""
     for m in range(1, len(coeffs)):
-        c = coeffs[m]  # c_(m+1)
-        if frac_bits + abs(c.numerator).bit_length() - c.denominator.bit_length() + 1 - e2 * m < 0:
+        if frac_bits + floor_log2(coeffs[m]) + 1 - e2 * m < 0:  # coeffs[m] is c_(m+1)
             return m
     return len(coeffs)
 
@@ -895,6 +897,15 @@ def test_stirling_series_matches_the_exact_sum_at_random_arguments(digits, man, 
     # y >= threshold, from just above it to about 2^530
     y = cfg.shift_threshold + Fraction(man, 2**128) * 2**scale
     assert_series_matches_exact_sum(series, cfg, y)
+
+
+@pytest.mark.parametrize("digits", [19, 50, 100, 200, 500, 1000, 2000])
+def test_series_tables_from_tangent_numbers_match_the_fraction_derivation(digits):
+    cfg = OracleConfig.for_digits(digits)
+    for series in SERIES_FRACTIONS:
+        layout = series_layout(series, cfg)
+        want = series_fixed_fractions(series, len(layout.coeffs), layout.frac_bits, layout.step)
+        assert series_table(series, cfg) == want, series
 
 
 def test_series_tables_are_bounded_and_rebuild_bit_identically():
@@ -1062,21 +1073,24 @@ def test_config_presets_scale_with_digits():
 
 
 def test_shift_threshold_is_derived_from_the_digits():
-    # max(ceil(0.4 D + 5), ceil(1.6 D - 240)), with D at least the 19 digits
-    # that 64 bits carry; the second line takes over from D = 205
-    expected = {1: 13, 19: 13, 20: 13, 25: 15, 50: 25, 100: 45, 200: 85,
-                205: 88, 300: 240, 500: 560, 1000: 1360, 2000: 2960}
+    # max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240)), with
+    # D at least the 19 digits that 64 bits carry; the second line takes
+    # over from D = 51 and the third from D = 298
+    expected = {1: 13, 19: 13, 20: 13, 25: 15, 50: 25, 51: 26, 60: 34, 100: 68, 200: 153,
+                250: 195, 297: 236, 298: 237, 300: 240, 500: 560, 1000: 1360, 2000: 2960}
     for digits, threshold in expected.items():
         assert OracleConfig.for_digits(digits).shift_threshold == threshold
 
 
-def test_shift_threshold_up_to_200_digits_is_unchanged():
-    for digits in range(1, 201):
+def test_shift_threshold_up_to_50_digits_keeps_the_first_line():
+    # perfbench/tests/test_tracing.py pins 23 shift steps from 5/2 at the
+    # default 50 digits, so the threshold there stays 25
+    for digits in range(1, 51):
         d = max(digits, 19)
         assert OracleConfig.for_digits(digits).shift_threshold == ceil(Fraction(2, 5) * d + 5)
 
 
-@pytest.mark.parametrize("digits", [300, 500, 1000, 2000])
+@pytest.mark.parametrize("digits", [60, 100, 200, 300, 500, 1000, 2000])
 def test_presets_above_200_digits_pass_the_series_guard(digits):
     cfg = OracleConfig.for_digits(digits)
     _validate_series(cfg.shift_threshold, cfg.series_terms, cfg.target_decimal_digits)
@@ -1121,6 +1135,31 @@ def test_series_guard_decrease_check_stops_at_the_exact_index(threshold):
     _validate_series(threshold, j - 1, 1)
     with pytest.raises(PrecisionError, match=f"stop decreasing at index {j + 1} "):
         _validate_series(threshold, j, 1)
+
+
+def _guard_verdict(guard, threshold: int, terms: int, digits: int) -> str | None:
+    try:
+        guard(threshold, terms, digits)
+    except PrecisionError as e:
+        return str(e)
+    return None
+
+
+def test_series_guard_on_tangent_numbers_gives_the_fraction_guards_verdicts():
+    cases = [(2, 40, 50), (25, 200, 50), (13, 10, 1), (60, 40, 1), (30, 30, 60)]
+    for digits in (1, 19, 50, 60, 100, 200, 250, 251, 500, 1000, 2000):
+        cfg = OracleConfig.for_digits(digits)
+        threshold, terms, d = cfg.shift_threshold, cfg.series_terms, cfg.series_digits
+        cases += [(threshold, terms, d), (threshold, terms - 1, d), (threshold, terms - 2, d),
+                  (threshold // 2, terms, d), (threshold, terms, d + 20)]
+    rng = random.Random(22)
+    cases += [(rng.randint(2, 300), rng.randint(1, 150), rng.randint(1, 300)) for _ in range(60)]
+    verdicts = set()
+    for case in cases:
+        want = _guard_verdict(validate_series_fractions, *case)
+        assert _guard_verdict(_validate_series, *case) == want, case
+        verdicts.add(want is None or want.split()[0])
+    assert verdicts == {True, "first", "asymptotic"}  # passes and both refusals
 
 
 def test_series_terms_refuses_a_target_the_threshold_cannot_reach():

@@ -2,9 +2,12 @@ import argparse
 import contextlib
 import csv
 import io
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +283,38 @@ def test_verify_exit_code_one_on_failure(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "FAIL csch-bound" in captured.out
     assert "error: 1 check(s) failed: csch-bound" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # about 300 KB of output: the reader leaves after the first line
+        (["verify", "--digits", "11", "--only", "monotone-convex-w2", "--grid", "1:50:1500"], 1),
+        # a few lines, still buffered when the command ends: the final flush fails
+        (["eval", "w2", "1"], 0),
+    ],
+    ids=["verify-head-1", "eval-closed-at-once"],
+)
+def test_a_reader_that_closes_early_gets_exit_one_and_no_traceback(argv, lines_read):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    child = subprocess.Popen([sys.executable, "-m", "windschitl", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    lines = [child.stdout.readline() for _ in range(lines_read)]
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert all(line.endswith(b"\n") for line in lines)
+    assert err == b"", err.decode(errors="replace")
+
+
+def test_a_closed_in_memory_stdout_exits_one(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["eval", "w2", "1"]) == 1
 
 
 def test_usage_errors_exit_two(capsys):
