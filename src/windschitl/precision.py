@@ -39,11 +39,11 @@ __all__ = [
     "exp",
     "expm1",
     "ln",
+    "log1p",
     "sqrt",
     "sinh",
     "tanh",
     "pi",
-    "ln_stirling_term",
     "ln_gamma_ref",
     "trigamma_ref",
     "floor_log10",
@@ -275,13 +275,27 @@ def _wrap(raw: tuple, prec: int) -> PrecisionReal:
 
 def memoized(fn):
     """fn(x, *rest) memoized on (x.raw, x.prec, *rest), which must hold all the
-    result depends on: a hit returns the immutable PrecisionReal fn returned.
+    result depends on: a hit returns the immutable value fn returned.
     One ``lru_cache`` of ``_MEMO_SIZE`` entries, with its ``cache_info`` and
     ``cache_clear``; an exception is not memoized."""
     cached = lru_cache(maxsize=_MEMO_SIZE)(lambda raw, prec, *rest: fn(_wrap(raw, prec), *rest))
     memo = wraps(fn)(lambda x, *rest: cached(x.raw, x.prec, *rest))
     memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
     return memo
+
+
+def _rational_raw(num: int, den: int, prec: int) -> tuple:
+    """num / den for den > 0, rounded to nearest at prec bits, as a raw value.
+
+    One integer division gives a quotient of at least prec + 2 bits, and a
+    sticky bit marks a nonzero remainder, so the rounding is libmp's own of
+    the exact quotient.  libmp.from_rational would first make num and den
+    into raw values, stripping their trailing zero bits 8 at a time, which
+    costs quadratic time in a large power of two.
+    """
+    shift = prec + 2 - num.bit_length() + den.bit_length()
+    q, rem = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    return libmp.from_man_exp((q << 1) | bool(rem), -shift - 1, prec, _RND)
 
 
 def _check_prec(prec) -> None:
@@ -371,6 +385,52 @@ def expm1(x: PrecisionReal) -> PrecisionReal:
         k += 1
         term = (term * power >> wp) // k
     return _wrap(libmp.from_man_exp(total, -wp, prec, _RND), prec)
+
+
+# log1p sums its series while its term count, about wp / (1 - 2 mag), is at
+# most this; past it, libmp's log of 1 + u costs less.  (libmp's log is
+# cheap until 1 + u is within 2^-7 of 1; from 220 to 1100 bits the two tie
+# between 30 and 85 terms.)
+_LOG1P_SERIES_TERMS = 45
+# Guard bits of log1p's series: its n terms are off by under 4n units of
+# 2^-wp, a quarter unit of 2^-frac_bits for n <= _LOG1P_SERIES_TERMS + 2.
+_LOG1P_GUARD = 10
+
+
+def log1p(num: int, den: int, frac_bits: int) -> int:
+    """ln(1 + u) for the exact rational u = num / den > -1, den != 0, in
+    fixed point: an integer within 1.26 units of ln(1 + u) 2^frac_bits.
+
+    With |u| < 2^mag, mag = bitlen(|num|) - bitlen(|den|) + 1, where mag < 0
+    and the series is short (wp <= _LOG1P_SERIES_TERMS (1 - 2 mag)), it is
+    2 atanh(v) = 2 sum_k v^(2k+1) / (2k+1), v = u / (2 + u) = num / (2 den +
+    num), summed in fixed point on |v| at wp = max(frac_bits, 0) +
+    _LOG1P_GUARD bits.  |v| < 2^mag / 1.5 <= 1/3, so a term is below v^2 <
+    2^(2 mag - 1) of the one before and there are at most
+    _LOG1P_SERIES_TERMS + 2 of them.  |v| and v^2 are floored once each, and
+    every power and quotient once, so each term is within 1.6 units of
+    2^-wp and the omitted ones sum below 0.7: twice the sum is within a
+    quarter unit of 2^-frac_bits, and the shift to frac_bits floors it.
+    Otherwise 1 + u is rounded to max(frac_bits + 8, 64) bits, within a
+    relative 2^-(frac_bits+8), and :func:`_ln_fixed` takes its logarithm,
+    within 1.25 units of that.  DomainError where 1 + u <= 0.
+    """
+    if den < 0:
+        num, den = -num, -den
+    if num + den <= 0:
+        raise DomainError("ln needs a positive argument")
+    mag = abs(num).bit_length() - den.bit_length() + 1
+    wp = max(frac_bits, 0) + _LOG1P_GUARD
+    if mag >= 0 or wp > _LOG1P_SERIES_TERMS * (1 - 2 * mag):
+        return _ln_fixed(_rational_raw(num + den, den, max(frac_bits + 8, MIN_PRECISION_BITS)), frac_bits)
+    power = (abs(num) << wp) // (2 * den + num)  # |v| 2^wp, floored
+    square, total, k = (power * power) >> wp, power, 1
+    while power:
+        power = (power * square) >> wp
+        k += 2
+        total += power // k
+    total = (total << 1) >> (wp - frac_bits)
+    return -total if num < 0 else total
 
 
 def ln(x: PrecisionReal) -> PrecisionReal:
@@ -880,14 +940,6 @@ def _shifted(x: tuple, prec: int, cfg: OracleConfig, name: str) -> tuple[int, tu
 # ---------------------------------------------------------------------------
 # Reference oracles
 # ---------------------------------------------------------------------------
-
-
-def ln_stirling_term(x: PrecisionReal, twice_a: int) -> PrecisionReal:
-    """ln sqrt(2 pi) + (x + twice_a/2) ln x - x for x > 0, twice_a in {-1, 0, 1},
-    rounded once to the precision of x: within half an ulp plus 3.75 units
-    of 2^-F (see :func:`_stirling_fixed`)."""
-    total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
-    return _wrap(libmp.from_man_exp(total, -frac_bits, x.prec, _RND), x.prec)
 
 
 def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:

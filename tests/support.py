@@ -60,7 +60,7 @@ from windschitl.precision import _to_exact_fraction, _wrap, ln_sqrt_two_pi, work
 BRACKET_WIDTH = Fraction(1, 2**32)
 
 # the memos of the ln Gamma kernel, the Windschitl core and the W2 correction
-MEMOS = (precision._ln_gamma, formulas._ln_windschitl_core, formulas.w2_correction)
+MEMOS = (precision._ln_gamma, formulas._windschitl_core, formulas.w2_correction)
 
 
 @pytest.fixture
@@ -75,9 +75,10 @@ def fresh_memos():
         memo.cache_clear()
 
 
-def bits(v: PrecisionReal) -> tuple:
-    """A value's exact identity: its raw libmp tuple and its precision."""
-    return v.raw, v.prec
+def bits(v):
+    """A value's exact identity: its raw libmp tuple and its precision, or a
+    fixed-point kernel's integer itself."""
+    return (v.raw, v.prec) if isinstance(v, PrecisionReal) else v
 
 
 def ulps_off(got: PrecisionReal, want: Fraction) -> Fraction:

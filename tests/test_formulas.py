@@ -1,7 +1,11 @@
 from fractions import Fraction
 from math import log2
 
+import mpmath
 import pytest
+from mpmath import libmp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windschitl import (
     DomainError,
@@ -27,8 +31,8 @@ from windschitl import (
     w2star_log_gap,
 )
 from windschitl import formulas
-from windschitl.formulas import _ln_stirling, _ln_windschitl_core
-from windschitl.precision import DEFAULT_DIGITS, _MEMO_SIZE
+from windschitl.formulas import _FORMULAS, _windschitl_core
+from windschitl.precision import DEFAULT_DIGITS, _MEMO_SIZE, _stirling_fixed
 
 from support import bits, expm1_reference, fresh_memos, ulps_off
 
@@ -149,6 +153,138 @@ def test_relative_error_is_within_an_ulp_of_expm1_of_the_gap(monkeypatch, digits
 
 
 # ---------------------------------------------------------------------------
+# One rounding: each formula within its stated budget of mpmath
+# ---------------------------------------------------------------------------
+
+
+def mpmath_fraction(fn, x: PrecisionReal) -> Fraction:
+    """fn at x's exact value, by mpmath at 2p + 64 bits, exactly as a Fraction."""
+    with mpmath.workprec(2 * x.prec + 64):
+        value = fn(mpmath.mpf(x.raw))
+        return Fraction(*(int(v) for v in libmp.to_rational(value._mpf_)))
+
+
+def _ln_formula(formula: FormulaId, v):
+    """ln F(v) as the paper writes each formula, in mpmath at its working precision."""
+    ln, sinh, tanh, mpf = mpmath.log, mpmath.sinh, mpmath.tanh, mpmath.mpf
+    half_base = ln(2 * mpmath.pi) / 2 + v * ln(v) - v
+    stirling = half_base + ln(v) / 2
+    y = 7 / (324 * v**3 * (35 * v**2 + 33))
+    forms = {
+        FormulaId.STIRLING: lambda: stirling,
+        FormulaId.W0: lambda: stirling + (v / 2) * ln(v * sinh(1 / v)),
+        FormulaId.W1: lambda: stirling + (v / 2) * ln(v * sinh(1 / v) + 1 / (810 * v**6)),
+        FormulaId.W2: lambda: stirling + (v / 2) * ln(v * sinh(1 / v)) + y,
+        FormulaId.W2STAR: lambda: stirling + (v / 2) * ln(v * sinh(1 / v)) + ln(1 + y),
+        FormulaId.LSM: lambda: stirling + (v / 2) * ln(
+            v * sinh(1 / v + 1 / (810 * v**7) - mpf(67) / (42525 * v**9) + mpf(19) / (8505 * v**11))
+        ),
+        FormulaId.RAMANUJAN: lambda: (
+            ln(2 * mpmath.pi) / 2 - ln(2) / 2 + v * ln(v) - v + ln(8 * v**3 + 4 * v**2 + v + mpf(1) / 30) / 6
+        ),
+        FormulaId.SMITH: lambda: half_base + (v / 2) * ln(2 * v * tanh(1 / (2 * v))),
+        FormulaId.NEMES1: lambda: stirling + v * ln(1 + 1 / (12 * v**2 - mpf(1) / 10)),
+        FormulaId.NEMES2: lambda: stirling + (210 * v**2 + 53) / (360 * v * (7 * v**2 + 2)),
+        FormulaId.CHEN: lambda: stirling + (v**2 + mpf(53) / 210) * ln(1 + 1 / (12 * v**3 + mpf(24) / 7 * v - mpf(1) / 2)),
+        FormulaId.YANGCHU1: lambda: half_base - v / (24 * (v**2 + mpf(7) / 120)),
+        FormulaId.YANGCHU2: lambda: half_base - 1 / (24 * v) + mpf(7) / 2880 / v / (v**2 + mpf(31) / 98),
+    }
+    return forms[formula]()
+
+
+def ln_formula_reference(formula: FormulaId, x: PrecisionReal) -> Fraction:
+    return mpmath_fraction(lambda v: _ln_formula(formula, v), x)
+
+
+# each defect kernel's stated budget in units of 2^-F (formulas' docstrings);
+# W2 and W2* add half an ulp of the shared correction
+_DEFECT_UNITS = {
+    FormulaId.STIRLING: 0,
+    FormulaId.W0: Fraction("1.33"),
+    FormulaId.W1: Fraction("1.33"),
+    FormulaId.W2: Fraction("2.33"),
+    FormulaId.W2STAR: Fraction("2.59"),
+    FormulaId.LSM: Fraction("1.65"),
+    FormulaId.RAMANUJAN: Fraction("1.32"),
+    FormulaId.SMITH: Fraction("1.33"),
+    FormulaId.NEMES1: Fraction("1.32"),
+    FormulaId.NEMES2: 1,
+    FormulaId.CHEN: Fraction("1.32"),
+    FormulaId.YANGCHU1: 1,
+    FormulaId.YANGCHU2: 1,
+}
+
+
+def defect_units(formula: FormulaId, x: PrecisionReal) -> tuple[Fraction, Fraction]:
+    """(how far the unrounded sum that log_approximate rounds is from ln F(x),
+    what its docstrings allow), both in units of 2^-F: the Stirling term's
+    3.75 units and the defect kernel's own, and for W2 and W2* half an ulp of
+    the shared correction."""
+    twice_a, defect = _FORMULAS[formula]
+    total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
+    if defect is not None:
+        total += defect(x, frac_bits)
+    assert log_approximate(formula, x).raw == libmp.from_man_exp(total, -frac_bits, x.prec, "n")
+    scale = Fraction(2) ** frac_bits
+    budget = Fraction(15, 4) + _DEFECT_UNITS[formula]
+    if formula in (FormulaId.W2, FormulaId.W2STAR):
+        budget += w2_correction(x).to_fraction() / 2**x.prec * scale
+    return abs(total - ln_formula_reference(formula, x) * scale), budget
+
+
+def _defined(formula: FormulaId, x: Fraction) -> bool:
+    """Whether ln F(x) is real: 1 + u > 0 in Nemes' and Chen's ln(1 + u)."""
+    if formula is FormulaId.NEMES1:
+        return 120 * x * x > 1
+    if formula is FormulaId.CHEN:
+        return 168 * x**3 + 48 * x > 7
+    return True
+
+
+# x log-uniform in [1, 10^30] with four significant digits, and in [10^-6, 1)
+_ABOVE_ONE = st.builds(lambda m, e: Fraction(m, 1000) * 10**e, st.integers(1000, 9999), st.integers(0, 29))
+_BELOW_ONE = st.builds(lambda m, e: Fraction(m, 10000) / 10**e, st.integers(1000, 9999), st.integers(0, 5))
+
+
+@pytest.mark.parametrize("digits", [50, 200])
+@pytest.mark.parametrize("formula", list(FormulaId), ids=lambda f: f.value)
+@given(x=st.one_of(_ABOVE_ONE, _BELOW_ONE))
+@settings(max_examples=25, deadline=None)
+def test_each_formula_is_within_its_one_rounding_budget(formula, digits, x):
+    if not _defined(formula, x):
+        return
+    error, budget = defect_units(formula, PrecisionReal(x, OracleConfig.for_digits(digits).precision_bits))
+    assert error <= budget
+
+
+@pytest.mark.parametrize("frac_bits", [-20, 233, 410, 780, 1150])
+def test_hyperbolic_logarithms_are_within_their_budget_on_both_sides_of_the_switch(frac_bits):
+    # r = 2^-m (1 + a little) for m from -2 to 12 crosses the series' mag < 0
+    # and, at each precision but the lowest, its length limit
+    sides = set()
+    for m in range(-2, 13):
+        p, q = (3**40 + 1) << max(-m, 0), 3**40 << max(m, 0)
+        mag = p.bit_length() - q.bit_length() + 1
+        sides.add(mag < 0 and max(frac_bits, 0) + formulas._HYPERBOLIC_GUARD <= formulas._HYPERBOLIC_SERIES_RATIO * -mag)
+        for tanh, c in ((False, (0, 1)), (True, (0, 1)), (False, (1, 810 * 3**6))):
+            with mpmath.workprec(max(frac_bits, 0) + 256):
+                r = mpmath.mpf(p) / q
+                h = (mpmath.tanh(r) if tanh else mpmath.sinh(r)) / r + mpmath.mpf(c[0]) / c[1]
+                want = mpmath.log(h) * mpmath.mpf(2) ** frac_bits
+                want = Fraction(*(int(v) for v in libmp.to_rational(want._mpf_)))
+            got = formulas._log_hyperbolic((p, q), frac_bits, tanh, c)
+            assert abs(got - want) <= Fraction(132, 100), (m, tanh, c)
+    assert sides == {True, False}
+
+
+@pytest.mark.parametrize("x", [Fraction(9, 100), Fraction(1, 100), Fraction(1, 10**6)])
+def test_ln_of_a_nonpositive_one_plus_u_is_refused(x):
+    for formula in (FormulaId.NEMES1, FormulaId.CHEN):
+        with pytest.raises(DomainError, match="^ln needs a positive argument$"):
+            log_approximate(formula, PrecisionReal(x, PREC))
+
+
+# ---------------------------------------------------------------------------
 # The Windschitl-core and W2-correction memos
 # ---------------------------------------------------------------------------
 
@@ -159,14 +295,15 @@ CORE_FORMULAS = (FormulaId.W0, FormulaId.W2, FormulaId.W2STAR)
 def test_memoized_core_is_bit_identical_to_a_fresh_evaluation(fresh_memos, prec):
     xs = [PrecisionReal(q, prec) for q in (1, Fraction(3, 2), Fraction(7, 3), 10**5)]
     first = [log_approximate(f, x) for x in xs for f in CORE_FORMULAS]
-    info = _ln_windschitl_core.cache_info()
+    info = _windschitl_core.cache_info()
     assert (info.misses, info.hits) == (len(xs), len(first) - len(xs))  # one core per x
-    _ln_windschitl_core.cache_clear()
+    _windschitl_core.cache_clear()
     fresh = [log_approximate(f, x) for x in xs for f in CORE_FORMULAS]
     assert list(map(bits, first)) == list(map(bits, fresh))
-    # and the memoized core is the expression it stands for
-    for x, w0 in zip(xs, first[:: len(CORE_FORMULAS)]):
-        assert bits(w0) == bits(_ln_stirling(x) + (x / 2) * ln(x * sinh(1 / x)))
+    # and the memoized core gives W0 within its stated budget
+    for x in xs:
+        error, budget = defect_units(FormulaId.W0, x)
+        assert error <= budget
 
 
 @pytest.mark.parametrize("prec", [64, PREC, 1000])
@@ -182,10 +319,10 @@ def test_w2_and_w2star_share_one_memoized_correction_per_point(fresh_memos, prec
     w2_correction.cache_clear()
     fresh = [w2_correction(x) for x in xs]
     assert list(map(bits, first)) == list(map(bits, again)) == list(map(bits, fresh))
-    # and the memoized correction is the expression it stands for, at x's precision
+    # and the memoized correction is rounded once, at x's precision: within half an ulp
     for x, y in zip(xs, first):
         assert y.prec == prec
-        assert bits(y) == bits(7 / (324 * x * x * x * (35 * x * x + 33)))
+        assert ulps_off(y, mpmath_fraction(lambda v: 7 / (324 * v**3 * (35 * v**2 + 33)), x)) <= Fraction(1, 2)
 
 
 def test_memos_under_thread_contention_give_the_sequential_bits(fresh_memos):
@@ -309,6 +446,26 @@ def test_low_precision_argument_keeps_its_exact_value(entry, x):
 def test_wider_argument_sets_the_working_precision(entry):
     arg = PrecisionReal(Fraction(4, 3), 2 * PREC)
     assert _ARGUMENT_RULE_ENTRIES[entry](arg, CFG).prec == 2 * PREC
+
+
+@pytest.mark.parametrize("digits", [50, 200])
+@pytest.mark.parametrize("x", [10, 10**3, 10**6, 10**15])
+def test_log1p_defect_of_the_correction_is_within_an_ulp(x, digits):
+    # y - ln(1 + y) for a y near 7/(11340 x^5): all but its last bits cancel in y - ln(1 + y)
+    y = w2_correction(PrecisionReal(x, OracleConfig.for_digits(digits).precision_bits))
+    want = mpmath_fraction(lambda v: v - mpmath.log1p(v), y)
+    assert ulps_off(log1p_defect(y), want) <= 1
+
+
+def test_log1p_defect_keeps_the_digits_of_a_tiny_correction():
+    y = w2_correction(PrecisionReal(10**6, PREC))
+    assert format_sci(log1p_defect(y), 7) == "1.905197E-67"
+
+
+@pytest.mark.parametrize("y", [Fraction(-999, 1000), Fraction(-1, 3), Fraction(1, 3), Fraction(5), Fraction(10**40)])
+def test_log1p_defect_away_from_zero(y):
+    arg = PrecisionReal(y, PREC)
+    assert ulps_off(log1p_defect(arg), mpmath_fraction(lambda v: v - mpmath.log1p(v), arg)) <= 1
 
 
 def test_log1p_defect_at_zero():

@@ -32,7 +32,7 @@ from windschitl import (
     tanh,
     trigamma_ref,
 )
-from windschitl import precision
+from windschitl import formulas, precision
 from windschitl.exact import bernoulli
 from windschitl.precision import (
     MIN_PRECISION_BITS,
@@ -51,8 +51,10 @@ from windschitl.precision import (
     _validate_series,
     _wrap,
     floor_log10,
+    _LOG1P_SERIES_TERMS,
+    _rational_raw,
     ln_sqrt_two_pi,
-    ln_stirling_term,
+    log1p,
     working_argument,
 )
 
@@ -387,6 +389,54 @@ def test_expm1_of_a_huge_integer_behaves_as_exp():
     assert expm1(-x).to_fraction() == -1
 
 
+def log1p_reference(num: int, den: int, frac_bits: int) -> Fraction:
+    """ln(1 + num/den) 2^frac_bits by mpmath at frac_bits + 128 bits."""
+    with mpmath.workprec(max(frac_bits, 0) + 128):
+        value = mpmath.log1p(mpmath.mpf(num) / den) * mpmath.mpf(2) ** frac_bits
+        return raw_fraction(value._mpf_)
+
+
+def log1p_takes_the_series(num: int, den: int, frac_bits: int) -> bool:
+    mag = abs(num).bit_length() - abs(den).bit_length() + 1
+    return mag < 0 and max(frac_bits, 0) + 10 <= _LOG1P_SERIES_TERMS * (1 - 2 * mag)
+
+
+@pytest.mark.parametrize("frac_bits", [-40, 0, 64, 220, 750, 2000])
+def test_log1p_is_within_its_budget_on_both_sides_of_its_switch(frac_bits):
+    # u = +-2^-m (1 + a little) for every m up to 80 puts both signs on both
+    # sides of the series' mag < 0 and of its length, at each precision
+    sides = set()
+    for m in range(-3, 81):
+        big, den = (2**80 + 12345) << max(-m, 0), 2 ** (80 + max(m, 0))
+        for num, den in ((big, den), (-big, den), (7, 3 << max(m, 0))):
+            if num + den <= 0:
+                continue
+            for n, d in ((num, den), (-num, -den)):
+                sides.add(log1p_takes_the_series(n, d, frac_bits))
+                assert abs(log1p(n, d, frac_bits) - log1p_reference(n, d, frac_bits)) <= Fraction(126, 100), (n, d)
+    assert sides == {True, False}
+
+
+def test_log1p_refuses_a_nonpositive_one_plus_u():
+    for num, den in ((-1, 1), (-3, 2), (3, -2), (5, -4)):
+        with pytest.raises(DomainError, match="^ln needs a positive argument$"):
+            log1p(num, den, 64)
+    assert log1p(0, 5, 64) == 0
+
+
+@given(
+    num=st.integers(-(2**300), 2**300),
+    den=st.integers(1, 2**300),
+    shift=st.integers(0, 600),
+    prec=st.sampled_from([64, 207, 738]),
+)
+@settings(max_examples=200)
+def test_rational_raw_rounds_as_libmp(num, den, shift, prec):
+    # a power of two times num or den, as the formulas' exact rationals have
+    for n, d in ((num << shift, den), (num, den << shift)):
+        assert _rational_raw(n, d, prec) == libmp.from_rational(n, d, prec, "n")
+
+
 def test_domain_violations_raise():
     with pytest.raises(DomainError):
         ln(PrecisionReal(0, 64))
@@ -496,9 +546,15 @@ def test_ln_gamma_rejects_nonpositive(fresh_memos):
 MEMO_ARGUMENTS = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(51), Fraction(10**6 + 1, 7))
 
 
-def through(memo, x: PrecisionReal) -> PrecisionReal:
-    """One call of a memo at x; the ln Gamma kernel also takes its config."""
-    return memo(x, CFG50) if memo is _ln_gamma else memo(x)
+def through(memo, x: PrecisionReal):
+    """One call of a memo at x; the ln Gamma kernel also takes its config,
+    and the Windschitl core, an integer at the Stirling term's fraction
+    bits, takes those bits."""
+    if memo is _ln_gamma:
+        return memo(x, CFG50)
+    if memo is formulas._windschitl_core:
+        return memo(x, _stirling_fixed(x.raw, 1, x.prec)[1])
+    return memo(x)
 
 
 @pytest.mark.parametrize("memo", MEMOS, ids=lambda memo: memo.__name__)
@@ -508,8 +564,9 @@ def test_memo_key_separates_precision(fresh_memos, memo):
     prec = CFG50.precision_bits
     coarse, fine = PrecisionReal(Fraction(3, 2), prec), PrecisionReal(Fraction(3, 2), 2 * prec)
     at_coarse, at_fine = through(memo, coarse), through(memo, fine)
-    assert (at_coarse.prec, at_fine.prec) == (prec, 2 * prec)
-    assert at_coarse.raw != at_fine.raw
+    if isinstance(at_coarse, PrecisionReal):
+        assert (at_coarse.prec, at_fine.prec) == (prec, 2 * prec)
+    assert bits(at_coarse) != bits(at_fine)
     assert memo.cache_info().currsize == 2
     # a hit returns the stored value itself
     assert through(memo, PrecisionReal(Fraction(3, 2), prec)) is at_coarse
@@ -629,11 +686,6 @@ def test_oracles_match_mpmath_around_the_threshold_above_200_digits(digits):
             assert abs(got - want) <= Fraction(1, 10**digits) * max(1, abs(want)), (oracle.__name__, x)
 
 
-def stirling_term_budget(x: PrecisionReal, twice_a: int) -> Fraction:
-    """What ln_stirling_term's docstring allows before its one rounding:
-    3.75 units of 2^-F."""
-    _, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
-    return Fraction(15, 2 ** (frac_bits + 2))
 
 
 def stirling_term_references(x: PrecisionReal) -> dict[int, Fraction]:
@@ -647,10 +699,11 @@ def stirling_term_references(x: PrecisionReal) -> dict[int, Fraction]:
 
 
 def assert_stirling_term_within_budget(x: PrecisionReal, context) -> None:
+    """The unrounded Stirling term within the 3.75 units of 2^-F that
+    _stirling_fixed's docstring allows."""
     for a2, exact in stirling_term_references(x).items():
-        got = ln_stirling_term(x, a2)
-        half_ulp = abs(got.to_fraction()) / 2**x.prec
-        assert abs(got.to_fraction() - exact) <= stirling_term_budget(x, a2) + half_ulp, (context, a2)
+        total, frac_bits = _stirling_fixed(x.raw, a2, x.prec)
+        assert abs(Fraction(total, 2**frac_bits) - exact) <= Fraction(15, 2 ** (frac_bits + 2)), (context, a2)
 
 
 @pytest.mark.parametrize("digits", [19, 50, 200, 500])

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windschitl import (
+    DomainError,
     FormulaId,
     GoldenCell,
     LogErrorValue,
@@ -24,6 +25,7 @@ from windschitl import (
     check_goldens,
     format_sci,
     ln,
+    log_error,
     render_csv,
     render_markdown,
 )
@@ -402,6 +404,22 @@ def test_a_number_that_parses_builds_no_error(monkeypatch, default_digit_limit):
     assert len(built) == 1
 
 
+def test_chen_at_a_million_prints_the_true_relative_error(capsys):
+    # ln(1 + u) of the exact u: rounding 1 + u first made it 4.16708E-46
+    assert main(["eval", "chen", "1e6"]) == 0
+    assert "relative_error = 4.16706E-46\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "formula, x, error",
+    [("nemes1", Fraction(9, 100), DomainError), ("chen", Fraction(1, 100), DomainError),
+     ("nemes2", Fraction(1, 10**300), OverflowError), ("lsm", Fraction(1, 1000), OverflowError)],
+)
+def test_domain_edges_keep_their_exception_types(formula, x, error):
+    with pytest.raises(error):
+        log_error(FormulaId(formula), x).format_relative_error(6)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -419,6 +437,14 @@ def test_a_number_that_parses_builds_no_error(monkeypatch, default_digit_limit):
             ["eval", "lsm", "1e-300", "--digits", "28"],
             "relative error of lsm at x = 1.00000E-300 cannot be printed: it is exp(1.11699E+2997) - 1",
         ),
+        # the defect kernels' domain edges: ln(1 + u) at 1 + u < 0, and defects far above the Stirling term
+        (["eval", "nemes1", "0.09"], "nemes1 at x = 9.00000E-2 cannot be evaluated: ln needs a positive argument"),
+        (["eval", "chen", "0.01"], "chen at x = 1.00000E-2 cannot be evaluated: ln needs a positive argument"),
+        (
+            ["eval", "nemes2", "1e-300"],
+            "relative error of nemes2 at x = 1.00000E-300 cannot be printed: it is exp(7.36111E+298) - 1",
+        ),
+        (["eval", "lsm", "0.001"], "relative error of lsm at x = 1.00000E-3 cannot be printed: it is exp(1.11699E+27) - 1"),
         (["constants", "--digits", "0"], "--digits must be positive, got 0"),
         (["constants", "--digits", "-5"], "--digits must be positive, got -5"),
         # an empty list is refused, not replaced by the published table's axis
@@ -438,6 +464,10 @@ def test_a_number_that_parses_builds_no_error(monkeypatch, default_digit_limit):
         "eval-overflowing-value",
         "eval-unprintable-error",
         "eval-unprintable-value",
+        "eval-nemes1-below-its-domain",
+        "eval-chen-below-its-domain",
+        "eval-nemes2-unprintable-error",
+        "eval-lsm-unprintable-error",
         "constants-zero-digits",
         "constants-negative-digits",
         "table-empty-abscissas",
