@@ -145,7 +145,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: Fraction | int) -> Polynomial:
-        return cls((c,))
+        c = _rat(c)  # a canonical Fraction is a canonical pair, 0 stripped
+        return _canonical((c.numerator,), c.denominator)
 
     @classmethod
     def identity(cls) -> Polynomial:
@@ -243,6 +244,12 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> RationalFunction:
+        return RationalFunction(self, other) if isinstance(other, (Polynomial, int, Fraction)) else NotImplemented
+
+    def __rtruediv__(self, other) -> RationalFunction:
+        return RationalFunction(other, self) if isinstance(other, (int, Fraction)) else NotImplemented
+
     def __pow__(self, n: int) -> Polynomial:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
@@ -269,45 +276,24 @@ class Polynomial:
         """Horner evaluation.
 
         At an ``int`` or a ``Fraction`` p/q it is exact and runs in integers,
-        homogeneous Horner sum_k n_k p^k q^(d-k) over den q^d, with one
+        homogeneous Horner (:func:`_homogeneous`) over den q^d, with one
         reduction; any other value supporting ``+`` and ``*`` with Fractions
-        gets generic Horner over the Fraction coefficients.
+        gets Horner's rule over the Fraction coefficients (q = 1).
         """
-        nums = self._nums
-        if not nums:
-            return Fraction(0)
-        if isinstance(x, int):
-            acc = 0
-            for n in reversed(nums):
-                acc = acc * x + n
-            return Fraction(acc, self._den)
-        if isinstance(x, Fraction):
-            p, q = x.numerator, x.denominator
-            acc, q_power = nums[-1], 1
-            for n in reversed(nums[:-1]):
-                q_power *= q
-                acc = acc * p + n * q_power
+        if isinstance(x, (int, Fraction)):
+            acc, q_power = _homogeneous(reversed(self._nums), x.numerator, x.denominator)
             return Fraction(acc, self._den * q_power)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _homogeneous((Fraction(0), *reversed(self.coeffs)), x, 1)[0]  # led by 0, so of x's type
 
     def derivative(self) -> Polynomial:
         return _reduced([i * n for i, n in enumerate(self._nums) if i], self._den)
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """self(inner(t)), exact: with inner = m(t)/e, homogeneous Horner
-        sum_k n_k m(t)^k e^(d-k) over den e^d, in integers."""
-        nums, m = self._nums, inner._nums
-        if not nums or not m:
-            return Polynomial.constant(self.coefficient(0))
-        acc, e_power = [nums[-1]], 1
-        for n in reversed(nums[:-1]):
-            e_power *= inner._den
-            acc = _convolve(acc, m)
-            acc[0] += n * e_power
-        return _reduced(acc, self._den * e_power)
+        (:func:`_homogeneous`) at m(t)/e in integer polynomials, from a zero
+        top term so the sum is a polynomial, over den e^(d+1)."""
+        acc, e_power = _homogeneous((_ZERO, *reversed(self._nums)), _canonical(inner._nums, 1), inner._den)
+        return acc * Fraction(1, self._den * e_power)
 
     def reciprocal_substitution(self, degree: int | None = None) -> Polynomial:
         """The polynomial t^d * self(1/t), with d >= deg(self) (default deg)."""
@@ -374,6 +360,33 @@ def _reduced(nums: list[int], den: int) -> Polynomial:
     return _canonical(tuple(nums), den)
 
 
+def _homogeneous(coeffs, p, q: int) -> tuple:
+    """(sum_k c_k p^k q^(d-k), q^d) for coefficients c_d, ..., c_0, highest
+    first, by Horner's rule: numerators over one denominator at p/q, for p
+    an int or anything that multiplies by one and adds one; (0, 1) for none."""
+    coeffs = iter(coeffs)
+    acc, q_power = next(coeffs, 0), 1
+    for c in coeffs:
+        q_power *= q
+        acc = acc * p + c * q_power
+    return acc, q_power
+
+
+def _dyadic_part(p: Polynomial, scale: int, degree: int):
+    """scale p(x) den 2^(t degree), an integer for degree >= deg p, as a
+    function of (n, t) at x = n 2^-t: p = x^low S(x^step) / den, where step 2
+    skips the zeros of an even or odd p, and S by :func:`_homogeneous`
+    unless it is a single term."""
+    nums = p._nums or (0,)
+    low = next((k for k, n in enumerate(nums) if n), 0)
+    step = 1 if any(nums[low + 1 :: 2]) else 2
+    nums, lift = tuple(scale * n for n in nums[low::step])[::-1], degree - p.degree
+    if len(nums) == 1:
+        c = nums[0]
+        return (lambda n, t: c * n**low << lift * t) if low or lift else (lambda n, t: c)
+    return lambda n, t: _homogeneous(nums, n**step, 1 << step * t)[0] * n**low << lift * t
+
+
 def _convolve(a, b) -> list[int]:
     """The coefficients of the product of two nonzero integer polynomials."""
     out = [0] * (len(a) + len(b) - 1)
@@ -400,7 +413,7 @@ class RationalFunction:
     under common polynomial factors.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_dyadic")
 
     num: Polynomial
     den: Polynomial
@@ -491,6 +504,18 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {x}")
         return self.num(x) / d
+
+    def at_dyadic(self, n: int, t: int) -> tuple[int, int]:
+        """self(n 2^-t) for ints n and t >= 0 as an integer pair (a, b), not
+        reduced, a / b the exact value (b = 0 where den vanishes): num and den
+        by :func:`_dyadic_part`, which the first call lays out for later ones."""
+        try:
+            p_at, q_at = self._dyadic
+        except AttributeError:
+            d = max(self.num.degree, self.den.degree)
+            p_at, q_at = _dyadic_part(self.num, self.den._den, d), _dyadic_part(self.den, self.num._den, d)
+            object.__setattr__(self, "_dyadic", (p_at, q_at))
+        return p_at(n, t), q_at(n, t)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

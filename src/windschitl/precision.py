@@ -240,8 +240,12 @@ class PrecisionReal:
 
     def to_fraction(self) -> Fraction:
         """Exact rational value of this binary float."""
+        return Fraction(*self.as_integer_ratio())
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        """(p, q) in lowest terms with q > 0 a power of two and p / q the exact value."""
         p, q = libmp.to_rational(self.raw)
-        return Fraction(int(p), int(q))
+        return int(p), int(q)
 
     def to_float(self) -> float:
         return libmp.to_float(self.raw)
@@ -296,6 +300,16 @@ def _rational_raw(num: int, den: int, prec: int) -> tuple:
     shift = prec + 2 - num.bit_length() + den.bit_length()
     q, rem = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
     return libmp.from_man_exp((q << 1) | bool(rem), -shift - 1, prec, _RND)
+
+
+def from_ratio(num: int, den: int, prec: int) -> PrecisionReal:
+    """num / den for den > 0, rounded once to nearest at prec bits (:func:`_rational_raw`)."""
+    return _wrap(_rational_raw(num, den, prec), prec)
+
+
+def from_fixed(value: int, frac_bits: int, prec: int) -> PrecisionReal:
+    """The fixed-point value 2^-frac_bits, rounded once to nearest at prec bits."""
+    return _wrap(libmp.from_man_exp(value, -frac_bits, prec, _RND), prec)
 
 
 def _check_prec(prec) -> None:
@@ -384,7 +398,7 @@ def expm1(x: PrecisionReal) -> PrecisionReal:
         total += -term if sign and k & 1 else term
         k += 1
         term = (term * power >> wp) // k
-    return _wrap(libmp.from_man_exp(total, -wp, prec, _RND), prec)
+    return from_fixed(total, wp, prec)
 
 
 # log1p sums its series while its term count, about wp / (1 - 2 mag), is at
@@ -431,6 +445,79 @@ def log1p(num: int, den: int, frac_bits: int) -> int:
         total += power // k
     total = (total << 1) >> (wp - frac_bits)
     return -total if num < 0 else total
+
+
+def _quotient(num: int, den: int, frac_bits: int) -> int:
+    """floor(num / den 2^frac_bits) for den != 0: under one unit of 2^-frac_bits low."""
+    return (num << frac_bits) // den if frac_bits >= 0 else num // (den << -frac_bits)
+
+
+def _times_log(m_num: int, m_den: int, frac_bits: int, log_at) -> int:
+    """m L in fixed point at frac_bits, for m = m_num / m_den > 0: within e/4
+    + 1 units when log_at(g) gives L at g = frac_bits + k fraction bits
+    within e units, where m < 2^(k-2): the product is floored once."""
+    k = max(m_num.bit_length() - m_den.bit_length() + 1, 0) + 2
+    return _quotient(m_num * log_at(frac_bits + k), m_den, -k)
+
+
+# The hyperbolic defects sum sinh(r)/r and cosh r as series where r < 2^mag,
+# mag < 0, and wp <= _HYPERBOLIC_SERIES_RATIO (-mag), at least twice their
+# term count; past it, libmp's sinh and tanh cost less (at 300 digits the two
+# tie from wp / (-mag) near 280 down).
+_HYPERBOLIC_SERIES_RATIO = 400
+# Guard bits of those series: at most _HYPERBOLIC_SERIES_RATIO / 2 + 1 terms,
+# each within 3 units of 2^-wp, are below a relative 2^-8 of a unit in h(r).
+_HYPERBOLIC_GUARD = 18
+
+
+def _hyperbolic_series(r2: int, wp: int, odd: int) -> int:
+    """sum_(k>=1) r^2k / (2k + odd)! in fixed point at wp bits, from r2 =
+    r^2 2^wp within 2 units and r <= 1/2: sinh(r)/r - 1 for odd = 1, cosh(r)
+    - 1 for odd = 0.  Each term is floored twice and is at most r^2/2 of
+    the one before, so it is within 3 units, and the omitted ones sum below
+    0.2."""
+    total, term, j = 0, 1 << wp, odd
+    while term:
+        term = ((term * r2) >> wp) // ((j + 1) * (j + 2))
+        total += term
+        j += 2
+    return total
+
+
+def _log_hyperbolic(r: tuple[int, int], frac_bits: int, tanh: bool = False, c: tuple[int, int] = (0, 1)) -> int:
+    """ln(h(r) + c) in fixed point at frac_bits, h(r) = sinh(r)/r, or tanh(r)/r
+    with ``tanh``, for the exact rationals r = p/q > 0 and c >= 0: within
+    1.32 units.
+
+    With r < 2^mag, where mag < 0 and wp = max(frac_bits, 0) +
+    _HYPERBOLIC_GUARD is at most _HYPERBOLIC_SERIES_RATIO (-mag), sinh(r)/r
+    and cosh r come from :func:`_hyperbolic_series`, r^2 from r floored at wp
+    bits, within a relative 2^-8 unit each, c is floored at wp bits, and
+    :func:`log1p` takes the exact rational h + c - 1 they give: within 1.26
+    units of that.  Otherwise r is rounded to wp = frac_bits + s bits, r + 5
+    < 2^(s-4), and libmp's sinh or tanh, the quotient by r, c and the sum
+    are each rounded to wp bits.  h moves by r h'(r)/h(r), at most max(r, 1)
+    times r's relative error, so h + c is within a relative (r + 5) 2^-wp,
+    a sixteenth of a unit in its logarithm, which :func:`_ln_fixed` takes
+    within 1.25 units.
+    """
+    p, q = r
+    c_num, c_den = c
+    mag = p.bit_length() - q.bit_length() + 1
+    wp = max(frac_bits, 0) + _HYPERBOLIC_GUARD
+    if mag < 0 and wp <= _HYPERBOLIC_SERIES_RATIO * -mag:
+        root = (p << wp) // q
+        r2, one = (root * root) >> wp, 1 << wp
+        sinhc = one + _hyperbolic_series(r2, wp, 1)
+        cosh = one + _hyperbolic_series(r2, wp, 0) if tanh else one
+        added = ((c_num << wp) // c_den * cosh) >> wp if c_num else 0
+        return log1p(sinhc - cosh + added, cosh, frac_bits)
+    wp = max(frac_bits + max(mag, 3) + 5, MIN_PRECISION_BITS)
+    arg = _rational_raw(p, q, wp)
+    h = libmp.mpf_div((libmp.mpf_tanh if tanh else libmp.mpf_sinh)(arg, wp, _RND), arg, wp, _RND)
+    if c_num:
+        h = libmp.mpf_add(h, _rational_raw(c_num, c_den, wp), wp, _RND)
+    return _ln_fixed(h, frac_bits)
 
 
 def ln(x: PrecisionReal) -> PrecisionReal:
@@ -845,25 +932,16 @@ def _stirling_fixed(x: tuple, twice_a: int, prec: int) -> tuple[int, int]:
     2^-(prec+12), a quarter unit at most, before its floor.  So T 2^-F is
     within 3.75 units.
     """
-    _, man, exp, bc = x
+    _, _, exp, bc = x
     e = exp + bc
     frac_bits = prec + _STIRLING_GUARD - (max(e, 0) + 1 + (abs(e) + 1).bit_length())
-    if exp >= 0:
-        num, t = (man << (exp + 1)) + twice_a, 1
-    else:
-        num, t = (man << 1) + (twice_a << -exp), 1 - exp
+    m, s = _scaled_integer(x)
+    num, t = (m << 1) + (twice_a << s), s + 1
     lead = num.bit_length() + 2  # |N| < 2^(lead - 2)
     total = (num * _ln_fixed(x, frac_bits + lead - t)) >> lead
     constant = ln_sqrt_two_pi(prec + _STIRLING_GUARD).raw
     total -= libmp.to_fixed(x, frac_bits) - libmp.to_fixed(constant, frac_bits)
     return total, frac_bits
-
-
-def _fixed_quotient(value: int, value_bits: int, y: tuple, frac_bits: int) -> int:
-    """floor((value 2^-value_bits / y) 2^frac_bits) for a positive raw y: less than one unit low."""
-    _, man, exp, _ = y
-    shift = frac_bits - value_bits - exp
-    return (value << shift) // man if shift >= 0 else value // (man << -shift)
 
 
 def _shift_steps(x: tuple, threshold: int) -> int:
@@ -975,10 +1053,10 @@ def _ln_gamma(arg: PrecisionReal, cfg: OracleConfig) -> PrecisionReal:
     n, y = _shifted(x, prec, cfg, "ln_gamma_ref")
     total, frac_bits = _stirling_fixed(y, -1, prec)
     series, _, series_bits = _stirling_series("lngamma", cfg, y, prec)
-    total += _fixed_quotient(series, series_bits, y, frac_bits)
+    total += _quotient(series, y[1], frac_bits - series_bits - y[2])  # series / y, y = y[1] 2^y[2]
     if n:
         total -= _ln_fixed(_rising_product(x, n, prec), frac_bits)
-    return _wrap(libmp.from_man_exp(total, -frac_bits, prec, _RND), prec)
+    return from_fixed(total, frac_bits, prec)
 
 
 def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
@@ -1004,7 +1082,7 @@ def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     series, u, frac_bits = _stirling_series("trigamma", cfg, y, prec)
     total_bits = max(frac_bits, _fixed_bits(prec, n)) + 1
     head = (1 << frac_bits) + ((series * u) >> frac_bits)  # 1 + u sum, at frac_bits
-    total = _fixed_quotient(head, frac_bits, y, total_bits) + (u << (total_bits - frac_bits - 1))
+    total = _quotient(head, y[1], total_bits - frac_bits - y[2]) + (u << (total_bits - frac_bits - 1))
     if n:
         total += libmp.to_fixed(_inverse_square_sum(xr, n, prec), total_bits)
-    return _wrap(libmp.from_man_exp(total, -total_bits, prec, _RND), prec)
+    return from_fixed(total, total_bits, prec)

@@ -484,6 +484,27 @@ def test_ratfun_arithmetic_and_derivative():
     assert f.derivative() == RationalFunction(Polynomial.constant(-1), t * t)
 
 
+# dyadic points n 2^-t of either sign, with t = 0 among them and n of 2000 bits or more
+dyadic_points_st = st.tuples(
+    st.one_of(st.integers(-(10**6), 10**6), st.integers(2**2000, 2**2100), st.integers(-(2**2050), -(2**2000))),
+    st.one_of(st.just(0), st.integers(1, 80), st.integers(2000, 2100)),
+)
+
+
+@given(a=coefficients_st, b=coefficients_st, point=dyadic_points_st)
+@settings(max_examples=150)
+def test_dyadic_evaluation_is_the_exact_value(a, b, point):
+    # zero numerators, and denominators negative at the point, are among the cases
+    den = Polynomial(b) if any(b) else Polynomial.constant(1)
+    f, (n, t) = RationalFunction(Polynomial(a), den), point
+    num, d = f.at_dyadic(n, t)
+    x = Fraction(n, 2**t)
+    if den(x) == 0:
+        assert d == 0
+    else:
+        assert Fraction(num, d) == f(x)
+
+
 def test_ratfun_evaluation_and_zero_denominator():
     t = Polynomial.identity()
     f = RationalFunction(t + 1, t)

@@ -4,14 +4,16 @@ from math import log2
 import mpmath
 import pytest
 from mpmath import libmp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from windschitl import (
     DomainError,
     FormulaId,
     OracleConfig,
+    Polynomial,
     PrecisionReal,
+    RationalFunction,
     Target,
     W2_CORRECTION,
     approximate,
@@ -30,7 +32,7 @@ from windschitl import (
     w2_log_gap,
     w2star_log_gap,
 )
-from windschitl import formulas
+from windschitl import formulas, precision
 from windschitl.formulas import _FORMULAS, _windschitl_core
 from windschitl.precision import DEFAULT_DIGITS, _MEMO_SIZE, _stirling_fixed
 
@@ -257,6 +259,52 @@ def test_each_formula_is_within_its_one_rounding_budget(formula, digits, x):
     assert error <= budget
 
 
+def _declared_functions() -> dict[str, RationalFunction]:
+    """Every rational function the formula rows declare, with W2's correction and LSM's x s - 1."""
+    found = {"w2-correction": W2_CORRECTION, "lsm-excess": formulas._LSM_EXCESS}
+    for formula, (_, defect) in _FORMULAS.items():
+        for i, arg in enumerate(getattr(defect, "args", ())):
+            if isinstance(arg, RationalFunction):
+                found[f"{formula.value}-{i}"] = arg
+    return found
+
+
+_DECLARED = _declared_functions()
+
+
+def test_every_declared_function_is_found():
+    assert sorted(_DECLARED) == [
+        "chen-0", "chen-1", "lsm-excess", "nemes1-0", "nemes1-1", "nemes2-0",
+        "ramanujan-0", "ramanujan-1", "w1-2", "w2-correction", "yangchu1-0", "yangchu2-0",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(_DECLARED))
+@given(
+    n=st.one_of(st.integers(1, 10**6), st.integers(2**2000, 2**2100)),
+    t=st.one_of(st.just(0), st.integers(1, 80), st.integers(2000, 2100)),
+)
+@example(n=1, t=7)  # x = 1/128: chen's u has a negative denominator, below its domain
+@settings(max_examples=30, deadline=None)
+def test_declared_functions_evaluate_exactly_at_dyadic_points(name, n, t):
+    f, x = _DECLARED[name], Fraction(n, 2**t)
+    num, den = f.at_dyadic(n, t)
+    assert den != 0 and Fraction(num, den) == f(x)
+    if name == "chen-1" and (n, t) == (1, 7):
+        assert den < 0
+
+
+def test_declarations_equal_the_papers_other_forms():
+    x = Polynomial.identity()
+    # Yang and Chu's second formula is declared as one fraction of the paper's sum
+    paper_sum = RationalFunction(-1, 24 * x) + RationalFunction(Fraction(7, 2880), x * (x * x + Fraction(31, 98)))
+    assert _FORMULAS[FormulaId.YANGCHU2][1].args[0] == paper_sum
+    # Ramanujan's u = t/2 + t^2/8 + t^3/240 in t = 1/x, and LSM's x s - 1 as its docstring writes it
+    u_in_t = RationalFunction(Polynomial((0, Fraction(1, 2), Fraction(1, 8), Fraction(1, 240))))
+    assert _FORMULAS[FormulaId.RAMANUJAN][1].args[1] == u_in_t.reciprocal_substitution()
+    assert formulas._LSM_EXCESS == RationalFunction(Polynomial((190, 0, -134, 0, 105)), 85050 * x**10)
+
+
 @pytest.mark.parametrize("frac_bits", [-20, 233, 410, 780, 1150])
 def test_hyperbolic_logarithms_are_within_their_budget_on_both_sides_of_the_switch(frac_bits):
     # r = 2^-m (1 + a little) for m from -2 to 12 crosses the series' mag < 0
@@ -265,14 +313,14 @@ def test_hyperbolic_logarithms_are_within_their_budget_on_both_sides_of_the_swit
     for m in range(-2, 13):
         p, q = (3**40 + 1) << max(-m, 0), 3**40 << max(m, 0)
         mag = p.bit_length() - q.bit_length() + 1
-        sides.add(mag < 0 and max(frac_bits, 0) + formulas._HYPERBOLIC_GUARD <= formulas._HYPERBOLIC_SERIES_RATIO * -mag)
+        sides.add(mag < 0 and max(frac_bits, 0) + precision._HYPERBOLIC_GUARD <= precision._HYPERBOLIC_SERIES_RATIO * -mag)
         for tanh, c in ((False, (0, 1)), (True, (0, 1)), (False, (1, 810 * 3**6))):
             with mpmath.workprec(max(frac_bits, 0) + 256):
                 r = mpmath.mpf(p) / q
                 h = (mpmath.tanh(r) if tanh else mpmath.sinh(r)) / r + mpmath.mpf(c[0]) / c[1]
                 want = mpmath.log(h) * mpmath.mpf(2) ** frac_bits
                 want = Fraction(*(int(v) for v in libmp.to_rational(want._mpf_)))
-            got = formulas._log_hyperbolic((p, q), frac_bits, tanh, c)
+            got = precision._log_hyperbolic((p, q), frac_bits, tanh, c)
             assert abs(got - want) <= Fraction(132, 100), (m, tanh, c)
     assert sides == {True, False}
 
