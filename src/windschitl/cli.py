@@ -285,8 +285,8 @@ def _dispatch(args) -> int:
         record = log_error(args.formula, args.x, cfg)
         # every line is formatted before any is printed, so a value that
         # cannot be rendered leaves stdout empty; the relative error goes
-        # first, because it refuses an unprintable magnitude at once where
-        # rendering the value alone can take mpmath seconds
+        # first, so where it and the value both cannot be printed, the
+        # error names the relative error
         relative_error = record.format_relative_error(6)
         lines = [
             f"formula        = {args.formula.value}",

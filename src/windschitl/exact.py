@@ -253,14 +253,16 @@ class Polynomial:
     def __pow__(self, n: int) -> Polynomial:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.constant(1)
-        base = self
+        # square-and-multiply with no product by the initial 1 and no
+        # squaring after the last bit: x**2 is one product
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Polynomial.constant(1) if result is None else result
 
     @staticmethod
     def _coerce(other):

@@ -22,7 +22,6 @@ from functools import partial
 from ._record import Record
 from .exact import Polynomial, RationalFunction
 from .precision import (
-    _LOG2_10,
     DEFAULT_CONFIG,
     OracleConfig,
     PrecisionReal,
@@ -32,16 +31,15 @@ from .precision import (
     _stirling_fixed,
     _times_log,
     exp,
+    exp_decimal_string,
     expm1,
     from_fixed,
     from_ratio,
-    ln,
     ln_gamma_ref,
     log1p,
     memoized,
     DomainError,
     PrecisionError,
-    floor_log10,
     format_sci,
     working_argument,
 )
@@ -257,20 +255,15 @@ class LogErrorValue(Record):
             raise self._unprintable("relative error", form) from None
 
     def format_value(self, digits: int) -> str:
-        """F(x) to ``digits`` significant digits, or an OverflowError as above,
-        raised before F(x) is built, when its decimal exponent log_value / ln 10
-        has more digits than Python prints (``sys.get_int_max_str_digits()``).
-        ln 10 is taken only when log_value's binary exponent cannot decide."""
-        limit, log_value = sys.get_int_max_str_digits(), self.log_value
-        _, man, exponent, bits = log_value.raw
-        # |log_value| < 2^(exponent + bits) and ln 10 > 2, so the decimal
-        # exponent is below 2^(exponent + bits - 1): printable while that is
-        # at most 10^limit, with 13 % to spare for the float product
-        if limit and man and exponent + bits - 1 > limit * _LOG2_10:
-            decimal_exponent = log_value / ln(PrecisionReal(10, log_value.prec))
-            if floor_log10(decimal_exponent) >= limit:
-                raise self._unprintable("value", f"exp({format_sci(log_value, 6)})")
-        return exp(log_value).to_decimal_string(digits)
+        """F(x) to ``digits`` significant digits, taken from log_value
+        (:func:`precision.exp_decimal_string`), or an OverflowError as above,
+        raised before any digit of F(x) is computed, when its decimal
+        exponent has more digits than Python prints
+        (``sys.get_int_max_str_digits()``)."""
+        try:
+            return exp_decimal_string(self.log_value, digits, sys.get_int_max_str_digits())
+        except OverflowError:
+            raise self._unprintable("value", f"exp({format_sci(self.log_value, 6)})") from None
 
     def _unprintable(self, what: str, form: str) -> OverflowError:
         x, formula = format_sci(self.x, 6), self.formula.value

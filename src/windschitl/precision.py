@@ -47,6 +47,7 @@ __all__ = [
     "ln_gamma_ref",
     "trigamma_ref",
     "floor_log10",
+    "exp_decimal_string",
     "format_sci",
     "round_decimal",
 ]
@@ -88,7 +89,7 @@ def _binary_operator(name: str, fn, reflected: bool = False, divides: bool = Fal
     else gives NotImplemented.  A reflected operator passes the operands to
     fn swapped, and ``divides`` refuses a zero right operand of fn.
     """
-    from_int, from_rational, mpf_sign = libmp.from_int, libmp.from_rational, libmp.mpf_sign
+    from_int, mpf_sign = libmp.from_int, libmp.mpf_sign
     new = object.__new__
 
     def binary(self, other):
@@ -100,7 +101,7 @@ def _binary_operator(name: str, fn, reflected: bool = False, divides: bool = Fal
         elif isinstance(other, int):
             raw = from_int(other) if -_EXACT_INT < other < _EXACT_INT else from_int(other, prec, _RND)
         elif isinstance(other, Fraction):
-            raw = from_rational(other.numerator, other.denominator, prec, _RND)
+            raw = _rational_raw(other.numerator, other.denominator, prec)
         else:
             return NotImplemented
         s, t = (raw, self.raw) if reflected else (self.raw, raw)
@@ -163,10 +164,12 @@ class PrecisionReal:
             if isinstance(value, int):
                 raw = libmp.from_int(value, prec, _RND)
             elif isinstance(value, Fraction):
-                raw = libmp.from_rational(value.numerator, value.denominator, prec, _RND)
+                raw = _rational_raw(value.numerator, value.denominator, prec)
             elif isinstance(value, str):
                 raw = libmp.from_str(value, prec, _RND)
             elif isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ValueError(f"cannot build PrecisionReal from {value}")
                 raw = libmp.mpf_pos(libmp.from_float(value), prec, _RND)
             else:
                 raise TypeError(f"cannot build PrecisionReal from {type(value).__name__}")
@@ -243,9 +246,12 @@ class PrecisionReal:
         return Fraction(*self.as_integer_ratio())
 
     def as_integer_ratio(self) -> tuple[int, int]:
-        """(p, q) in lowest terms with q > 0 a power of two and p / q the exact value."""
-        p, q = libmp.to_rational(self.raw)
-        return int(p), int(q)
+        """(p, q) in lowest terms with q > 0 a power of two and p / q the exact
+        value, read from the raw (sign, man, exp), man odd or zero."""
+        sign, man, exp, _ = self.raw
+        if sign:
+            man = -man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
     def to_float(self) -> float:
         return libmp.to_float(self.raw)
@@ -253,8 +259,20 @@ class PrecisionReal:
     __float__ = to_float
 
     def to_decimal_string(self, digits: int) -> str:
-        """Decimal string with ``digits`` significant digits."""
-        return libmp.to_str(self.raw, digits)
+        """Decimal string with ``digits`` significant digits, the exact value
+        rounded half-even (:func:`_round_ratio`) and laid out as mpmath
+        prints (:func:`_decimal_layout`).  A value beyond
+        2^+-_PRINTABLE_BITS is rendered from its logarithm
+        (:func:`_exp_decimal`), ln|v| taken within 2^-(prec+10)."""
+        sign, man, exp, bc = self.raw
+        if not man:
+            q, e = 0, 0
+        elif abs(exp + bc) <= _PRINTABLE_BITS:
+            q, e, _ = _round_ratio(*self.as_integer_ratio(), digits)
+        else:
+            bits = self.prec + abs(exp + bc).bit_length() + _LOG_ROUTE_GUARD
+            q, e = _exp_decimal(libmp.mpf_log(libmp.mpf_abs(self.raw), bits, _RND), self.prec, digits)
+        return _decimal_layout(sign, q, e, digits)
 
     def __repr__(self) -> str:
         digits = max(1, int(self.prec / _LOG2_10) - 2)
@@ -295,8 +313,13 @@ def _rational_raw(num: int, den: int, prec: int) -> tuple:
     sticky bit marks a nonzero remainder, so the rounding is libmp's own of
     the exact quotient.  libmp.from_rational would first make num and den
     into raw values, stripping their trailing zero bits 8 at a time, which
-    costs quadratic time in a large power of two.
+    costs quadratic time in a large power of two.  A power-of-two den needs
+    no division: num is rounded at its exponent, with no shifted quotient
+    whose trailing zeros libmp would strip (for 1/2 at 207 bits, 4.5 us
+    that way against 0.4 us this way, on a 2-core VM).
     """
+    if not den & (den - 1):
+        return libmp.from_man_exp(num, 1 - den.bit_length(), prec, _RND)
     shift = prec + 2 - num.bit_length() + den.bit_length()
     q, rem = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
     return libmp.from_man_exp((q << 1) | bool(rem), -shift - 1, prec, _RND)
@@ -563,51 +586,143 @@ def ln_sqrt_two_pi(prec: int) -> PrecisionReal:
 # ---------------------------------------------------------------------------
 
 
-# Decimal's default exponent range is +-999999, about 3.32e6 binary places;
-# beyond this a number cannot be printed, and its exact Fraction can take
-# gigabytes to build.
+# Beyond 2^+-_PRINTABLE_BITS no exact ratio is rounded: its power of ten
+# alone would have about a million digits (Decimal's default exponent range,
+# +-999999, is about 3.32e6 binary places).  format_sci and round_decimal
+# refuse such a value; to_decimal_string renders it from its logarithm.
 _PRINTABLE_BITS = 3_000_000
+# Bits the logarithm route carries beyond the value's precision: the rest
+# of ln v split by ln 10 is within 2^-(prec+9), and its exp is rounded to
+# prec + 10 bits, far below the last of the digits the precision carries.
+_LOG_ROUTE_GUARD = 10
+# Digit strings are converted in chunks of this many digits, fewer than
+# Python's least limit on int-to-str conversion (640).
+_CHUNK_DIGITS = 600
 
 
-def _to_exact_fraction(value) -> Fraction:
+def _exact_ratio(value) -> tuple[int, int]:
+    """(num, den), den > 0, the exact value of a PrecisionReal, int or
+    Fraction; an OverflowError for a PrecisionReal beyond 2^+-_PRINTABLE_BITS."""
     if isinstance(value, PrecisionReal):
         _, _, exp, bc = value.raw
         if abs(exp + bc) > _PRINTABLE_BITS:
             raise OverflowError(
                 f"a number beyond 2^+-{_PRINTABLE_BITS} cannot be printed"
             )
-        return value.to_fraction()
+        return value.as_integer_ratio()
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value.numerator, value.denominator
     raise TypeError(f"cannot render {type(value).__name__}")
+
+
+def _round_ratio(num: int, den: int, digits: int) -> tuple[int, int, bool]:
+    """|num / den|, num != 0 and den > 0, rounded half-even to ``digits``
+    significant digits (or, for digits <= 0, at 10^(e+1-digits)): (q, e,
+    exact) with e = floor(log10 |num / den|), q the rounded |num / den|
+    10^(digits-1-e), so 10^(digits-1) <= q <= 10^digits, the upper end
+    where the rounding carries into the next decade, and whether q is exact.
+
+    The float estimate of e is off by at most one.  One multiply or divide
+    by a power of ten scales the ratio to a / b, and one exact comparison
+    of a / b with 10^(digits-1) and 10^digits settles e, a factor of ten
+    moving a / b with it; one integer division then rounds it.
+    """
+    num = abs(num)
+    e = math.floor(math.log10(num) - math.log10(den))
+    k = digits - 1 - e
+    a, b = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
+    low = 10 ** abs(digits - 1)
+    low_a, low_b = (a, b * low) if digits >= 1 else (a * low, b)
+    if low_a < low_b:
+        a, e = 10 * a, e - 1
+    elif low_a >= 10 * low_b:
+        b, e = 10 * b, e + 1
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q & 1):
+        q += 1
+    return q, e, r == 0
+
+
+def _digit_string(q: int) -> str:
+    """str(q) for q >= 0, in chunks below Python's limit on int-to-str
+    conversion (``sys.get_int_max_str_digits()``), which would refuse a
+    long mantissa at a high ``--digits``."""
+    chunk, low_parts = 10**_CHUNK_DIGITS, []
+    while q >= chunk:
+        q, low = divmod(q, chunk)
+        low_parts.append(f"{low:0{_CHUNK_DIGITS}d}")
+    return str(q) + "".join(reversed(low_parts))
+
+
+def _decimal_layout(negative: int, q: int, e: int, digits: int) -> str:
+    """(-1)^negative q 10^(e+1-digits), q from :func:`_round_ratio`, laid
+    out as mpmath's own string conversion lays out ``digits`` digits: fixed
+    notation where min(-(digits // 3), -5) < e < digits (e after a carry),
+    scientific with a lowercase signed exponent elsewhere, trailing zeros
+    stripped but one after the point, and 0.0 for zero."""
+    if digits < 1:
+        raise ValueError("need at least one significant digit")
+    if not q:
+        return "0.0"
+    if q == 10**digits:
+        q, e = q // 10, e + 1
+    text, tail = _digit_string(q), ""
+    if min(-(digits // 3), -5) < e < digits:
+        text = "0." + "0" * (-e - 1) + text if e < 0 else text[: e + 1] + "." + text[e + 1 :]
+    else:
+        text, tail = text[0] + "." + text[1:], f"e{e:+d}"
+    text = text.rstrip("0")
+    return f"{'-' if negative else ''}{text}{'0' if text.endswith('.') else ''}{tail}"
+
+
+def _exp_decimal(log: tuple, prec: int, digits: int, limit: int = 0) -> tuple[int, int]:
+    """exp(L) for a raw L at precision prec, rounded half-even to ``digits``
+    significant digits: (q, e) as from :func:`_round_ratio`, in time that
+    does not grow with the decimal exponent.
+
+    L = E ln 10 + r with E = round(L / ln 10) and |r| <= ln(10)/2, so
+    exp(L) = exp(r) 10^E: L and ln 10 are taken at F = prec + bitlen(|L|) +
+    _LOG_ROUTE_GUARD fraction bits, so r is within (|E| + 1) 2^-F <
+    2^-(prec+9), and exp(r) comes from :func:`_decimal_mantissa`.  Where
+    |L| < 1, E is 0 and no ln 10 is taken.  An OverflowError where E has
+    more than ``limit`` digits, if limit is nonzero, before any digit is
+    computed.
+    """
+    sign, man, exp, bc = log
+    frac_bits = prec + max(exp + bc, 0) + _LOG_ROUTE_GUARD
+    scaled = man << (exp + frac_bits) if exp + frac_bits >= 0 else man >> -(exp + frac_bits)
+    rest, decimal_exponent = -scaled if sign else scaled, 0
+    if exp + bc > 0:
+        ln10 = libmp.ln10_fixed(frac_bits)
+        decimal_exponent = (2 * rest + ln10) // (2 * ln10)
+        rest -= decimal_exponent * ln10
+    if limit and abs(decimal_exponent) >= 10**limit:
+        raise OverflowError(f"a decimal exponent of more than {limit} digits cannot be printed")
+    q, e, _ = _decimal_mantissa(rest, frac_bits, prec, digits)
+    return q, e + decimal_exponent
+
+
+def _decimal_mantissa(rest: int, frac_bits: int, prec: int, digits: int) -> tuple[int, int, bool]:
+    """exp(rest 2^-frac_bits) at prec + _LOG_ROUTE_GUARD bits, rounded by
+    :func:`_round_ratio`."""
+    _, man, exp, _ = libmp.mpf_exp(libmp.from_man_exp(rest, -frac_bits), prec + _LOG_ROUTE_GUARD, _RND)
+    return _round_ratio(man << max(exp, 0), 1 << max(-exp, 0), digits)
+
+
+def exp_decimal_string(log_value: PrecisionReal, digits: int, limit: int = 0) -> str:
+    """exp(log_value) to ``digits`` significant digits, laid out as
+    :meth:`PrecisionReal.to_decimal_string` lays them out, taken from the
+    logarithm (:func:`_exp_decimal`): an OverflowError where the decimal
+    exponent has more than ``limit`` digits, if limit is nonzero."""
+    return _decimal_layout(0, *_exp_decimal(log_value.raw, log_value.prec, digits, limit), digits)
 
 
 def floor_log10(value) -> int:
     """floor(log10 |value|) of a nonzero rational, exactly."""
-    fr = _to_exact_fraction(value)
-    if fr == 0:
+    num, den = _exact_ratio(value)
+    if not num:
         raise ValueError("floor_log10 needs a nonzero value")
-    num, den = abs(fr.numerator), fr.denominator
-    # the float estimate is off by at most one; one exact comparison settles it
-    e = math.floor(math.log10(num) - math.log10(den))
-    if e >= 0:
-        den *= 10**e
-    else:
-        num *= 10**-e
-    # num / den is now |value| / 10^e
-    if num < den:
-        return e - 1
-    if num >= 10 * den:
-        return e + 1
-    return e
-
-
-def _round_half_even(num: int, den: int) -> tuple[int, bool]:
-    """(num / den rounded half-even to an integer, whether it was exact), den > 0."""
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    return q, r == 0
+    return _round_ratio(num, den, 1)[1]
 
 
 def format_sci(value, sig_digits: int) -> str:
@@ -617,38 +732,33 @@ def format_sci(value, sig_digits: int) -> str:
     signed unpadded exponent (e.g. ``2.40663E-5``; values representable
     in fewer digits print without trailing zeros, as ``Decimal`` prints
     them).  Rendering rounds the exact rational half-even with one
-    integer division, so equal values always print identically.
+    integer division (:func:`_round_ratio`), so equal values always print
+    identically.
     """
     if sig_digits < 1:
         raise ValueError("need at least one significant digit")
-    fr = _to_exact_fraction(value)
-    if fr == 0:
+    num, den = _exact_ratio(value)
+    if not num:
         return "0E+0"
-    e = floor_log10(fr)
-    # |value| 10^k has exactly sig_digits digits before the point
-    k = sig_digits - 1 - e
-    num, den = abs(fr.numerator), fr.denominator
-    if k >= 0:
-        q, exact = _round_half_even(num * 10**k, den)
-    else:
-        q, exact = _round_half_even(num, den * 10**-k)
+    q, e, exact = _round_ratio(num, den, sig_digits)
     if q == 10**sig_digits:
         q, e = q // 10, e + 1
     elif exact:
         # an exact value keeps no trailing zero below its units digit, as Decimal
+        k = sig_digits - 1 - e
         while k > 0 and q % 10 == 0:
             q, k = q // 10, k - 1
-    digits = str(q)
+    digits = _digit_string(q)
     mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
-    return f"{'-' if fr < 0 else ''}{mantissa}E{e:+d}"
+    return f"{'-' if num < 0 else ''}{mantissa}E{e:+d}"
 
 
 def round_decimal(value, places: int) -> Decimal:
-    """Exact half-even rounding to a fixed number of decimal places."""
-    fr = _to_exact_fraction(value)
-    scaled = abs(fr) * Fraction(10) ** places
-    q, _ = _round_half_even(scaled.numerator, scaled.denominator)
-    return Decimal((int(fr < 0), Decimal(q).as_tuple().digits, -places))
+    """Exact half-even rounding to a fixed number of decimal places: the
+    ratio rounded at places + 1 + floor(log10 |value|) significant digits."""
+    num, den = _exact_ratio(value)
+    q = _round_ratio(num, den, places + 1 + _round_ratio(num, den, 1)[1])[0] if num else 0
+    return Decimal((int(num < 0), tuple(map(int, _digit_string(q))), -places))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ the same tables and the same verdicts.  ``tangent_from_recursion`` is T_k recove
 ``mpmath.expm1`` at twice the precision, and ``ulps_off`` measures a
 value against a reference in ulps.  ``format_sci_decimal``
 is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
-precision, the reference for its integer rounding.  The ``fresh_memos``
+precision, the reference for its integer rounding.  ``exact_fraction``,
+``floor_log10_fraction``, ``format_sci_fraction`` and
+``round_decimal_fraction`` are the renderer as it was written on exact
+``Fraction``s, and ``decimal_string_reference`` rounds a ``Fraction`` the
+same way and lets mpmath's ``to_str`` lay the rounded decimal out: the
+one integer rounding routine behind every printed number must give their
+strings.  The ``fresh_memos``
 fixture empties the kernel memos around a test that counts or patches
 what lies below them.  ``reference_operator`` is ``PrecisionReal``
 arithmetic by the rule its operators first had: turn the operand into a
@@ -39,7 +45,7 @@ import functools
 import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from math import comb, floor
+from math import comb, floor, log10
 
 import mpmath
 import pytest
@@ -55,7 +61,7 @@ from windschitl import (
     sign_criterion,
 )
 from windschitl import formulas, precision
-from windschitl.precision import _to_exact_fraction, _wrap, ln_sqrt_two_pi, working_argument
+from windschitl.precision import _wrap, ln_sqrt_two_pi, working_argument
 
 BRACKET_WIDTH = Fraction(1, 2**32)
 
@@ -471,11 +477,100 @@ def assert_sign_criterion_matches_brute_force(cases: int = 100, seed: int = 2024
             assert kind is SignKind.SINGLE_CROSSING, f"{kind} for {case}"
 
 
+def exact_fraction(value) -> Fraction:
+    """The exact value of a PrecisionReal, int or Fraction."""
+    return value.to_fraction() if isinstance(value, PrecisionReal) else Fraction(value)
+
+
+def floor_log10_fraction(value) -> int:
+    """floor(log10 |value|) of a nonzero rational, from its exact Fraction."""
+    fr = exact_fraction(value)
+    if fr == 0:
+        raise ValueError("floor_log10 needs a nonzero value")
+    num, den = abs(fr.numerator), fr.denominator
+    # the float estimate is off by at most one; one exact comparison settles it
+    e = floor(log10(num) - log10(den))
+    if e >= 0:
+        den *= 10**e
+    else:
+        num *= 10**-e
+    # num / den is now |value| / 10^e
+    if num < den:
+        return e - 1
+    if num >= 10 * den:
+        return e + 1
+    return e
+
+
+def _round_half_even(num: int, den: int) -> tuple[int, bool]:
+    """(num / den rounded half-even to an integer, whether it was exact), den > 0."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q, r == 0
+
+
+def _rounded_digits(fr: Fraction, digits: int) -> tuple[int, int, bool]:
+    """(q, e, exact): |fr| != 0 rounded half-even to ``digits`` significant
+    digits as q 10^(e + 1 - digits), q of exactly ``digits`` digits."""
+    e = floor_log10_fraction(fr)
+    # |value| 10^k has exactly digits digits before the point
+    k = digits - 1 - e
+    num, den = abs(fr.numerator), fr.denominator
+    if k >= 0:
+        q, exact = _round_half_even(num * 10**k, den)
+    else:
+        q, exact = _round_half_even(num, den * 10**-k)
+    if q == 10**digits:
+        q, e = q // 10, e + 1
+    return q, e, exact
+
+
+def format_sci_fraction(value, sig_digits: int) -> str:
+    """``format_sci`` on the exact Fraction, half-even at ``sig_digits``."""
+    if sig_digits < 1:
+        raise ValueError("need at least one significant digit")
+    fr = exact_fraction(value)
+    if fr == 0:
+        return "0E+0"
+    q, e, exact = _rounded_digits(fr, sig_digits)
+    k = sig_digits - 1 - e
+    if exact:
+        # an exact value keeps no trailing zero below its units digit, as Decimal
+        while k > 0 and q % 10 == 0:
+            q, k = q // 10, k - 1
+    digits = str(q)
+    mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{'-' if fr < 0 else ''}{mantissa}E{e:+d}"
+
+
+def round_decimal_fraction(value, places: int) -> Decimal:
+    """``round_decimal`` on the exact Fraction: half-even at ``places`` places."""
+    fr = exact_fraction(value)
+    scaled = abs(fr) * Fraction(10) ** places
+    q, _ = _round_half_even(scaled.numerator, scaled.denominator)
+    return Decimal((int(fr < 0), Decimal(q).as_tuple().digits, -places))
+
+
+def decimal_string_reference(value, digits: int) -> str:
+    """``to_decimal_string``'s reference: the exact value rounded half-even
+    to ``digits`` significant digits, laid out by mpmath's ``to_str`` from a
+    binary float of 4 digits + 64 bits nearest that decimal, whose digits
+    past the rounded ones read 000... or 999..., so to_str keeps them."""
+    fr = exact_fraction(value)
+    if fr == 0:
+        return libmp.to_str(libmp.fzero, digits)
+    q, e, _ = _rounded_digits(fr, digits)
+    rounded = Fraction(-q if fr < 0 else q) * Fraction(10) ** (e + 1 - digits)
+    raw = libmp.from_rational(rounded.numerator, rounded.denominator, 4 * digits + 64, "n")
+    return libmp.to_str(raw, digits)
+
+
 def format_sci_decimal(value, sig_digits: int) -> str:
     """Scientific notation by ``Decimal`` division, half-even at ``sig_digits``."""
     if sig_digits < 1:
         raise ValueError("need at least one significant digit")
-    fr = _to_exact_fraction(value)
+    fr = exact_fraction(value)
     if fr == 0:
         return "0E+0"
     with localcontext() as ctx:

@@ -372,6 +372,34 @@ def test_powers_match_the_fraction_reference(a, n):
     assert_matches(p**n, p_ref**n)
 
 
+@given(a=coefficients_st)
+@settings(max_examples=30)
+def test_powers_equal_repeated_products(a):
+    p = Polynomial(a[:4])
+    product = Polynomial.constant(1)
+    for n in range(9):
+        assert p**n == product
+        product = product * p
+
+
+def test_a_square_is_one_product(monkeypatch):
+    multiply = Polynomial.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    x = Polynomial.identity()
+    assert x**2 == Polynomial((0, 0, 1))
+    assert len(calls) == 1
+    calls.clear()
+    # 6 = 110 in binary: two squarings and one product, none by the initial 1
+    assert x**6 == Polynomial((0,) * 6 + (1,))
+    assert len(calls) == 3
+
+
 @given(a=coefficients_st, b=coefficients_st, k=st.integers(0, 4), extra=st.integers(0, 3))
 @settings(max_examples=120)
 def test_transforms_match_the_fraction_reference(a, b, k, extra):

@@ -50,8 +50,10 @@ from windschitl.precision import (
     _terms_needed,
     _validate_series,
     _wrap,
+    exp_decimal_string,
     floor_log10,
     _LOG1P_SERIES_TERMS,
+    _PRINTABLE_BITS,
     _rational_raw,
     ln_sqrt_two_pi,
     log1p,
@@ -61,16 +63,20 @@ from windschitl.precision import (
 from support import (
     MEMOS,
     bits,
+    decimal_string_reference,
     exact_series_sum,
     expm1_reference,
+    floor_log10_fraction,
     floor_log2,
     format_sci_decimal,
+    format_sci_fraction,
     fresh_memos,
     horner_per_step,
     ln_gamma_per_step,
     lngamma_series_fractions,
     reference_operator,
     REFERENCE_OPERATORS,
+    round_decimal_fraction,
     series_fixed_fractions,
     trigamma_per_step,
     trigamma_series_fractions,
@@ -435,6 +441,28 @@ def test_rational_raw_rounds_as_libmp(num, den, shift, prec):
     # a power of two times num or den, as the formulas' exact rationals have
     for n, d in ((num << shift, den), (num, den << shift)):
         assert _rational_raw(n, d, prec) == libmp.from_rational(n, d, prec, "n")
+
+
+@given(
+    num=st.integers(-(2**300), 2**300).filter(bool),
+    den=st.integers(1, 2**300),
+    shift=st.integers(0, 2000),
+    prec=st.sampled_from([64, 207, 738]),
+)
+@settings(max_examples=200)
+def test_a_fraction_is_rounded_to_the_bits_of_libmp_from_rational(num, den, shift, prec):
+    # construction and an absorbed operand share _rational_raw; libmp's own
+    # route is the reference, for either sign and a power-of-two denominator
+    for n, d in ((num, den), (num, den << shift), (num << shift, den)):
+        want = libmp.from_rational(n, d, prec, "n")
+        assert bits(PrecisionReal(Fraction(n, d), prec)) == (want, prec)
+        assert bits(PrecisionReal(0, prec) + Fraction(n, d)) == (want, prec)
+
+
+def test_non_finite_floats_are_refused():
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="cannot build PrecisionReal"):
+            PrecisionReal(value, 64)
 
 
 def test_domain_violations_raise():
@@ -1304,6 +1332,104 @@ _SCI_CASES = st.one_of(
 def test_format_sci_matches_decimal_division(case):
     value, sig_digits = case
     assert format_sci(value, sig_digits) == format_sci_decimal(value, sig_digits)
+
+
+def _dyadic_tie(negative: bool, odd: int, k: int) -> tuple[PrecisionReal, int]:
+    """(+-odd / 2^k exactly, its significant digits less one): for k >= 1
+    the decimal expansion ends in the digit 5, so one digit fewer is a tie."""
+    value = Fraction(-odd if negative else odd, 2**k)
+    return PrecisionReal(value, max(MIN_PRECISION_BITS, odd.bit_length())), len(str(odd * 5**k)) - 1
+
+
+# (PrecisionReal, digits): binary values of any exponent that stays
+# printable, and exact dyadic ties, which round half-even
+_BINARY_CASES = st.one_of(
+    st.tuples(
+        st.builds(_binary_value, st.booleans(), st.integers(1, 2**200), st.integers(-20000, 20000)),
+        st.integers(1, 60),
+    ),
+    st.builds(
+        _dyadic_tie, st.booleans(), st.integers(0, 2**40).map(lambda n: 2 * n + 1), st.integers(1, 30)
+    ).filter(lambda case: case[1] >= 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_SCI_CASES, places=st.integers(-5, 30))
+def test_format_sci_round_decimal_and_floor_log10_match_the_fraction_reference(case, places):
+    value, sig_digits = case
+    assert format_sci(value, sig_digits) == format_sci_fraction(value, sig_digits)
+    assert floor_log10(value) == floor_log10_fraction(value)
+    got, want = round_decimal(value, places), round_decimal_fraction(value, places)
+    assert got.as_tuple() == want.as_tuple()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_BINARY_CASES)
+def test_to_decimal_string_is_the_exact_half_even_rounding_laid_out_as_mpmath(case):
+    value, digits = case
+    assert value.to_decimal_string(digits) == decimal_string_reference(value, digits)
+    assert format_sci(value, digits) == format_sci_fraction(value, digits)
+
+
+def test_ties_round_half_even_in_both_layouts():
+    # mpmath's to_str rounds these half up, to 0.13 and -3.0
+    eighth, minus_five_halves = PrecisionReal(Fraction(1, 8), 64), PrecisionReal(Fraction(-5, 2), 64)
+    assert eighth.to_decimal_string(2) == "0.12"
+    assert format_sci(eighth, 2) == "1.2E-1"
+    assert minus_five_halves.to_decimal_string(1) == "-2.0"
+    assert format_sci(minus_five_halves, 1) == "-2E+0"
+    assert PrecisionReal(0, 64).to_decimal_string(3) == "0.0"
+    with pytest.raises(ValueError):
+        eighth.to_decimal_string(0)
+
+
+def test_digit_strings_past_the_int_to_str_limit_are_rendered():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        third = PrecisionReal(1, 4000) / 3  # about 1204 digits
+        assert third.to_decimal_string(1000) == "0." + "3" * 1000
+        assert format_sci(third, 700) == "3." + "3" * 699 + "E-1"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    man=st.integers(-(2**200), 2**200),
+    scale=st.integers(-400, 0),
+    prec=st.sampled_from([64, 207, 738]),
+    data=st.data(),
+)
+def test_the_log_route_matches_mpmath_exp_at_twice_the_precision(man, scale, prec, data):
+    log_value = PrecisionReal(Fraction(man) * Fraction(2) ** scale, prec)
+    if abs(log_value) > 700:
+        log_value = log_value * Fraction(700) / abs(log_value)
+    digits = data.draw(st.integers(1, int(prec / 3.33) - 5))
+    with mpmath.workprec(2 * prec):
+        want = Fraction(*(int(v) for v in libmp.to_rational(mpmath.exp(mpmath.mpf(log_value.raw))._mpf_)))
+    assert exp_decimal_string(log_value, digits) == decimal_string_reference(want, digits)
+
+
+def test_the_log_route_resolves_a_mantissa_at_a_decimal_exponent_of_4001_digits():
+    # ln v = (10^4000 + 1/2) ln 10 at 14000 bits, within 2^-700 of the split's
+    # rest: v = sqrt(10) 10^(10^4000)
+    log_value = ln(PrecisionReal(10, 14000)) * (10**4000 + Fraction(1, 2))
+    want = "3.1622776601683793319988935444327185337195551393252"
+    assert exp_decimal_string(log_value, 50) == f"{want}e+{10**4000}"
+    assert exp_decimal_string(-log_value, 50) == f"3.1622776601683793319988935444327185337195551393252e-{10**4000 + 1}"
+    with pytest.raises(OverflowError, match="more than 4000 digits"):
+        exp_decimal_string(log_value, 50, limit=4000)
+
+
+def test_a_value_past_the_printable_bits_is_rendered_from_its_logarithm():
+    huge = exp(PrecisionReal(10**7, 64))  # about 2^(1.44e7)
+    assert abs(huge.raw[2] + huge.raw[3]) > _PRINTABLE_BITS
+    for value in (huge, 1 / huge, -huge):
+        # mpmath's to_str, digits it resolves at the value's precision
+        assert value.to_decimal_string(15) == libmp.to_str(value.raw, 15)
+    assert repr(huge).startswith("PrecisionReal('")
 
 
 def test_unprintable_magnitudes_raise_before_any_conversion():

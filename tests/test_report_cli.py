@@ -29,7 +29,7 @@ from windschitl import (
     render_csv,
     render_markdown,
 )
-from windschitl import cli, formulas, verify
+from windschitl import cli, precision, verify
 from windschitl.cli import main
 from windschitl.report import DEFAULT_ABSCISSAS, DEFAULT_FORMULAS
 
@@ -481,11 +481,12 @@ def test_domain_edges_keep_their_exception_types(formula, x, error):
     ],
 )
 def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, monkeypatch, argv, message):
-    # the refusal comes before any value is rendered
-    def render(self, digits):
+    # the refusal comes before any value is rendered, exactly or from its logarithm
+    def render(*args):
         raise AssertionError("a value was rendered before the refusal")
 
     monkeypatch.setattr(PrecisionReal, "to_decimal_string", render)
+    monkeypatch.setattr(precision, "_decimal_mantissa", render)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -509,10 +510,11 @@ def test_unrepresentable_requests_exit_two_with_one_error_line(capsys, monkeypat
 def test_a_value_with_an_unprintable_decimal_exponent_is_refused_before_rendering(
     capsys, monkeypatch, default_digit_limit, text, message
 ):
-    def render(self, digits):
+    # the value line's digits come from its logarithm: no mantissa is computed
+    def mantissa(*args):
         raise AssertionError("a value was rendered before the refusal")
 
-    monkeypatch.setattr(PrecisionReal, "to_decimal_string", render)
+    monkeypatch.setattr(precision, "_decimal_mantissa", mantissa)
     assert main(["eval", "w2", text]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -521,38 +523,23 @@ def test_a_value_with_an_unprintable_decimal_exponent_is_refused_before_renderin
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_format_value_refuses_exactly_a_decimal_exponent_past_the_digit_limit(monkeypatch, default_digit_limit, sign):
-    # F(x) = 10^E with E = log_value / ln 10; E of 4300 digits renders, of 4301 does not
-    monkeypatch.setattr(PrecisionReal, "to_decimal_string", lambda self, digits: "rendered")
+    # F(x) = 10^E with E = log_value / ln 10; E of 4300 digits renders, of 4301
+    # is refused before the mantissa step
+    taken, mantissa = [], precision._decimal_mantissa
+    monkeypatch.setattr(precision, "_decimal_mantissa", lambda *a: taken.append(a) or mantissa(*a))
     prec = 207
     one, ln10 = PrecisionReal(1, prec), ln(PrecisionReal(10, prec))
     for scale, printable in ((Fraction(999, 1000), True), (Fraction(1001, 1000), False)):
         log_value = sign * ln10 * (scale * 10**4300)
         record = LogErrorValue(one, FormulaId.W2, log_value, log_gap=one, relative_error=one)
         if printable:
-            assert record.format_value(10) == "rendered"
+            _, exponent = record.format_value(10).split("e")
+            assert exponent[0] == "+-"[sign < 0] and len(exponent) == 4301
+            assert len(taken) == 1
         else:
             with pytest.raises(OverflowError, match=r"value of w2 at x = 1E\+0 cannot be printed"):
                 record.format_value(10)
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_format_value_takes_ln_10_only_where_the_binary_exponent_cannot_decide(
-    monkeypatch, default_digit_limit, sign
-):
-    # |log_value| < 2^m bounds the decimal exponent by 2^(m-1) / (ln 10 / 2),
-    # which 10^4300 exceeds up to m = 14285
-    monkeypatch.setattr(PrecisionReal, "to_decimal_string", lambda self, digits: "rendered")
-    taken = []
-    monkeypatch.setattr(formulas, "ln", lambda x: taken.append(x) or ln(x))
-    prec = 207
-    one = PrecisionReal(1, prec)
-    below = PrecisionReal(2**14285 - 2 ** (14285 - prec), prec)  # m = 14285
-    at = PrecisionReal(2**14285, prec)  # m = 14286; still printable, at 0.71 10^4300
-    for log_value, takes_ln in ((one, False), (one - one, False), (below, False), (at, True)):
-        record = LogErrorValue(one, FormulaId.W2, sign * log_value, log_gap=one, relative_error=one)
-        assert record.format_value(10) == "rendered"
-        assert len(taken) == takes_ln
-        taken.clear()
+            assert len(taken) == 1
 
 
 @pytest.mark.parametrize(
