@@ -26,7 +26,6 @@ from .formulas import (
     log1p_defect,
     log_approximate,
     log_error,
-    w2_correction,
     w2_log_gap,
     w2star_log_gap,
 )

@@ -34,7 +34,6 @@ from .precision import (
     exp_decimal_string,
     expm1,
     from_fixed,
-    from_ratio,
     ln_gamma_ref,
     log1p,
     memoized,
@@ -52,7 +51,6 @@ __all__ = [
     "log_approximate",
     "log_error",
     "W2_CORRECTION",
-    "w2_correction",
     "w2_log_gap",
     "w2star_log_gap",
     "log1p_defect",
@@ -91,8 +89,9 @@ class FormulaId(enum.Enum):
 # Each formula is ln F(x) = ln sqrt(2 pi) + (x + a) ln x - x + D_F(x): the
 # Stirling term of precision._stirling_fixed, unrounded at its F fraction
 # bits, plus the defect D_F(x) as an integer at the same F, rounded once.
-# Each defect reads x as the exact N 2^-t and states its error in units of
-# 2^-F.
+# A defect is a sum of terms, each of one of three shapes bound to the
+# paper's rational functions; each term reads x as the exact N 2^-t and
+# states its error in units of 2^-F.
 
 
 def _rational(d: RationalFunction, x: PrecisionReal, frac_bits: int) -> int:
@@ -104,20 +103,28 @@ def _rational(d: RationalFunction, x: PrecisionReal, frac_bits: int) -> int:
 def _times_log1p(m: RationalFunction, u: RationalFunction, x: PrecisionReal, frac_bits: int) -> int:
     """m(x) ln(1 + u(x)) for rational functions m > 0 and u:
     :func:`precision.log1p` of the exact u at x, times m
-    (:func:`precision._times_log`), within 1.32 units; ln's DomainError where
-    1 + u <= 0 (nemes1 for x^2 < 1/120, chen for 168 x^3 + 48 x < 7)."""
+    (:func:`precision._times_log`), within 1.32 units, or 1.26 where m = 1;
+    ln's DomainError where 1 + u <= 0 (nemes1 for x^2 < 1/120, chen for
+    168 x^3 + 48 x < 7)."""
     n, t = _scaled_integer(x.raw)
     num, den = u.at_dyadic(n, t)
     return _times_log(*m.at_dyadic(n, t), frac_bits, lambda g: log1p(num, den, g))
 
 
-def _hyperbolic(k: int, tanh: bool, c: RationalFunction | None, x: PrecisionReal, frac_bits: int) -> int:
-    """(x/2) ln(h(r) + c(x)) with r = 1/(k x), h(r) = sinh(r)/r, or tanh(r)/r
-    with ``tanh``, and c a rational function >= 0, or none: within 1.33
-    units (:func:`precision._log_hyperbolic`, :func:`precision._times_log`)."""
+def _hyperbolic(
+    k: int, tanh: bool, c: RationalFunction | None, e: RationalFunction | None, x: PrecisionReal, frac_bits: int
+) -> int:
+    """(x/2) ln(k x sinh(r) + c(x)), or with tanh(r) for ``tanh``, where r =
+    (1 + e(x))/(k x), for rational functions c >= 0 and e >= 0 with positive
+    denominators, or none: (x/2) ln((1 + e) h(r) + c) with h(r) = sinh(r)/r
+    or tanh(r)/r, within 1.33 units (:func:`precision._log_hyperbolic`,
+    :func:`precision._times_log`).  The excess e, not the argument r itself,
+    is the declared function, so no Horner step runs at r's degree."""
     n, t = _scaled_integer(x.raw)
-    r, c = (1 << t, k * n), c.at_dyadic(n, t) if c else (0, 1)
-    return _times_log(n, 1 << (t + 1), frac_bits, lambda g: _log_hyperbolic(r, g, tanh, c))
+    e_num, e_den = e.at_dyadic(n, t) if e else (0, 1)
+    r, f = ((e_den + e_num) << t, e_den * k * n), (e_den + e_num, e_den)
+    c = c.at_dyadic(n, t) if c else (0, 1)
+    return _times_log(n, 1 << (t + 1), frac_bits, lambda g: _log_hyperbolic(r, g, tanh, c, f))
 
 
 _x = Polynomial.identity()  # the paper's variable
@@ -128,87 +135,61 @@ def _windschitl_core(x: PrecisionReal, frac_bits: int) -> int:
     """(x/2) ln(x sinh(1/x)), the defect of W0, shared by W0, W2 and W2*:
     within 1.33 units (:func:`_hyperbolic`).  Memoized: it depends on x's
     value and precision alone, which set frac_bits."""
-    return _hyperbolic(1, False, None, x, frac_bits)
+    return _hyperbolic(1, False, None, None, x, frac_bits)
 
 
 # the paper's exponent correction y(x); verify derives every use of it from this object
 W2_CORRECTION = 7 / (324 * _x**3 * (35 * _x**2 + 33))
 
-
-@memoized
-def w2_correction(x: PrecisionReal) -> PrecisionReal:
-    """W2_CORRECTION at the precision of x, its exact value at x rounded
-    once: within half an ulp.  Memoized, so W2 and W2* at one point share
-    one evaluation."""
-    return from_ratio(*W2_CORRECTION.at_dyadic(*_scaled_integer(x.raw)), x.prec)
-
-
-def _w2(x: PrecisionReal, frac_bits: int) -> int:
-    """The core plus the shared correction y, floored: within 2.33 units and
-    half an ulp of y at the precision of x, the correction's one rounding."""
-    return _windschitl_core(x, frac_bits) + _quotient(*w2_correction(x).as_integer_ratio(), frac_bits)
-
-
-def _w2star(x: PrecisionReal, frac_bits: int) -> int:
-    """The core plus ln(1 + y) of the shared correction (:func:`precision.log1p`):
-    within 2.59 units and half an ulp of y."""
-    return _windschitl_core(x, frac_bits) + log1p(*w2_correction(x).as_integer_ratio(), frac_bits)
-
-
-# x s - 1 = s / t - 1 for LSM's sinh argument s in t = 1/x, exactly
+# x s - 1 = s / t - 1 for LSM's sinh argument s = 1/x + 1/(810 x^7) -
+# 67/(42525 x^9) + 19/(8505 x^11) in t = 1/x, exactly: (105 x^4 - 134 x^2 +
+# 190) / (85050 x^10), positive for every x > 0
 _LSM_ARGUMENT = Polynomial.from_terms({1: 1, 7: Fraction(1, 810), 9: Fraction(-67, 42525), 11: Fraction(19, 8505)})
 _LSM_EXCESS = RationalFunction(_LSM_ARGUMENT.divided_by_power(1) - 1).reciprocal_substitution()
 
-
-def _lsm(x: PrecisionReal, frac_bits: int) -> int:
-    """(x/2) ln(x sinh(s)) with the sinh argument s = 1/x + 1/(810 x^7) -
-    67/(42525 x^9) + 19/(8505 x^11), so x s = 1 + (105 x^4 - 134 x^2 + 190)
-    / (85050 x^10), positive for every x > 0: (x/2) (ln(sinh(s)/s) +
-    ln(x s)), within 1.65 units."""
-    n, t = _scaled_integer(x.raw)
-    excess, den = _LSM_EXCESS.at_dyadic(n, t)
-    s = ((den + excess) << t, den * n)  # s = x s / x, exactly
-    return _times_log(n, 1 << (t + 1), frac_bits, lambda g: _log_hyperbolic(s, g) + log1p(excess, den, g))
-
-
-# formula: (twice a, defect, or None for Stirling's formula itself)
+# formula: (twice a, the terms whose sum is its defect; none for Stirling's formula itself)
 _FORMULAS = {
-    FormulaId.STIRLING: (1, None),
-    FormulaId.W0: (1, _windschitl_core),
-    FormulaId.W1: (1, partial(_hyperbolic, 1, False, 1 / (810 * _x**6))),
-    FormulaId.W2: (1, _w2),
-    FormulaId.W2STAR: (1, _w2star),
-    FormulaId.LSM: (1, _lsm),
+    FormulaId.STIRLING: (1, ()),
+    FormulaId.W0: (1, (_windschitl_core,)),
+    FormulaId.W1: (1, (partial(_hyperbolic, 1, False, 1 / (810 * _x**6), None),)),
+    # the core plus y, and the core plus ln(1 + y), with y exact
+    FormulaId.W2: (1, (_windschitl_core, partial(_rational, W2_CORRECTION))),
+    FormulaId.W2STAR: (1, (_windschitl_core, partial(_times_log1p, RationalFunction(1), W2_CORRECTION))),
+    FormulaId.LSM: (1, (partial(_hyperbolic, 1, False, None, _LSM_EXCESS),)),  # (x/2) ln(x sinh(s))
     # ln(8x^3 + 4x^2 + x + 1/30)/6 - ln(2)/2 - (ln x)/2 = ln(1 + u)/6
     FormulaId.RAMANUJAN: (
         1,
-        partial(_times_log1p, RationalFunction(Fraction(1, 6)), (4 * _x**2 + _x + Fraction(1, 30)) / (8 * _x**3)),
+        (partial(_times_log1p, RationalFunction(Fraction(1, 6)), (4 * _x**2 + _x + Fraction(1, 30)) / (8 * _x**3)),),
     ),
-    FormulaId.SMITH: (0, partial(_hyperbolic, 2, True, None)),  # (x/2) ln(2x tanh(1/(2x)))
-    FormulaId.NEMES1: (1, partial(_times_log1p, RationalFunction(_x), 1 / (12 * _x**2 - Fraction(1, 10)))),
-    FormulaId.NEMES2: (1, partial(_rational, (210 * _x**2 + 53) / (360 * _x * (7 * _x**2 + 2)))),
+    FormulaId.SMITH: (0, (partial(_hyperbolic, 2, True, None, None),)),  # (x/2) ln(2x tanh(1/(2x)))
+    FormulaId.NEMES1: (1, (partial(_times_log1p, RationalFunction(_x), 1 / (12 * _x**2 - Fraction(1, 10))),)),
+    FormulaId.NEMES2: (1, (partial(_rational, (210 * _x**2 + 53) / (360 * _x * (7 * _x**2 + 2))),)),
     FormulaId.CHEN: (
         1,
-        partial(
-            _times_log1p, RationalFunction(_x**2 + Fraction(53, 210)), 1 / (12 * _x**3 + 24 * _x / 7 - Fraction(1, 2))
+        (
+            partial(
+                _times_log1p,
+                RationalFunction(_x**2 + Fraction(53, 210)),
+                1 / (12 * _x**3 + 24 * _x / 7 - Fraction(1, 2)),
+            ),
         ),
     ),
-    FormulaId.YANGCHU1: (0, partial(_rational, -_x / (24 * (_x**2 + Fraction(7, 120))))),
+    FormulaId.YANGCHU1: (0, (partial(_rational, -_x / (24 * (_x**2 + Fraction(7, 120)))),)),
     # -1/(24x) + (7/2880) / (x (x^2 + 31/98)) as one fraction, of lower degree
-    FormulaId.YANGCHU2: (0, partial(_rational, -(5880 * _x**2 + 1517) / (1440 * _x * (98 * _x**2 + 31)))),
+    FormulaId.YANGCHU2: (0, (partial(_rational, -(5880 * _x**2 + 1517) / (1440 * _x * (98 * _x**2 + 31))),)),
 }
 
 
 def log_approximate(formula: FormulaId, x: PrecisionReal) -> PrecisionReal:
     """ln F(x) for the tagged formula, at the precision carried by x: the
-    Stirling term and the formula's defect summed in one integer at F
-    fraction bits and rounded once, so within half an ulp plus 3.75 units of
-    2^-F (:func:`precision._stirling_fixed`) plus the defect kernel's own."""
+    Stirling term and the terms of the formula's defect summed in one integer
+    at F fraction bits and rounded once, so within half an ulp plus 3.75
+    units of 2^-F (:func:`precision._stirling_fixed`) plus each term's own."""
     if x.sign <= 0:
         raise DomainError("approximation formulas need x > 0")
-    twice_a, defect = _FORMULAS[formula]
+    twice_a, defects = _FORMULAS[formula]
     total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
-    if defect is not None:
+    for defect in defects:
         total += defect(x, frac_bits)
     return from_fixed(total, frac_bits, x.prec)
 
@@ -314,7 +295,8 @@ def w2star_log_gap(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
 def log1p_defect(y: PrecisionReal) -> PrecisionReal:
     """y - ln(1+y) for y > -1: the gap between the two correction styles.
 
-    Satisfies w2star_log_gap(x) = w2_log_gap(x) + log1p_defect(w2_correction(x)).
+    Satisfies w2star_log_gap(x) = w2_log_gap(x) + log1p_defect(y) for the
+    exact y = W2_CORRECTION(x), which both gaps add without rounding it.
     y is exact, and with |y| < 2^mag the difference is at least 2^(2 min(mag,
     0) - 4), so y 2^G less :func:`precision.log1p` at G = prec + 12 - 2
     min(mag, 0) fraction bits cancels nothing that counts: within 1.26

@@ -311,23 +311,19 @@ def _rational_raw(num: int, den: int, prec: int) -> tuple:
 
     One integer division gives a quotient of at least prec + 2 bits, and a
     sticky bit marks a nonzero remainder, so the rounding is libmp's own of
-    the exact quotient.  libmp.from_rational would first make num and den
-    into raw values, stripping their trailing zero bits 8 at a time, which
-    costs quadratic time in a large power of two.  A power-of-two den needs
-    no division: num is rounded at its exponent, with no shifted quotient
-    whose trailing zeros libmp would strip (for 1/2 at 207 bits, 4.5 us
-    that way against 0.4 us this way, on a 2-core VM).
+    the exact quotient.  libmp's conversion of a rational would first make
+    num and den into raw values, stripping their trailing zero bits 8 at a
+    time, which costs quadratic time in a large power of two.  A
+    power-of-two den needs no division: num is rounded at its exponent,
+    with no shifted quotient whose trailing zeros libmp would strip (for
+    1/2 at 207 bits, 4.5 us that way against 0.4 us this way, on a 2-core
+    VM).
     """
     if not den & (den - 1):
         return libmp.from_man_exp(num, 1 - den.bit_length(), prec, _RND)
     shift = prec + 2 - num.bit_length() + den.bit_length()
     q, rem = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
     return libmp.from_man_exp((q << 1) | bool(rem), -shift - 1, prec, _RND)
-
-
-def from_ratio(num: int, den: int, prec: int) -> PrecisionReal:
-    """num / den for den > 0, rounded once to nearest at prec bits (:func:`_rational_raw`)."""
-    return _wrap(_rational_raw(num, den, prec), prec)
 
 
 def from_fixed(value: int, frac_bits: int, prec: int) -> PrecisionReal:
@@ -478,7 +474,10 @@ def _quotient(num: int, den: int, frac_bits: int) -> int:
 def _times_log(m_num: int, m_den: int, frac_bits: int, log_at) -> int:
     """m L in fixed point at frac_bits, for m = m_num / m_den > 0: within e/4
     + 1 units when log_at(g) gives L at g = frac_bits + k fraction bits
-    within e units, where m < 2^(k-2): the product is floored once."""
+    within e units, where m < 2^(k-2): the product is floored once.  m = 1
+    is log_at(frac_bits) itself, within e units."""
+    if m_num == m_den:
+        return log_at(frac_bits)
     k = max(m_num.bit_length() - m_den.bit_length() + 1, 0) + 2
     return _quotient(m_num * log_at(frac_bits + k), m_den, -k)
 
@@ -507,37 +506,42 @@ def _hyperbolic_series(r2: int, wp: int, odd: int) -> int:
     return total
 
 
-def _log_hyperbolic(r: tuple[int, int], frac_bits: int, tanh: bool = False, c: tuple[int, int] = (0, 1)) -> int:
-    """ln(h(r) + c) in fixed point at frac_bits, h(r) = sinh(r)/r, or tanh(r)/r
-    with ``tanh``, for the exact rationals r = p/q > 0 and c >= 0: within
-    1.32 units.
+def _log_hyperbolic(
+    r: tuple[int, int], frac_bits: int, tanh: bool = False, c: tuple[int, int] = (0, 1), f: tuple[int, int] = (1, 1)
+) -> int:
+    """ln(f h(r) + c) in fixed point at frac_bits, h(r) = sinh(r)/r, or
+    tanh(r)/r with ``tanh``, for the exact rationals r = p/q > 0, c >= 0 and
+    the factor f >= 1: within 1.32 units.
 
     With r < 2^mag, where mag < 0 and wp = max(frac_bits, 0) +
     _HYPERBOLIC_GUARD is at most _HYPERBOLIC_SERIES_RATIO (-mag), sinh(r)/r
     and cosh r come from :func:`_hyperbolic_series`, r^2 from r floored at wp
-    bits, within a relative 2^-8 unit each, c is floored at wp bits, and
-    :func:`log1p` takes the exact rational h + c - 1 they give: within 1.26
-    units of that.  Otherwise r is rounded to wp = frac_bits + s bits, r + 5
-    < 2^(s-4), and libmp's sinh or tanh, the quotient by r, c and the sum
-    are each rounded to wp bits.  h moves by r h'(r)/h(r), at most max(r, 1)
-    times r's relative error, so h + c is within a relative (r + 5) 2^-wp,
-    a sixteenth of a unit in its logarithm, which :func:`_ln_fixed` takes
-    within 1.25 units.
+    bits, within a relative 2^-8 unit each, sinh(r)/r times f and c are
+    floored at wp bits, and :func:`log1p` takes the exact rational f h + c -
+    1 they give: within 1.26 units of that.  Otherwise r is rounded to wp =
+    frac_bits + s bits, r + 6 < 2^(s-4), and libmp's sinh or tanh, the
+    quotient by r, f and the product by it, c and the sum are each rounded
+    to wp bits.  h moves by r h'(r)/h(r), at most max(r, 1) times r's relative
+    error, so f h + c is within a relative (r + 6) 2^-wp, a sixteenth of a
+    unit in its logarithm, which :func:`_ln_fixed` takes within 1.25 units.
     """
     p, q = r
     c_num, c_den = c
+    f_num, f_den = f
     mag = p.bit_length() - q.bit_length() + 1
     wp = max(frac_bits, 0) + _HYPERBOLIC_GUARD
     if mag < 0 and wp <= _HYPERBOLIC_SERIES_RATIO * -mag:
         root = (p << wp) // q
         r2, one = (root * root) >> wp, 1 << wp
-        sinhc = one + _hyperbolic_series(r2, wp, 1)
+        sinhc = (one + _hyperbolic_series(r2, wp, 1)) * f_num // f_den
         cosh = one + _hyperbolic_series(r2, wp, 0) if tanh else one
         added = ((c_num << wp) // c_den * cosh) >> wp if c_num else 0
         return log1p(sinhc - cosh + added, cosh, frac_bits)
     wp = max(frac_bits + max(mag, 3) + 5, MIN_PRECISION_BITS)
     arg = _rational_raw(p, q, wp)
     h = libmp.mpf_div((libmp.mpf_tanh if tanh else libmp.mpf_sinh)(arg, wp, _RND), arg, wp, _RND)
+    if f_num != f_den:
+        h = libmp.mpf_mul(h, _rational_raw(f_num, f_den, wp), wp, _RND)
     if c_num:
         h = libmp.mpf_add(h, _rational_raw(c_num, c_den, wp), wp, _RND)
     return _ln_fixed(h, frac_bits)

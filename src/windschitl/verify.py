@@ -48,6 +48,7 @@ from .precision import (
     sinh,
     sqrt,
     trigamma_ref,
+    working_argument,
 )
 
 __all__ = [
@@ -843,8 +844,9 @@ def estimate_rate_constant(
         gap, log_value = _log_gap(formula, x, cfg)
         # the oracle noise scales with ln Gamma(x+1) = gap + ln F(x)
         if abs(gap) <= _resolvable_floor(cfg, (gap + log_value).to_fraction()):
+            shown = format_sci(working_argument(x, cfg), 6)
             raise PrecisionError(
-                f"log gap at x = {x} is below the resolvable floor at "
+                f"log gap at x = {shown} is below the resolvable floor at "
                 f"{cfg.target_decimal_digits} digits; raise the precision"
             )
         scaled.append(x**9 * gap)

@@ -65,8 +65,8 @@ from windschitl.precision import _wrap, ln_sqrt_two_pi, working_argument
 
 BRACKET_WIDTH = Fraction(1, 2**32)
 
-# the memos of the ln Gamma kernel, the Windschitl core and the W2 correction
-MEMOS = (precision._ln_gamma, formulas._windschitl_core, formulas.w2_correction)
+# the memos of the ln Gamma kernel and the Windschitl core
+MEMOS = (precision._ln_gamma, formulas._windschitl_core)
 
 
 @pytest.fixture

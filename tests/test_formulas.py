@@ -28,7 +28,6 @@ from windschitl import (
     sinh,
     sqrt,
     trigamma_ref,
-    w2_correction,
     w2_log_gap,
     w2star_log_gap,
 )
@@ -198,40 +197,39 @@ def ln_formula_reference(formula: FormulaId, x: PrecisionReal) -> Fraction:
     return mpmath_fraction(lambda v: _ln_formula(formula, v), x)
 
 
-# each defect kernel's stated budget in units of 2^-F (formulas' docstrings);
-# W2 and W2* add half an ulp of the shared correction
-_DEFECT_UNITS = {
-    FormulaId.STIRLING: 0,
-    FormulaId.W0: Fraction("1.33"),
-    FormulaId.W1: Fraction("1.33"),
-    FormulaId.W2: Fraction("2.33"),
-    FormulaId.W2STAR: Fraction("2.59"),
-    FormulaId.LSM: Fraction("1.65"),
-    FormulaId.RAMANUJAN: Fraction("1.32"),
-    FormulaId.SMITH: Fraction("1.33"),
-    FormulaId.NEMES1: Fraction("1.32"),
-    FormulaId.NEMES2: 1,
-    FormulaId.CHEN: Fraction("1.32"),
-    FormulaId.YANGCHU1: 1,
-    FormulaId.YANGCHU2: 1,
-}
+def _shape_units(term) -> Fraction:
+    """A defect term's stated budget in units of 2^-F, by its shape (formulas'
+    docstrings): 1 for a rational function, 1.32 for m ln(1 + u), or 1.26 at
+    m = 1, and 1.33 for a hyperbolic logarithm, the memoized core's shape."""
+    if term is _windschitl_core or term.func is formulas._hyperbolic:
+        return Fraction("1.33")
+    if term.func is formulas._rational:
+        return 1
+    assert term.func is formulas._times_log1p
+    return Fraction("1.26") if term.args[0] == 1 else Fraction("1.32")
+
+
+# each row's budget, the sum of its terms': W2 2.33, W2* 2.59, every other row
+# with a defect 1, 1.32 or 1.33
+_DEFECT_UNITS = {formula: sum(map(_shape_units, defects), 0) for formula, (_, defects) in _FORMULAS.items()}
 
 
 def defect_units(formula: FormulaId, x: PrecisionReal) -> tuple[Fraction, Fraction]:
     """(how far the unrounded sum that log_approximate rounds is from ln F(x),
     what its docstrings allow), both in units of 2^-F: the Stirling term's
-    3.75 units and the defect kernel's own, and for W2 and W2* half an ulp of
-    the shared correction."""
-    twice_a, defect = _FORMULAS[formula]
+    3.75 units and each defect term's own."""
+    twice_a, defects = _FORMULAS[formula]
     total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
-    if defect is not None:
-        total += defect(x, frac_bits)
+    total += sum(defect(x, frac_bits) for defect in defects)
     assert log_approximate(formula, x).raw == libmp.from_man_exp(total, -frac_bits, x.prec, "n")
     scale = Fraction(2) ** frac_bits
     budget = Fraction(15, 4) + _DEFECT_UNITS[formula]
-    if formula in (FormulaId.W2, FormulaId.W2STAR):
-        budget += w2_correction(x).to_fraction() / 2**x.prec * scale
     return abs(total - ln_formula_reference(formula, x) * scale), budget
+
+
+def test_row_budgets_are_the_stated_ones():
+    stated = {FormulaId.W2: "2.33", FormulaId.W2STAR: "2.59", FormulaId.LSM: "1.33", FormulaId.STIRLING: "0"}
+    assert {f: _DEFECT_UNITS[f] for f in stated} == {f: Fraction(units) for f, units in stated.items()}
 
 
 def _defined(formula: FormulaId, x: Fraction) -> bool:
@@ -260,12 +258,16 @@ def test_each_formula_is_within_its_one_rounding_budget(formula, digits, x):
 
 
 def _declared_functions() -> dict[str, RationalFunction]:
-    """Every rational function the formula rows declare, with W2's correction and LSM's x s - 1."""
-    found = {"w2-correction": W2_CORRECTION, "lsm-excess": formulas._LSM_EXCESS}
-    for formula, (_, defect) in _FORMULAS.items():
-        for i, arg in enumerate(getattr(defect, "args", ())):
-            if isinstance(arg, RationalFunction):
-                found[f"{formula.value}-{i}"] = arg
+    """Every rational function the formula rows declare, named by formula and
+    position among its term's arguments."""
+    found = {}
+    for formula, (_, defects) in _FORMULAS.items():
+        for defect in defects:
+            for i, arg in enumerate(getattr(defect, "args", ())):
+                if isinstance(arg, RationalFunction):
+                    name = f"{formula.value}-{i}"
+                    assert name not in found
+                    found[name] = arg
     return found
 
 
@@ -274,9 +276,12 @@ _DECLARED = _declared_functions()
 
 def test_every_declared_function_is_found():
     assert sorted(_DECLARED) == [
-        "chen-0", "chen-1", "lsm-excess", "nemes1-0", "nemes1-1", "nemes2-0",
-        "ramanujan-0", "ramanujan-1", "w1-2", "w2-correction", "yangchu1-0", "yangchu2-0",
+        "chen-0", "chen-1", "lsm-3", "nemes1-0", "nemes1-1", "nemes2-0", "ramanujan-0", "ramanujan-1",
+        "w1-2", "w2-0", "w2star-0", "w2star-1", "yangchu1-0", "yangchu2-0",
     ]
+    # W2 and W2* add the paper's correction, and LSM declares its argument by its excess
+    assert _DECLARED["w2-0"] is _DECLARED["w2star-1"] is W2_CORRECTION
+    assert _DECLARED["lsm-3"] is formulas._LSM_EXCESS
 
 
 @pytest.mark.parametrize("name", sorted(_DECLARED))
@@ -298,30 +303,38 @@ def test_declarations_equal_the_papers_other_forms():
     x = Polynomial.identity()
     # Yang and Chu's second formula is declared as one fraction of the paper's sum
     paper_sum = RationalFunction(-1, 24 * x) + RationalFunction(Fraction(7, 2880), x * (x * x + Fraction(31, 98)))
-    assert _FORMULAS[FormulaId.YANGCHU2][1].args[0] == paper_sum
-    # Ramanujan's u = t/2 + t^2/8 + t^3/240 in t = 1/x, and LSM's x s - 1 as its docstring writes it
+    assert _FORMULAS[FormulaId.YANGCHU2][1][0].args[0] == paper_sum
+    # Ramanujan's u = t/2 + t^2/8 + t^3/240 in t = 1/x, and LSM's x s - 1 as its comment writes it
     u_in_t = RationalFunction(Polynomial((0, Fraction(1, 2), Fraction(1, 8), Fraction(1, 240))))
-    assert _FORMULAS[FormulaId.RAMANUJAN][1].args[1] == u_in_t.reciprocal_substitution()
+    assert _FORMULAS[FormulaId.RAMANUJAN][1][0].args[1] == u_in_t.reciprocal_substitution()
     assert formulas._LSM_EXCESS == RationalFunction(Polynomial((190, 0, -134, 0, 105)), 85050 * x**10)
 
 
 @pytest.mark.parametrize("frac_bits", [-20, 233, 410, 780, 1150])
 def test_hyperbolic_logarithms_are_within_their_budget_on_both_sides_of_the_switch(frac_bits):
     # r = 2^-m (1 + a little) for m from -2 to 12 crosses the series' mag < 0
-    # and, at each precision but the lowest, its length limit
+    # and, at each precision but the lowest, its length limit; the last case
+    # has LSM's shape, r = (1 + e) 2^-m (1 + a little) and the factor f = 1 + e,
+    # with e = 161/85050, LSM's excess at x = 1
     sides = set()
     for m in range(-2, 13):
         p, q = (3**40 + 1) << max(-m, 0), 3**40 << max(m, 0)
-        mag = p.bit_length() - q.bit_length() + 1
-        sides.add(mag < 0 and max(frac_bits, 0) + precision._HYPERBOLIC_GUARD <= precision._HYPERBOLIC_SERIES_RATIO * -mag)
-        for tanh, c in ((False, (0, 1)), (True, (0, 1)), (False, (1, 810 * 3**6))):
+        for tanh, c, f in (
+            (False, (0, 1), (1, 1)),
+            (True, (0, 1), (1, 1)),
+            (False, (1, 810 * 3**6), (1, 1)),
+            (False, (0, 1), (85050 + 161, 85050)),
+        ):
+            r = (p * f[0], q * f[1])
+            mag = r[0].bit_length() - r[1].bit_length() + 1
+            sides.add(mag < 0 and max(frac_bits, 0) + precision._HYPERBOLIC_GUARD <= precision._HYPERBOLIC_SERIES_RATIO * -mag)
             with mpmath.workprec(max(frac_bits, 0) + 256):
-                r = mpmath.mpf(p) / q
-                h = (mpmath.tanh(r) if tanh else mpmath.sinh(r)) / r + mpmath.mpf(c[0]) / c[1]
+                rr = mpmath.mpf(r[0]) / r[1]
+                h = (mpmath.tanh(rr) if tanh else mpmath.sinh(rr)) / rr * f[0] / f[1] + mpmath.mpf(c[0]) / c[1]
                 want = mpmath.log(h) * mpmath.mpf(2) ** frac_bits
                 want = Fraction(*(int(v) for v in libmp.to_rational(want._mpf_)))
-            got = precision._log_hyperbolic((p, q), frac_bits, tanh, c)
-            assert abs(got - want) <= Fraction(132, 100), (m, tanh, c)
+            got = precision._log_hyperbolic(r, frac_bits, tanh, c, f)
+            assert abs(got - want) <= Fraction(132, 100), (m, tanh, c, f)
     assert sides == {True, False}
 
 
@@ -333,7 +346,7 @@ def test_ln_of_a_nonpositive_one_plus_u_is_refused(x):
 
 
 # ---------------------------------------------------------------------------
-# The Windschitl-core and W2-correction memos
+# The Windschitl-core memo
 # ---------------------------------------------------------------------------
 
 CORE_FORMULAS = (FormulaId.W0, FormulaId.W2, FormulaId.W2STAR)
@@ -355,22 +368,24 @@ def test_memoized_core_is_bit_identical_to_a_fresh_evaluation(fresh_memos, prec)
 
 
 @pytest.mark.parametrize("prec", [64, PREC, 1000])
-def test_w2_and_w2star_share_one_memoized_correction_per_point(fresh_memos, prec):
+def test_w2_and_w2star_share_one_core_and_the_exact_correction_per_point(fresh_memos, prec):
+    # ln W2 - ln W2* = y - ln(1 + y) with y = W2_CORRECTION(x) exact: the one
+    # memoized core cancels, and what remains is the correction terms' 1 and
+    # 1.26 units, with no rounding of y at x's precision
     xs = [PrecisionReal(q, prec) for q in (1, Fraction(3, 2), Fraction(7, 3), 10**5)]
-    first = [w2_correction(x) for x in xs]
-    again = [w2_correction(x) for x in xs]
-    assert w2_correction.cache_info()[:2] == (len(xs), len(xs))  # hits, misses
     for x in xs:
-        log_approximate(FormulaId.W2, x)
-        log_approximate(FormulaId.W2STAR, x)
-    assert w2_correction.cache_info()[:2] == (3 * len(xs), len(xs))
-    w2_correction.cache_clear()
-    fresh = [w2_correction(x) for x in xs]
-    assert list(map(bits, first)) == list(map(bits, again)) == list(map(bits, fresh))
-    # and the memoized correction is rounded once, at x's precision: within half an ulp
-    for x, y in zip(xs, first):
-        assert y.prec == prec
-        assert ulps_off(y, mpmath_fraction(lambda v: 7 / (324 * v**3 * (35 * v**2 + 33)), x)) <= Fraction(1, 2)
+        totals = {}
+        for formula in (FormulaId.W2, FormulaId.W2STAR):
+            twice_a, defects = _FORMULAS[formula]
+            total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
+            totals[formula] = total + sum(defect(x, frac_bits) for defect in defects)
+        y = W2_CORRECTION(x.to_fraction())
+        with mpmath.workprec(max(frac_bits, 0) + 512):
+            v = mpmath.mpf(y.numerator) / y.denominator
+            want = (v - mpmath.log1p(v)) * mpmath.mpf(2) ** frac_bits
+            want = Fraction(*(int(w) for w in libmp.to_rational(want._mpf_)))
+        assert abs(totals[FormulaId.W2] - totals[FormulaId.W2STAR] - want) <= 1 + Fraction("1.26"), x
+    assert _windschitl_core.cache_info()[:2] == (len(xs), len(xs))  # hits, misses
 
 
 def test_memos_under_thread_contention_give_the_sequential_bits(fresh_memos):
@@ -459,15 +474,19 @@ def test_gap_positive_on_sample_points():
     "x", [Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(10), Fraction(10**6), Fraction(1, 1000)]
 )
 def test_exact_correction_matches_the_rounded_evaluator(x, prec):
-    exact = W2_CORRECTION(x)
-    rounded = w2_correction(PrecisionReal(x, prec)).to_fraction()
-    assert abs(rounded - exact) <= 16 * exact / 2**prec
+    # W2's correction term is the exact y = W2_CORRECTION(x) floored once at
+    # the Stirling term's fraction bits: under one unit low, at any size of y
+    x = PrecisionReal(x, prec)
+    frac_bits = _stirling_fixed(x.raw, 1, prec)[1]
+    scaled = W2_CORRECTION(x.to_fraction()) * Fraction(2) ** frac_bits
+    got = _FORMULAS[FormulaId.W2][1][1](x, frac_bits)
+    assert got == formulas._rational(W2_CORRECTION, x, frac_bits)
+    assert 0 <= scaled - got < 1
 
 
 def test_star_gap_identity():
-    x = PrecisionReal(3, PREC)
     lhs = w2star_log_gap(3, CFG) - w2_log_gap(3, CFG)
-    rhs = log1p_defect(w2_correction(x))
+    rhs = log1p_defect(PrecisionReal(W2_CORRECTION(Fraction(3)), PREC))
     assert abs(lhs - rhs) < Fraction(1, 10**45)
 
 
@@ -500,13 +519,13 @@ def test_wider_argument_sets_the_working_precision(entry):
 @pytest.mark.parametrize("x", [10, 10**3, 10**6, 10**15])
 def test_log1p_defect_of_the_correction_is_within_an_ulp(x, digits):
     # y - ln(1 + y) for a y near 7/(11340 x^5): all but its last bits cancel in y - ln(1 + y)
-    y = w2_correction(PrecisionReal(x, OracleConfig.for_digits(digits).precision_bits))
+    y = PrecisionReal(W2_CORRECTION(Fraction(x)), OracleConfig.for_digits(digits).precision_bits)
     want = mpmath_fraction(lambda v: v - mpmath.log1p(v), y)
     assert ulps_off(log1p_defect(y), want) <= 1
 
 
 def test_log1p_defect_keeps_the_digits_of_a_tiny_correction():
-    y = w2_correction(PrecisionReal(10**6, PREC))
+    y = PrecisionReal(W2_CORRECTION(Fraction(10**6)), PREC)
     assert format_sci(log1p_defect(y), 7) == "1.905197E-67"
 
 

@@ -48,6 +48,7 @@ from windschitl.precision import (
     _stirling_fixed,
     _stirling_series,
     _terms_needed,
+    _times_log,
     _validate_series,
     _wrap,
     exp_decimal_string,
@@ -419,7 +420,10 @@ def test_log1p_is_within_its_budget_on_both_sides_of_its_switch(frac_bits):
                 continue
             for n, d in ((num, den), (-num, -den)):
                 sides.add(log1p_takes_the_series(n, d, frac_bits))
-                assert abs(log1p(n, d, frac_bits) - log1p_reference(n, d, frac_bits)) <= Fraction(126, 100), (n, d)
+                got = log1p(n, d, frac_bits)
+                assert abs(got - log1p_reference(n, d, frac_bits)) <= Fraction(126, 100), (n, d)
+                # m = 1 times it is the logarithm itself, with no guard bits to floor
+                assert _times_log(1, 1, frac_bits, lambda g: log1p(n, d, g)) == got
     assert sides == {True, False}
 
 
@@ -566,8 +570,8 @@ def test_ln_gamma_rejects_nonpositive(fresh_memos):
 
 
 # ---------------------------------------------------------------------------
-# The memos: precision.memoized under the ln Gamma kernel, the Windschitl
-# core and the W2 correction
+# The memos: precision.memoized under the ln Gamma kernel and the Windschitl
+# core
 # ---------------------------------------------------------------------------
 
 
@@ -575,14 +579,13 @@ MEMO_ARGUMENTS = (Fraction(1), Fraction(3, 2), Fraction(7, 3), Fraction(51), Fra
 
 
 def through(memo, x: PrecisionReal):
-    """One call of a memo at x; the ln Gamma kernel also takes its config,
+    """One call of a memo at x: the ln Gamma kernel also takes its config,
     and the Windschitl core, an integer at the Stirling term's fraction
     bits, takes those bits."""
     if memo is _ln_gamma:
         return memo(x, CFG50)
-    if memo is formulas._windschitl_core:
-        return memo(x, _stirling_fixed(x.raw, 1, x.prec)[1])
-    return memo(x)
+    assert memo is formulas._windschitl_core
+    return memo(x, _stirling_fixed(x.raw, 1, x.prec)[1])
 
 
 @pytest.mark.parametrize("memo", MEMOS, ids=lambda memo: memo.__name__)

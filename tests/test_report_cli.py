@@ -212,13 +212,12 @@ def test_eval_subcommand(capsys, monkeypatch, fresh_memos):
 def test_each_distinct_kernel_argument_is_evaluated_once(capsys, fresh_memos, argv, distinct):
     # verify's two monotone-convex checks share their 99 grid points, and
     # best-constants and reference-table reuse all but x = 100 of theirs;
-    # W2 and W2* share the correction at each point
-    ln_gamma_memo, core_memo, correction_memo = fresh_memos
+    # W0, W2 and W2* share the core at each point
+    ln_gamma_memo, core_memo = fresh_memos
     assert main(argv) == 0
     capsys.readouterr()
     assert ln_gamma_memo.cache_info().misses == distinct
     assert core_memo.cache_info().misses == distinct
-    assert correction_memo.cache_info().misses == distinct
 
 
 def test_eval_rejects_nonpositive(capsys):
@@ -255,6 +254,14 @@ def test_rate_subcommand(capsys):
 def test_rate_rejects_other_formulas(capsys):
     assert main(["rate", "--formula", "stirling"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_rate_names_an_unresolvable_x_in_scientific_form(capsys):
+    # as every other error does, not as the 301 digits of str(x)
+    assert main(["rate", "--x", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "log gap at x = 1.00000E+300 is below the resolvable floor" in err
+    assert "0" * 30 not in err
 
 
 def test_verify_single_check_exit_zero(capsys):
