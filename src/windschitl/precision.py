@@ -2,11 +2,15 @@
 
 ``PrecisionReal`` wraps mpmath's low-level ``libmp`` layer: every value
 carries its working precision in bits and every operation rounds to
-nearest at that precision.  Each operator is one ``libmp`` call on raw
-values, with no temporary ``PrecisionReal`` for an ``int`` or ``Fraction``
-operand.  No global precision state exists, values are immutable, and all
-functions here are pure, so concurrent use is safe (the memos behind them
-are thread-safe ``lru_cache``s of immutable values, see :func:`memoized`).
+nearest at that precision.  Only ``libmp`` is loaded, as the private
+package ``windschitl._libmp`` (see :func:`_load_libmp`): all of mpmath,
+which this package otherwise does not call, took a cold command about
+20 ms to import, ``libmp`` alone about 4.5 ms.  Each operator is one
+``libmp`` call on raw values, with no temporary ``PrecisionReal`` for an
+``int`` or ``Fraction`` operand.  No global precision state exists, values
+are immutable, and all functions here are pure, so concurrent use is safe
+(the memos behind them are thread-safe ``lru_cache``s of immutable values,
+see :func:`memoized`).
 
 The module also provides the ground-truth oracles ``ln_gamma_ref`` and
 ``trigamma_ref``: upward argument shifting followed by the divergent
@@ -17,17 +21,46 @@ remainder is bounded in magnitude by the first omitted term.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from itertools import accumulate
-
-from mpmath import libmp
 
 from ._record import Record
 from .exact import bernoulli  # noqa: F401 - unused here; perfbench/tests/test_tracing.py checks this binding
 from .exact import tangent_numbers
+
+
+def _load_libmp():
+    """mpmath's ``libmp`` package alone, loaded as ``windschitl._libmp``.
+
+    ``from mpmath import libmp`` would first run ``mpmath/__init__``, which
+    loads all of mpmath (its contexts, functions, calculus and matrices)
+    for the one layer this module calls.  ``libmp`` imports nothing of
+    mpmath outside itself, only relatively, so its ``__init__`` runs here
+    as a package of its own, from mpmath's files and cached bytecode.  It
+    is registered before it runs, so its relative imports resolve to
+    ``windschitl._libmp.*``.
+    """
+    mpmath = find_spec("mpmath")  # finds the package without running it
+    if mpmath is None:
+        raise ModuleNotFoundError("No module named 'mpmath'", name="mpmath")
+    directory = os.path.join(mpmath.submodule_search_locations[0], "libmp")
+    name = f"{__package__}._libmp"
+    spec = spec_from_file_location(
+        name, os.path.join(directory, "__init__.py"), submodule_search_locations=[directory]
+    )
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+libmp = _load_libmp()
 
 __all__ = [
     "MIN_PRECISION_BITS",

@@ -1,3 +1,4 @@
+import ast
 import operator
 import os
 import random
@@ -91,6 +92,51 @@ TOL50 = Fraction(1, 10**50)
 
 def frac(v: PrecisionReal) -> Fraction:
     return v.to_fraction()
+
+
+# ---------------------------------------------------------------------------
+# mpmath's libmp, loaded alone
+# ---------------------------------------------------------------------------
+
+
+def test_the_installed_libmp_imports_nothing_of_mpmath_outside_itself():
+    # precision runs libmp's files as a package of its own; an import of
+    # mpmath or one that climbs out of libmp would load all of mpmath or fail
+    directory = Path(precision.libmp.__file__).parent
+    assert directory == Path(libmp.__file__).parent
+    escapes = []
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.ImportFrom) and node.level >= 2:
+                escapes.append(f"{path}:{node.lineno}: relative import of level {node.level}")
+                continue
+            else:
+                continue
+            escapes += [f"{path}:{node.lineno}: imports {name}" for name in names if name.split(".")[0] == "mpmath"]
+    assert not escapes, "\n".join(escapes)
+    assert precision.libmp is not libmp
+    assert precision.libmp.BACKEND == libmp.BACKEND
+
+
+def test_a_missing_mpmath_raises_module_not_found_naming_it():
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "try:\n"
+        "    import windschitl\n"
+        "except ModuleNotFoundError as e:\n"
+        "    print(e.name)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "mpmath\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The package's immutable records: construction, validation, equality,
 hashing, ``repr`` and immutability, record by record, and the modules a
-cold ``import windschitl.cli`` must not load."""
+cold ``import windschitl.cli`` and its commands must not load."""
 
 import os
 import subprocess
@@ -190,8 +190,16 @@ def test_no_attribute_can_be_set_or_deleted(name):
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
-    code = f"import sys, windschitl.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # mpmath itself stays out too: precision loads only its libmp layer
+    heavy = ("mpmath", "dataclasses", "inspect", "ast", "dis", "tokenize")
+    commands = (["eval", "w2", "1"], ["table"], ["verify", "--only", "monotone-convex-w2"])
+    code = (
+        "import contextlib, io, sys, windschitl.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert windschitl.cli.main(argv) == 0, argv\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
