@@ -42,7 +42,6 @@ from .precision import (
     ln,
     ln_gamma_ref,
     pi,
-    round_decimal,
     sinh,
     sqrt,
     tanh,

@@ -18,15 +18,9 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .formulas import FormulaId, log_error, w2_log_gap, w2star_log_gap
+from .goldens import TABLE_ABSCISSAS, TABLE_FORMULAS
 from .precision import DEFAULT_DIGITS, DomainError, OracleConfig, PrecisionError, exp, format_sci
-from .report import (
-    DEFAULT_ABSCISSAS,
-    DEFAULT_FORMULAS,
-    TableSpec,
-    build_table,
-    render_csv,
-    render_markdown,
-)
+from .report import TableSpec, build_table, render_csv, render_markdown
 from .verify import (
     RATE_DECAY_LIMIT,
     RATE_DIGITS,
@@ -142,8 +136,8 @@ _COMMANDS = {
     "table": (
         "print the comparison table",
         (
-            ("--x", {"type": _parse_number_list, "default": DEFAULT_ABSCISSAS}),
-            ("--formulas", {"type": _parse_formula_list, "default": DEFAULT_FORMULAS}),
+            ("--x", {"type": _parse_number_list, "default": TABLE_ABSCISSAS}),
+            ("--formulas", {"type": _parse_formula_list, "default": TABLE_FORMULAS}),
             ("--format", {"choices": ("csv", "markdown"), "default": "csv"}),
             ("--digits", {"type": int, "default": DEFAULT_DIGITS}),
         ),

@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from bisect import bisect_right
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
@@ -79,10 +78,8 @@ __all__ = [
     "pi",
     "ln_gamma_ref",
     "trigamma_ref",
-    "floor_log10",
     "exp_decimal_string",
     "format_sci",
-    "round_decimal",
 ]
 
 MIN_PRECISION_BITS = 64
@@ -625,8 +622,8 @@ def ln_sqrt_two_pi(prec: int) -> PrecisionReal:
 
 # Beyond 2^+-_PRINTABLE_BITS no exact ratio is rounded: its power of ten
 # alone would have about a million digits (Decimal's default exponent range,
-# +-999999, is about 3.32e6 binary places).  format_sci and round_decimal
-# refuse such a value; to_decimal_string renders it from its logarithm.
+# +-999999, is about 3.32e6 binary places).  format_sci refuses such a
+# value; to_decimal_string renders it from its logarithm.
 _PRINTABLE_BITS = 3_000_000
 # Bits the logarithm route carries beyond the value's precision: the rest
 # of ln v split by ln 10 is within 2^-(prec+9), and its exp is rounded to
@@ -754,14 +751,6 @@ def exp_decimal_string(log_value: PrecisionReal, digits: int, limit: int = 0) ->
     return _decimal_layout(0, *_exp_decimal(log_value.raw, log_value.prec, digits, limit), digits)
 
 
-def floor_log10(value) -> int:
-    """floor(log10 |value|) of a nonzero rational, exactly."""
-    num, den = _exact_ratio(value)
-    if not num:
-        raise ValueError("floor_log10 needs a nonzero value")
-    return _round_ratio(num, den, 1)[1]
-
-
 def format_sci(value, sig_digits: int) -> str:
     """Scientific notation rounded to ``sig_digits`` significant digits.
 
@@ -788,14 +777,6 @@ def format_sci(value, sig_digits: int) -> str:
     digits = _digit_string(q)
     mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
     return f"{'-' if num < 0 else ''}{mantissa}E{e:+d}"
-
-
-def round_decimal(value, places: int) -> Decimal:
-    """Exact half-even rounding to a fixed number of decimal places: the
-    ratio rounded at places + 1 + floor(log10 |value|) significant digits."""
-    num, den = _exact_ratio(value)
-    q = _round_ratio(num, den, places + 1 + _round_ratio(num, den, 1)[1])[0] if num else 0
-    return Decimal((int(num < 0), tuple(map(int, _digit_string(q))), -places))
 
 
 # ---------------------------------------------------------------------------

@@ -27,18 +27,14 @@ __all__ = [
     "check_goldens",
 ]
 
-# the default table is the published one
-DEFAULT_ABSCISSAS = TABLE_ABSCISSAS
-DEFAULT_FORMULAS = TABLE_FORMULAS
-
 
 class TableSpec(Record):
     """What to tabulate: abscissas x formulas at a given oracle accuracy."""
 
     def __init__(
         self,
-        abscissas: tuple[Fraction, ...] = DEFAULT_ABSCISSAS,
-        formulas: tuple[FormulaId, ...] = DEFAULT_FORMULAS,
+        abscissas: tuple[Fraction, ...] = TABLE_ABSCISSAS,
+        formulas: tuple[FormulaId, ...] = TABLE_FORMULAS,
         precision_digits: int = DEFAULT_DIGITS,
     ):
         if not formulas:

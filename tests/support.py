@@ -24,9 +24,8 @@ the same tables and the same verdicts.  ``tangent_from_recursion`` is T_k recove
 ``mpmath.expm1`` at twice the precision, and ``ulps_off`` measures a
 value against a reference in ulps.  ``format_sci_decimal``
 is ``format_sci`` as ``Decimal`` division at ``sig_digits`` of context
-precision, the reference for its integer rounding.  ``exact_fraction``,
-``floor_log10_fraction``, ``format_sci_fraction`` and
-``round_decimal_fraction`` are the renderer as it was written on exact
+precision, the reference for its integer rounding.  ``exact_fraction`` and
+``format_sci_fraction`` are the renderer as it was written on exact
 ``Fraction``s, and ``decimal_string_reference`` rounds a ``Fraction`` the
 same way and lets mpmath's ``to_str`` lay the rounded decimal out: the
 one integer rounding routine behind every printed number must give their
@@ -482,26 +481,6 @@ def exact_fraction(value) -> Fraction:
     return value.to_fraction() if isinstance(value, PrecisionReal) else Fraction(value)
 
 
-def floor_log10_fraction(value) -> int:
-    """floor(log10 |value|) of a nonzero rational, from its exact Fraction."""
-    fr = exact_fraction(value)
-    if fr == 0:
-        raise ValueError("floor_log10 needs a nonzero value")
-    num, den = abs(fr.numerator), fr.denominator
-    # the float estimate is off by at most one; one exact comparison settles it
-    e = floor(log10(num) - log10(den))
-    if e >= 0:
-        den *= 10**e
-    else:
-        num *= 10**-e
-    # num / den is now |value| / 10^e
-    if num < den:
-        return e - 1
-    if num >= 10 * den:
-        return e + 1
-    return e
-
-
 def _round_half_even(num: int, den: int) -> tuple[int, bool]:
     """(num / den rounded half-even to an integer, whether it was exact), den > 0."""
     q, r = divmod(num, den)
@@ -513,10 +492,14 @@ def _round_half_even(num: int, den: int) -> tuple[int, bool]:
 def _rounded_digits(fr: Fraction, digits: int) -> tuple[int, int, bool]:
     """(q, e, exact): |fr| != 0 rounded half-even to ``digits`` significant
     digits as q 10^(e + 1 - digits), q of exactly ``digits`` digits."""
-    e = floor_log10_fraction(fr)
+    num, den = abs(fr.numerator), fr.denominator
+    # e = floor(log10 |fr|): the float estimate is off by at most one, and
+    # one exact comparison of |fr| with 10^e and 10^(e+1) settles it
+    e = floor(log10(num) - log10(den))
+    scale = Fraction(10) ** e
+    e += (abs(fr) >= 10 * scale) - (abs(fr) < scale)
     # |value| 10^k has exactly digits digits before the point
     k = digits - 1 - e
-    num, den = abs(fr.numerator), fr.denominator
     if k >= 0:
         q, exact = _round_half_even(num * 10**k, den)
     else:
@@ -542,14 +525,6 @@ def format_sci_fraction(value, sig_digits: int) -> str:
     digits = str(q)
     mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
     return f"{'-' if fr < 0 else ''}{mantissa}E{e:+d}"
-
-
-def round_decimal_fraction(value, places: int) -> Decimal:
-    """``round_decimal`` on the exact Fraction: half-even at ``places`` places."""
-    fr = exact_fraction(value)
-    scaled = abs(fr) * Fraction(10) ** places
-    q, _ = _round_half_even(scaled.numerator, scaled.denominator)
-    return Decimal((int(fr < 0), Decimal(q).as_tuple().digits, -places))
 
 
 def decimal_string_reference(value, digits: int) -> str:

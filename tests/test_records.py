@@ -22,7 +22,7 @@ from windschitl import (
     VerificationReport,
     Witness,
 )
-from windschitl.report import DEFAULT_ABSCISSAS, DEFAULT_FORMULAS
+from windschitl.goldens import TABLE_ABSCISSAS, TABLE_FORMULAS
 
 ONE, TWO = PrecisionReal(1, 64), PrecisionReal(2, 64)
 W2, CHEN = FormulaId.W2, FormulaId.CHEN
@@ -51,19 +51,19 @@ RECORDS = {
     ),
     "GoldenCell": (
         GoldenCell,
-        ("x", "formula", "expected_relative_error"),
-        (Fraction(1), W2, Fraction(2407, 10**8)),
-        (Fraction(2), CHEN, Fraction(1, 10)),
-        {},
+        ("x", "formula", "expected_relative_error", "corrected_relative_error"),
+        (Fraction(1), W2, Fraction(2407, 10**8), None),
+        (Fraction(2), CHEN, Fraction(1, 10), Fraction(1, 5)),
+        {"corrected_relative_error": None},
         "GoldenCell(x=Fraction(1, 1), formula=<FormulaId.W2: 'w2'>, "
-        "expected_relative_error=Fraction(2407, 100000000))",
+        "expected_relative_error=Fraction(2407, 100000000), corrected_relative_error=None)",
     ),
     "TableSpec": (
         TableSpec,
         ("abscissas", "formulas", "precision_digits"),
         ((Fraction(1), Fraction(2)), (W2,), 30),
         ((Fraction(1), Fraction(3)), (W2, CHEN), 31),
-        {"abscissas": DEFAULT_ABSCISSAS, "formulas": DEFAULT_FORMULAS, "precision_digits": 50},
+        {"abscissas": TABLE_ABSCISSAS, "formulas": TABLE_FORMULAS, "precision_digits": 50},
         "TableSpec(abscissas=(Fraction(1, 1), Fraction(2, 1)), "
         "formulas=(<FormulaId.W2: 'w2'>,), precision_digits=30)",
     ),
@@ -102,6 +102,16 @@ INVALID = [
     ("OracleConfig", {"target_decimal_digits": -1}, "target_decimal_digits must be positive"),
     ("GoldenCell", {"x": Fraction(0)}, "abscissa must be positive"),
     ("GoldenCell", {"expected_relative_error": Fraction(-1, 3)}, "expected relative error must be positive"),
+    (
+        "GoldenCell",
+        {"corrected_relative_error": Fraction(0)},
+        "a corrected relative error must be positive and differ from the printed one",
+    ),
+    (
+        "GoldenCell",
+        {"corrected_relative_error": Fraction(2407, 10**8)},
+        "a corrected relative error must be positive and differ from the printed one",
+    ),
     ("TableSpec", {"formulas": ()}, "at least one formula is required"),
     ("TableSpec", {"formulas": (W2, W2)}, "formulas must be distinct"),
     ("TableSpec", {"abscissas": ()}, "at least one abscissa is required"),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import floor, log10
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from windschitl import (
     FormulaId,
     GoldenCell,
     LogErrorValue,
+    OracleConfig,
     PrecisionReal,
     TABLE_GOLDENS,
     TableSpec,
@@ -31,7 +33,7 @@ from windschitl import (
 )
 from windschitl import cli, precision, verify
 from windschitl.cli import main
-from windschitl.report import DEFAULT_ABSCISSAS, DEFAULT_FORMULAS
+from windschitl.goldens import TABLE_ABSCISSAS, TABLE_FORMULAS
 
 from support import fresh_memos
 
@@ -69,7 +71,7 @@ def test_build_table_cells():
     by_key = {
         (x, f): r
         for (x, f), r in zip(
-            ((x, f) for x in DEFAULT_ABSCISSAS for f in DEFAULT_FORMULAS), records
+            ((x, f) for x in TABLE_ABSCISSAS for f in TABLE_FORMULAS), records
         )
     }
     assert format_sci(by_key[(1, FormulaId.W2)].relative_error, 4) == "2.407E-5"
@@ -96,20 +98,60 @@ def test_build_table_identifies_the_failing_cell(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_all_published_cells_match_at_three_digits():
+def test_all_published_cells_print_as_published_or_as_corrected():
     report = check_goldens()
     assert report.passed, report.failures
-
-
-def test_wrong_mantissa_fixture_fails_with_named_cell():
-    broken = list(TABLE_GOLDENS[:4]) + [
-        GoldenCell(Fraction(2), FormulaId.W2, Fraction(Decimal("9.999e-7")))
+    assert [(w.description, w.value) for w in report.witnesses] == [
+        ("misprint (x=2, nemes2)", "computed 1.897E-6, published 1.9E-6"),
+        ("misprint (x=100, w1)", "computed 4.790E-18, published 4.791E-18"),
     ]
+
+
+@pytest.mark.parametrize("digits", [30, 50, 200])
+def test_no_correctly_printed_cell_lies_near_a_rounding_tie(digits):
+    # oracle noise far below 0.05 units of the 4th digit cannot flip a cell
+    cfg = OracleConfig.for_digits(digits)
+    nearest = Fraction(1, 2)
+    for cell in TABLE_GOLDENS:
+        if cell.corrected_relative_error is None:
+            r = log_error(cell.formula, cell.x, cfg).relative_error.to_fraction()
+            units = r / Fraction(10) ** (floor(log10(r)) - 3)
+            nearest = min(nearest, abs(units - floor(units) - Fraction(1, 2)))
+    assert nearest >= Fraction(1, 20)
+    assert format_sci(nearest, 2) == "7.9E-2"  # nemes2 at x = 50
+
+
+def test_each_misprint_rounds_to_its_correction_and_not_to_the_printed_value():
+    cfg = OracleConfig.for_digits(100)
+    misprints = [c for c in TABLE_GOLDENS if c.corrected_relative_error is not None]
+    assert [(c.x, c.formula) for c in misprints] == [(2, FormulaId.NEMES2), (100, FormulaId.W1)]
+    for cell in misprints:
+        printed = Fraction(log_error(cell.formula, cell.x, cfg).format_relative_error(4))
+        assert printed == cell.corrected_relative_error != cell.expected_relative_error
+
+
+def test_a_misprint_whose_computed_digits_equal_the_printed_ones_fails():
+    # w2 at 2 prints 2.308e-7, as published; declared misprinted, it fails
+    cell = GoldenCell(Fraction(2), FormulaId.W2, Fraction("2.308e-7"), Fraction("2.309e-7"))
+    report = check_goldens(cells=(cell,))
+    assert not report.passed
+    (failure,) = report.failures
+    assert failure.description == "cell (x=2, w2) prints 2.309E-7 at 4 significant digits"
+    assert failure.value == "computed 2.308E-7, published 2.308E-7"
+
+
+# a wrong mantissa, and a 4th digit one unit off
+@pytest.mark.parametrize(
+    "x, published, computed", [(2, "9.999e-7", "2.308E-7"), (10, "2.786e-13", "2.785E-13")]
+)
+def test_a_perturbed_published_value_fails_with_named_cell(x, published, computed):
+    broken = list(TABLE_GOLDENS[:4]) + [GoldenCell(Fraction(x), FormulaId.W2, Fraction(published))]
     report = check_goldens(cells=broken)
     assert not report.passed
     (failure,) = report.failures
-    assert "x=2, w2" in failure.description
-    assert failure.value.startswith("computed 2.30") and failure.value.endswith(", published 9.999E-7")
+    shown = format_sci(Fraction(published), 4)
+    assert failure.description == f"cell (x={x}, w2) prints {shown} at 4 significant digits"
+    assert failure.value == f"computed {computed}, published {shown}"
 
 
 def test_passing_cells_format_no_witness(monkeypatch):
@@ -118,33 +160,7 @@ def test_passing_cells_format_no_witness(monkeypatch):
     monkeypatch.setattr(verify, "format_sci", lambda value, digits: shown.append(digits) or format_sci(value, digits))
     report = check_goldens(cells=TABLE_GOLDENS[:8])
     assert report.passed
-    assert shown == [3]  # the worst-cell note's severity alone
-
-
-def test_w2_column_survives_four_digit_tolerance():
-    w2_cells = [c for c in TABLE_GOLDENS if c.formula is FormulaId.W2]
-    report = check_goldens(cells=w2_cells, tol_sig_digits=4)
-    assert report.passed
-    # per-cell computed digits are visible in the worst-cell note
-    assert any("worst cell" in w.description for w in report.witnesses)
-
-
-def test_published_fourth_digits_are_not_all_reproducible():
-    # two published cells disagree with recomputation in the 4th digit
-    # (their rounding rule is unknown); this is why the default is 3
-    report = check_goldens(tol_sig_digits=4)
-    assert not report.passed
-    failing = {w.description for w in report.failures}
-    assert any("x=2, nemes2" in d for d in failing)
-    assert any("x=100, w1" in d for d in failing)
-    assert len(report.failures) == 2
-
-
-def test_tolerance_bounds_validated():
-    with pytest.raises(ValueError):
-        check_goldens(tol_sig_digits=1)
-    with pytest.raises(ValueError):
-        check_goldens(tol_sig_digits=5)
+    assert shown == [4]  # the misprint note's published value alone
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +195,15 @@ def test_markdown_grid_shape_and_values():
     lines = text.strip().split("\n")
     assert lines[0] == "| x | nemes2 | chen | w1 | w2 |"
     assert len(lines) == 2 + 7
-    # each cell agrees with its golden to 3 significant digits
-    golden = {(c.x, c.formula): c.expected_relative_error for c in TABLE_GOLDENS}
-    for line, x in zip(lines[2:], DEFAULT_ABSCISSAS):
+    # each cell prints the published value, or a misprint's correction
+    golden = {
+        (c.x, c.formula): c.corrected_relative_error or c.expected_relative_error
+        for c in TABLE_GOLDENS
+    }
+    for line, x in zip(lines[2:], TABLE_ABSCISSAS):
         cells = [c.strip() for c in line.strip("|").split("|")][1:]
-        for formula, cell in zip(DEFAULT_FORMULAS, cells):
-            expected = golden[(x, formula)]
-            band = expected / 100  # ~3 significant digits
-            assert abs(Fraction(Decimal(cell)) - expected) < band
+        for formula, cell in zip(TABLE_FORMULAS, cells):
+            assert Fraction(cell) == golden[(x, formula)]
 
 
 # ---------------------------------------------------------------------------
