@@ -291,11 +291,18 @@ class Polynomial:
         return _reduced([i * n for i, n in enumerate(self._nums) if i], self._den)
 
     def compose(self, inner: Polynomial) -> Polynomial:
-        """self(inner(t)), exact: with inner = m(t)/e, homogeneous Horner
-        (:func:`_homogeneous`) at m(t)/e in integer polynomials, from a zero
-        top term so the sum is a polynomial, over den e^(d+1)."""
-        acc, e_power = _homogeneous((_ZERO, *reversed(self._nums)), _canonical(inner._nums, 1), inner._den)
-        return acc * Fraction(1, self._den * e_power)
+        """self(inner(t)), exact: with self = sum_k c_k t^k / D and inner =
+        m(t)/e, sum_k c_k m^k e^(d-k) over D e^d, by homogeneous Horner on
+        the integer coefficient lists (:func:`_convolve`), reduced once."""
+        nums, m = self._nums, inner._nums
+        if not m:
+            return Polynomial.constant(self.coefficient(0))
+        acc, e_power = list(nums[-1:]), 1
+        for c in reversed(nums[:-1]):
+            e_power *= inner._den
+            acc = _convolve(acc, m)
+            acc[0] += c * e_power
+        return _reduced(acc, self._den * e_power)
 
     def reciprocal_substitution(self, degree: int | None = None) -> Polynomial:
         """The polynomial t^d * self(1/t), with d >= deg(self) (default deg)."""
@@ -377,16 +384,30 @@ def _homogeneous(coeffs, p, q: int) -> tuple:
 def _dyadic_part(p: Polynomial, scale: int, degree: int):
     """scale p(x) den 2^(t degree), an integer for degree >= deg p, as a
     function of (n, t) at x = n 2^-t: p = x^low S(x^step) / den, where step 2
-    skips the zeros of an even or odd p, and S by :func:`_homogeneous`
-    unless it is a single term."""
+    skips the zeros of an even or odd p, and S by homogeneous Horner, its
+    powers of 2^(step t) as shifts.  Laid out once: the function skips the
+    Horner loop for a single term, the factor n^low where low is 0 and the
+    shift by (degree - deg p) t where that is 0."""
     nums = p._nums or (0,)
     low = next((k for k, n in enumerate(nums) if n), 0)
     step = 1 if any(nums[low + 1 :: 2]) else 2
-    nums, lift = tuple(scale * n for n in nums[low::step])[::-1], degree - p.degree
-    if len(nums) == 1:
-        c = nums[0]
-        return (lambda n, t: c * n**low << lift * t) if low or lift else (lambda n, t: c)
-    return lambda n, t: _homogeneous(nums, n**step, 1 << step * t)[0] * n**low << lift * t
+    top, *rest = (scale * n for n in reversed(nums[low::step]))
+    lift = degree - p.degree
+    if not (rest or low or lift):
+        return lambda n, t: top
+
+    def at(n, t):
+        acc = top
+        if rest:
+            power, shift, bits = n * n if step == 2 else n, 0, step * t
+            for c in rest:
+                shift += bits
+                acc = acc * power + (c << shift)
+        if low:
+            acc *= n**low
+        return acc << lift * t if lift else acc
+
+    return at
 
 
 def _convolve(a, b) -> list[int]:

@@ -812,19 +812,27 @@ class OracleConfig(Record):
 
     @cached_property
     def shift_threshold(self) -> int:
-        """max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240)):
-        the first line up to D = 50, the second up to D = 297, the third above.
+        """max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240))
+        up to D = 297 (the first line up to D = 50, the second up to 296,
+        the third at 297), and 2D above.
 
         A higher threshold trades shift steps for fewer series terms, each
         a full product per call and a tangent number and two coefficients
         to set up per process.  From 50 to 250 digits the second line
         left warm calls on the benchmark's mix flat or a few percent faster
-        and halved a cold ``eval`` at 200 digits.  Above 300 digits a
-        full-mantissa argument's shift steps cost a warm process more than
-        the terms saved (2D made ``verify --digits 500`` a third slower).
-        perfbench pins 25 at D = 50, though 35 measured 1-4 % faster warm.
+        and halved a cold ``eval`` at 200 digits.  Above 297 digits a
+        shift step costs a quarter of a full-precision product (ln Gamma)
+        or one division of about 2p by p bits (trigamma), and 2D against
+        1.6D - 240 took a cold ``eval w2 1`` from 8.1 to 6.7 ms at 500
+        digits and from 35 to 27 ms at 1000, and ``verify --digits 500``
+        from 0.30 to 0.40 s (0.60 s with the kernels before pairing);
+        3D took the ``eval`` to 23 ms at 1000 digits but ``verify`` to
+        0.57 s.  perfbench pins 25 at D = 50, though 35 measured 1-4 %
+        faster warm.
         """
         d = self.series_digits
+        if d > 297:
+            return 2 * d
         return max((2 * d + 29) // 5, (17 * d - 331) // 20, (8 * d - 1196) // 5)
 
     @cached_property
@@ -1091,26 +1099,35 @@ def _scaled_integer(x: tuple) -> tuple[int, int]:
 def _rising_product(x: tuple, n: int, prec: int) -> tuple:
     """x (x+1) ... (x+n-1) for a positive raw x and n >= 1, as an unrounded raw value.
 
-    The factors are the exact integers m + k 2^s over 2^s, multiplied in
-    pairs from both ends: (x+k)(x+n-1-k) is W + k(n-1-k) 2^(2s) over
-    2^(2s), with W = m^2 + (n-1) m 2^s, and an odd n adds the middle factor
-    m + ((n-1)/2) 2^s.  Each pair and each running product is truncated
-    downward to wp = _fixed_bits(prec, n) bits: at most n truncations,
-    each of relative error below 2^(1-wp), so the product is low, by a
-    relative error (and its logarithm by an absolute one) below
-    n 2^(1-wp) < 2^-(prec+8).
+    The factors are the exact integers m + k 2^s over 2^s, paired from
+    both ends: (x+k)(x+n-1-k) is W + c_k 2^(2s) over 2^(2s), with W = m^2
+    + (n-1) m 2^s and c_k = k(n-1-k).  The pairs k and k+1 are multiplied
+    as (W + c_k 2^(2s))(W + c_(k+1) 2^(2s)) = W^2 + ((c_k + c_(k+1)) W +
+    c_k c_(k+1) 2^(2s)) 2^(2s), exactly, with W^2 formed once, so one
+    product at full precision covers four factors.  An odd n starts the
+    product at the middle factor m + ((n-1)/2) 2^s, and an odd number of
+    pairs multiplies in W, the pair k = 0, unpaired.  Each four-factor
+    product and each running product after it is truncated downward to
+    wp = _fixed_bits(prec, n) bits: at most n/2 truncations, each of
+    relative error below 2^(1-wp), so the product is low, by a relative
+    error (and its logarithm by an absolute one) below n 2^-wp <
+    2^-(prec+8).
     """
     m, s = _scaled_integer(x)
-    wp = _fixed_bits(prec, n)
+    wp, half, s2 = _fixed_bits(prec, n), n // 2, 2 * s
+    w = m * m + ((n - 1) * m << s)
+    square, dropped = w * w, 0
     product = m + ((n - 1) // 2 << s) if n & 1 else 1
-    dropped, w = 0, m * m + ((n - 1) * m << s)
-    for k in range(n // 2):
-        pair = w + (k * (n - 1 - k) << 2 * s)
-        excess = pair.bit_length() - wp
+    if half & 1:
+        product *= w
+    for k in range(half & 1, half, 2):
+        low, high = k * (n - 1 - k), (k + 1) * (n - 2 - k)
+        factor = square + (((low + high) * w + (low * high << s2)) << s2)
+        excess = factor.bit_length() - wp
         if excess > 0:
-            pair >>= excess
+            factor >>= excess
             dropped += excess
-        product *= pair
+        product *= factor
         excess = product.bit_length() - wp
         if excess > 0:
             product >>= excess
@@ -1118,19 +1135,40 @@ def _rising_product(x: tuple, n: int, prec: int) -> tuple:
     return libmp.from_man_exp(product, dropped - n * s)
 
 
+# Bits beyond F that _inverse_square_sum keeps of each pair's divisor, for
+# an x >= 1; an x below 1 adds two per halving.
+_PAIR_GUARD = 2
+
+
 def _inverse_square_sum(x: tuple, n: int, prec: int) -> tuple:
     """sum_{k<n} 1/(x+k)^2 for a positive raw x and n >= 1, as an unrounded raw value.
 
-    Summed in fixed point with F = _fixed_bits(prec, n) fraction bits as
-    sum_k floor(2^(F+2s) / (m + k 2^s)^2): n floors, so the sum is low
-    by less than n 2^-F < 2^-(prec+10).
+    Summed in fixed point with F = _fixed_bits(prec, n) fraction bits, by
+    the pairs a = x+k, b = x+n-1-k of :func:`_rising_product`: 1/a^2 +
+    1/b^2 = (S - 2q) / q^2 with S = (a+b)^2 = (2x+n-1)^2, shared, and q =
+    ab = W + c_k 2^(2s), exact integers over 2^(2s).  q^2 = W^2 + (2 c_k W
+    + c_k^2 2^(2s)) 2^(2s) is exact too, with W^2 formed once, and is
+    rounded up to a multiple of 2^e, e set to leave W^2, the least, L = F
+    + _PAIR_GUARD + 2 max(1 - e_x, 0) bits, x >= 2^(e_x - 1).  So a pair
+    is one division of about 2L by L bits, whatever the length of x, and
+    low by a relative 2^(1-L) at most; for an odd n the middle pair is
+    a = b, which gives 2/a^2, halved.  A pair is below 2/x^2 <=
+    2^(L-F-1), so that is under a unit of 2^-F, and the floor of the
+    division one more: the ceil(n/2) pairs are low by less than (n + 1)
+    2^-F < 2^-(prec+10).
     """
     m, s = _scaled_integer(x)
-    frac_bits, step = _fixed_bits(prec, n), 1 << s
-    num, total, factor = 1 << (frac_bits + 2 * s), 0, m
-    for _ in range(n):
-        total += num // (factor * factor)
-        factor += step
+    frac_bits, s2 = _fixed_bits(prec, n), 2 * s
+    _, _, exp, bc = x
+    w = m * m + ((n - 1) * m << s)
+    square_sum, square, total = (2 * m + (n - 1 << s)) ** 2, w * w, 0
+    e = max(square.bit_length() - frac_bits - _PAIR_GUARD - 2 * max(1 - exp - bc, 0), 0)
+    shift = frac_bits + s2 - e  # the pair is (S - 2q) 2^(2s) / q^2
+    for k in range((n + 1) // 2):
+        c = k * (n - 1 - k)
+        num = square_sum - 2 * (w + (c << s2))
+        den = -(-(square + ((2 * c * w + (c * c << s2)) << s2)) >> e)  # ceil(q^2 2^-e)
+        total += _quotient(num, den, shift) >> (2 * k == n - 1)
     return libmp.from_man_exp(total, -frac_bits)
 
 

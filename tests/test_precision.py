@@ -895,6 +895,40 @@ def test_oracle_kernels_stay_within_their_error_budget(digits):
             assert abs(Fraction(total, 2**frac_bits) - want) < budget, f"{series}, {case}"
 
 
+# Full mantissas above and below 1 (the second widens the divisor of each
+# pair of inverse squares) and a short dyadic x.
+SHIFT_ARGUMENTS = [Fraction(4217, 1000), Fraction(1, 100), Fraction(5, 2)]
+
+
+@pytest.mark.parametrize("digits", [50, 200, 500, 1000])
+@pytest.mark.parametrize("x", SHIFT_ARGUMENTS, ids=str)
+def test_shift_kernels_stay_within_the_budgets_their_docstrings_state(x, digits):
+    # _rising_product is low by a relative n 2^-wp at most, _inverse_square_sum
+    # by (n + 1) 2^-F, wp and F both _fixed_bits(prec, n): against the exact
+    # integers, at n = 1 to 6 (odd and even n, one to three pairs) and at the
+    # oracle's own step counts, which the threshold sets
+    cfg = OracleConfig.for_digits(digits)
+    w = working_argument(x, cfg)
+    prec, steps = w.prec, _shift_steps(w.raw, cfg.shift_threshold)
+    num, den = w.to_fraction().as_integer_ratio()  # den = 2^s
+    factors = [num + k * den for k in range(steps)]  # (w + k) den
+    products = {n: prod(factors[:n]) for n in range(1, 7)}
+    products[steps - 1] = balanced_product(factors[: steps - 1])
+    products[steps] = products[steps - 1] * factors[-1]
+    for n, product in sorted(products.items()):
+        case = f"n = {n}, x = {x} at {digits} digits"
+        bits = _fixed_bits(prec, n)
+        got = raw_fraction(_rising_product(w.raw, n, prec))
+        short = product * got.denominator - got.numerator * den**n  # (exact - got) den^n den(got)
+        assert 0 <= short and short << bits < n * product * got.denominator, case
+        # the exact sum of 1/(w+k)^2 lies in [low, low + n) 2^-g, 64 bits finer than the budget
+        g = bits + 64
+        low = sum((den * den << g) // (f * f) for f in factors[:n])
+        got = raw_fraction(_inverse_square_sum(w.raw, n, prec))
+        assert got <= Fraction(low, 2**g), case
+        assert Fraction(low + n, 2**g) - got < Fraction(n + 1, 2**bits), case
+
+
 # ---------------------------------------------------------------------------
 # The Stirling-series kernel: falling precision and truncation at y
 # ---------------------------------------------------------------------------
@@ -1199,11 +1233,11 @@ def test_config_presets_scale_with_digits():
 
 
 def test_shift_threshold_is_derived_from_the_digits():
-    # max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240)), with
-    # D at least the 19 digits that 64 bits carry; the second line takes
-    # over from D = 51 and the third from D = 298
+    # max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240)) up to
+    # D = 297, with D at least the 19 digits that 64 bits carry (the second
+    # line takes over from D = 51 and the third at D = 297), and 2D above
     expected = {1: 13, 19: 13, 20: 13, 25: 15, 50: 25, 51: 26, 60: 34, 100: 68, 200: 153,
-                250: 195, 297: 236, 298: 237, 300: 240, 500: 560, 1000: 1360, 2000: 2960}
+                250: 195, 297: 236, 298: 596, 300: 600, 500: 1000, 1000: 2000, 2000: 4000}
     for digits, threshold in expected.items():
         assert OracleConfig.for_digits(digits).shift_threshold == threshold
 
