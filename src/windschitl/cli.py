@@ -52,7 +52,7 @@ def _parse_number(text: str) -> Fraction:
     try:
         if "/" in text:
             if limit and any(sum(map(str.isdigit, side)) > limit for side in text.split("/")):
-                raise _too_large(text, limit)
+                raise _too_large(text)
             value = Fraction(text)
         else:
             number = Decimal(text)
@@ -60,21 +60,20 @@ def _parse_number(text: str) -> Fraction:
             # c 10^e with c of n digits: the numerator has n + e digits, the
             # denominator at least -e - n + 1
             if limit and number.is_finite() and number and abs(exponent) > limit + len(digits):
-                raise _too_large(text, limit)
+                raise _too_large(text)
             value = Fraction(number)
     except (InvalidOperation, OverflowError, ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from e
     largest = max(abs(value.numerator), value.denominator)
     # 10^limit has more than 3 limit bits, so most values skip building it
     if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
-        raise _too_large(text, limit)
+        raise _too_large(text)
     return value
 
 
-def _too_large(text: str, limit: int) -> argparse.ArgumentTypeError:
-    return argparse.ArgumentTypeError(
-        f"too large to print: {text!r} has more than {limit} digits as an exact fraction"
-    )
+def _too_large(text: str) -> argparse.ArgumentTypeError:
+    limit = sys.get_int_max_str_digits()
+    return argparse.ArgumentTypeError(f"too large to print: {text!r} has more than {limit} digits as an exact fraction")
 
 
 def _parse_number_list(text: str) -> tuple[Fraction, ...]:

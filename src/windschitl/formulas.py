@@ -15,7 +15,6 @@ decreasing and convex on (1, oo) with range (0, value-at-1).
 from __future__ import annotations
 
 import enum
-import sys
 from fractions import Fraction
 from functools import partial
 
@@ -242,7 +241,7 @@ class LogErrorValue(Record):
         exponent has more digits than Python prints
         (``sys.get_int_max_str_digits()``)."""
         try:
-            return exp_decimal_string(self.log_value, digits, sys.get_int_max_str_digits())
+            return exp_decimal_string(self.log_value, digits)
         except OverflowError:
             raise self._unprintable("value", f"exp({format_sci(self.log_value, 6)})") from None
 

@@ -293,7 +293,11 @@ class PrecisionReal:
         rounded half-even (:func:`_round_ratio`) and laid out as mpmath
         prints (:func:`_decimal_layout`).  A value beyond
         2^+-_PRINTABLE_BITS is rendered from its logarithm
-        (:func:`_exp_decimal`), ln|v| taken within 2^-(prec+10)."""
+        (:func:`_exp_decimal`), ln|v| taken within 2^-(prec+10): an
+        OverflowError where its decimal exponent has more digits than
+        Python prints (``sys.get_int_max_str_digits()``)."""
+        if digits < 1:
+            raise ValueError("need at least one significant digit")
         sign, man, exp, bc = self.raw
         if not man:
             q, e = 0, 0
@@ -634,53 +638,40 @@ _LOG_ROUTE_GUARD = 10
 _CHUNK_DIGITS = 600
 
 
-def _exact_ratio(value) -> tuple[int, int]:
-    """(num, den), den > 0, the exact value of a PrecisionReal, int or
-    Fraction; an OverflowError for a PrecisionReal beyond 2^+-_PRINTABLE_BITS."""
-    if isinstance(value, PrecisionReal):
-        _, _, exp, bc = value.raw
-        if abs(exp + bc) > _PRINTABLE_BITS:
-            raise OverflowError(
-                f"a number beyond 2^+-{_PRINTABLE_BITS} cannot be printed"
-            )
-        return value.as_integer_ratio()
-    if isinstance(value, (int, Fraction)):
-        return value.numerator, value.denominator
-    raise TypeError(f"cannot render {type(value).__name__}")
-
-
 def _round_ratio(num: int, den: int, digits: int) -> tuple[int, int, bool]:
-    """|num / den|, num != 0 and den > 0, rounded half-even to ``digits``
-    significant digits (or, for digits <= 0, at 10^(e+1-digits)): (q, e,
-    exact) with e = floor(log10 |num / den|), q the rounded |num / den|
-    10^(digits-1-e), so 10^(digits-1) <= q <= 10^digits, the upper end
-    where the rounding carries into the next decade, and whether q is exact.
+    """|num / den|, num != 0 and den > 0, rounded half-even to digits >= 1
+    significant digits: (q, e, exact), the finished digits q with
+    10^(digits-1) <= q < 10^digits and e such that q 10^(e+1-digits) is the
+    rounded value, a carry into the next decade folded into e, and whether
+    q is exact.
 
-    The float estimate of e is off by at most one.  One multiply or divide
-    by a power of ten scales the ratio to a / b, and one exact comparison
-    of a / b with 10^(digits-1) and 10^digits settles e, a factor of ten
-    moving a / b with it; one integer division then rounds it.
+    The float estimate of e = floor(log10 |num / den|) is off by at most
+    one.  One multiply or divide by a power of ten scales the ratio to
+    a / b, and one exact comparison of a / b with 10^(digits-1) and
+    10^digits settles e, a factor of ten moving a / b with it; one integer
+    division then rounds it.
     """
     num = abs(num)
     e = math.floor(math.log10(num) - math.log10(den))
     k = digits - 1 - e
     a, b = (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
-    low = 10 ** abs(digits - 1)
-    low_a, low_b = (a, b * low) if digits >= 1 else (a * low, b)
-    if low_a < low_b:
+    low = 10 ** (digits - 1)
+    if a < b * low:
         a, e = 10 * a, e - 1
-    elif low_a >= 10 * low_b:
+    elif a >= 10 * b * low:
         b, e = 10 * b, e + 1
     q, r = divmod(a, b)
     if 2 * r > b or (2 * r == b and q & 1):
         q += 1
+        if q == 10 * low:
+            q, e = low, e + 1
     return q, e, r == 0
 
 
 def _digit_string(q: int) -> str:
     """str(q) for q >= 0, in chunks below Python's limit on int-to-str
     conversion (``sys.get_int_max_str_digits()``), which would refuse a
-    long mantissa at a high ``--digits``."""
+    long mantissa at a high ``--digits`` or a long ``table`` abscissa."""
     chunk, low_parts = 10**_CHUNK_DIGITS, []
     while q >= chunk:
         q, low = divmod(q, chunk)
@@ -689,17 +680,13 @@ def _digit_string(q: int) -> str:
 
 
 def _decimal_layout(negative: int, q: int, e: int, digits: int) -> str:
-    """(-1)^negative q 10^(e+1-digits), q from :func:`_round_ratio`, laid
-    out as mpmath's own string conversion lays out ``digits`` digits: fixed
-    notation where min(-(digits // 3), -5) < e < digits (e after a carry),
-    scientific with a lowercase signed exponent elsewhere, trailing zeros
-    stripped but one after the point, and 0.0 for zero."""
-    if digits < 1:
-        raise ValueError("need at least one significant digit")
+    """(-1)^negative q 10^(e+1-digits), q the finished digits from
+    :func:`_round_ratio`, laid out as mpmath's own string conversion lays
+    out ``digits`` digits: fixed notation where min(-(digits // 3), -5) < e
+    < digits, scientific with a lowercase signed exponent elsewhere,
+    trailing zeros stripped but one after the point, and 0.0 for zero."""
     if not q:
         return "0.0"
-    if q == 10**digits:
-        q, e = q // 10, e + 1
     text, tail = _digit_string(q), ""
     if min(-(digits // 3), -5) < e < digits:
         text = "0." + "0" * (-e - 1) + text if e < 0 else text[: e + 1] + "." + text[e + 1 :]
@@ -709,7 +696,7 @@ def _decimal_layout(negative: int, q: int, e: int, digits: int) -> str:
     return f"{'-' if negative else ''}{text}{'0' if text.endswith('.') else ''}{tail}"
 
 
-def _exp_decimal(log: tuple, prec: int, digits: int, limit: int = 0) -> tuple[int, int]:
+def _exp_decimal(log: tuple, prec: int, digits: int) -> tuple[int, int]:
     """exp(L) for a raw L at precision prec, rounded half-even to ``digits``
     significant digits: (q, e) as from :func:`_round_ratio`, in time that
     does not grow with the decimal exponent.
@@ -719,8 +706,8 @@ def _exp_decimal(log: tuple, prec: int, digits: int, limit: int = 0) -> tuple[in
     _LOG_ROUTE_GUARD fraction bits, so r is within (|E| + 1) 2^-F <
     2^-(prec+9), and exp(r) comes from :func:`_decimal_mantissa`.  Where
     |L| < 1, E is 0 and no ln 10 is taken.  An OverflowError where E has
-    more than ``limit`` digits, if limit is nonzero, before any digit is
-    computed.
+    more digits than Python prints (``sys.get_int_max_str_digits()``, if
+    nonzero), before any digit is computed.
     """
     sign, man, exp, bc = log
     frac_bits = prec + max(exp + bc, 0) + _LOG_ROUTE_GUARD
@@ -730,6 +717,7 @@ def _exp_decimal(log: tuple, prec: int, digits: int, limit: int = 0) -> tuple[in
         ln10 = libmp.ln10_fixed(frac_bits)
         decimal_exponent = (2 * rest + ln10) // (2 * ln10)
         rest -= decimal_exponent * ln10
+    limit = sys.get_int_max_str_digits()
     if limit and abs(decimal_exponent) >= 10**limit:
         raise OverflowError(f"a decimal exponent of more than {limit} digits cannot be printed")
     q, e, _ = _decimal_mantissa(rest, frac_bits, prec, digits)
@@ -743,12 +731,14 @@ def _decimal_mantissa(rest: int, frac_bits: int, prec: int, digits: int) -> tupl
     return _round_ratio(man << max(exp, 0), 1 << max(-exp, 0), digits)
 
 
-def exp_decimal_string(log_value: PrecisionReal, digits: int, limit: int = 0) -> str:
+def exp_decimal_string(log_value: PrecisionReal, digits: int) -> str:
     """exp(log_value) to ``digits`` significant digits, laid out as
     :meth:`PrecisionReal.to_decimal_string` lays them out, taken from the
     logarithm (:func:`_exp_decimal`): an OverflowError where the decimal
-    exponent has more than ``limit`` digits, if limit is nonzero."""
-    return _decimal_layout(0, *_exp_decimal(log_value.raw, log_value.prec, digits, limit), digits)
+    exponent has more digits than Python prints."""
+    if digits < 1:
+        raise ValueError("need at least one significant digit")
+    return _decimal_layout(0, *_exp_decimal(log_value.raw, log_value.prec, digits), digits)
 
 
 def format_sci(value, sig_digits: int) -> str:
@@ -763,13 +753,19 @@ def format_sci(value, sig_digits: int) -> str:
     """
     if sig_digits < 1:
         raise ValueError("need at least one significant digit")
-    num, den = _exact_ratio(value)
+    if isinstance(value, PrecisionReal):
+        _, _, exp, bc = value.raw
+        if abs(exp + bc) > _PRINTABLE_BITS:
+            raise OverflowError(f"a number beyond 2^+-{_PRINTABLE_BITS} cannot be printed")
+        num, den = value.as_integer_ratio()
+    elif isinstance(value, (int, Fraction)):
+        num, den = value.numerator, value.denominator
+    else:
+        raise TypeError(f"cannot render {type(value).__name__}")
     if not num:
         return "0E+0"
     q, e, exact = _round_ratio(num, den, sig_digits)
-    if q == 10**sig_digits:
-        q, e = q // 10, e + 1
-    elif exact:
+    if exact:
         # an exact value keeps no trailing zero below its units digit, as Decimal
         k = sig_digits - 1 - e
         while k > 0 and q % 10 == 0:
@@ -812,9 +808,8 @@ class OracleConfig(Record):
 
     @cached_property
     def shift_threshold(self) -> int:
-        """max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240))
-        up to D = 297 (the first line up to D = 50, the second up to 296,
-        the third at 297), and 2D above.
+        """max(ceil(0.4 D + 5), floor((17 D - 331) / 20)) up to D = 297, the
+        first line up to D = 50 and the second from 51, and 2D above.
 
         A higher threshold trades shift steps for fewer series terms, each
         a full product per call and a tangent number and two coefficients
@@ -833,7 +828,7 @@ class OracleConfig(Record):
         d = self.series_digits
         if d > 297:
             return 2 * d
-        return max((2 * d + 29) // 5, (17 * d - 331) // 20, (8 * d - 1196) // 5)
+        return max((2 * d + 29) // 5, (17 * d - 331) // 20)
 
     @cached_property
     def series_terms(self) -> int:

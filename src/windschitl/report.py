@@ -16,7 +16,7 @@ from typing import Sequence
 from ._record import Record
 from .formulas import FormulaId, LogErrorValue, log_error
 from .goldens import TABLE_ABSCISSAS, TABLE_FORMULAS
-from .precision import DEFAULT_DIGITS, OracleConfig, format_sci
+from .precision import DEFAULT_DIGITS, OracleConfig, _digit_string, format_sci
 from .verify import check_goldens  # re-exported: defined with the other checks
 
 __all__ = [
@@ -66,24 +66,21 @@ def build_table(spec: TableSpec) -> tuple[LogErrorValue, ...]:
 
 
 def _fraction_to_plain_decimal(fr: Fraction) -> str:
-    """Exact plain-decimal rendering when the fraction terminates, else p/q."""
-    den = fr.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return str(fr)
+    """Exact plain-decimal rendering when the fraction terminates, else p/q,
+    every digit string from :func:`precision._digit_string`, so a long
+    abscissa such as 3/2^14000 prints past Python's limit on int-to-str
+    conversion."""
+    sign, num, den = "-" if fr < 0 else "", abs(fr.numerator), fr.denominator
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    if rest != 1:
+        return f"{sign}{_digit_string(num)}/{_digit_string(den)}"
     k = max(twos, fives)
-    if k == 0:
-        return str(fr.numerator)
-    scaled = fr.numerator * 10**k // fr.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(k + 1, "0")
-    return f"{sign}{digits[:-k]}.{digits[-k:]}".rstrip("0").rstrip(".")
+    digits = _digit_string(num * 10**k // den).rjust(k + 1, "0")
+    # in lowest terms the k-th decimal is never 0, so no zero trails
+    return sign + (f"{digits[:-k]}.{digits[-k:]}" if k else digits)
 
 
 def render_csv(spec: TableSpec, records: Sequence[LogErrorValue]) -> str:

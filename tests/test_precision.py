@@ -55,6 +55,7 @@ from windschitl.precision import (
     _LOG1P_SERIES_TERMS,
     _PRINTABLE_BITS,
     _rational_raw,
+    _round_ratio,
     ln_sqrt_two_pi,
     log1p,
     working_argument,
@@ -75,6 +76,7 @@ from support import (
     lngamma_series_fractions,
     reference_operator,
     REFERENCE_OPERATORS,
+    _rounded_digits,
     series_fixed_fractions,
     trigamma_per_step,
     trigamma_series_fractions,
@@ -1233,11 +1235,11 @@ def test_config_presets_scale_with_digits():
 
 
 def test_shift_threshold_is_derived_from_the_digits():
-    # max(ceil(0.4 D + 5), floor((17 D - 331) / 20), ceil(1.6 D - 240)) up to
-    # D = 297, with D at least the 19 digits that 64 bits carry (the second
-    # line takes over from D = 51 and the third at D = 297), and 2D above
+    # max(ceil(0.4 D + 5), floor((17 D - 331) / 20)) up to D = 297, with D
+    # at least the 19 digits that 64 bits carry (the second line takes over
+    # from D = 51), and 2D above
     expected = {1: 13, 19: 13, 20: 13, 25: 15, 50: 25, 51: 26, 60: 34, 100: 68, 200: 153,
-                250: 195, 297: 236, 298: 596, 300: 600, 500: 1000, 1000: 2000, 2000: 4000}
+                250: 195, 297: 235, 298: 596, 300: 600, 500: 1000, 1000: 2000, 2000: 4000}
     for digits, threshold in expected.items():
         assert OracleConfig.for_digits(digits).shift_threshold == threshold
 
@@ -1372,6 +1374,47 @@ def test_format_sci_canonical_forms():
         format_sci(Fraction(1), 0)
 
 
+def _ratio(negative: bool, n: int, j: int) -> tuple[int, int]:
+    """(num, den) of +-n 10^j."""
+    return (-n if negative else n) * 10 ** max(j, 0), 10 ** max(-j, 0)
+
+
+# (num, den, digits): any ratio, exact ties (a 5 one place past the kept
+# digits), and decade carries (nines, then 5 or more, past the kept digits)
+_RATIO_CASES = st.one_of(
+    st.tuples(st.integers(-(10**60), 10**60).filter(bool), st.integers(1, 10**60), st.integers(1, 40)),
+    st.builds(
+        lambda negative, a, j: (*_ratio(negative, 10 * a + 5, j), len(str(a))),
+        st.booleans(),
+        st.integers(1, 10**8),
+        st.integers(-30, 30),
+    ),
+    st.builds(
+        lambda negative, n, m, j: (*_ratio(negative, 10 ** (n + 1) - m, j), n),
+        st.booleans(),
+        st.integers(1, 20),
+        st.integers(1, 5),
+        st.integers(-30, 30),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_RATIO_CASES)
+def test_round_ratio_returns_finished_digits(case):
+    num, den, digits = case
+    q, e, exact = _round_ratio(num, den, digits)
+    assert (q, e, exact) == _rounded_digits(Fraction(num, den), digits)
+    assert 10 ** (digits - 1) <= q < 10**digits
+
+
+def test_round_ratio_folds_a_decade_carry_into_the_exponent():
+    # 9.9995 and 0.99995 are ties at 4 digits: 9999 is odd, so they round up
+    assert _round_ratio(99995, 10**4, 4) == (1000, 1, False)
+    assert _round_ratio(-99995, 10**5, 4) == (1000, 0, False)
+    assert _round_ratio(99985, 10**4, 4) == (9998, 0, False)
+
+
 def _binary_value(negative: bool, man: int, exponent: int) -> PrecisionReal:
     raw = libmp.from_man_exp(-man if negative else man, exponent)
     return _wrap(raw, max(MIN_PRECISION_BITS, raw[3]))
@@ -1495,8 +1538,14 @@ def test_the_log_route_resolves_a_mantissa_at_a_decimal_exponent_of_4001_digits(
     want = "3.1622776601683793319988935444327185337195551393252"
     assert exp_decimal_string(log_value, 50) == f"{want}e+{10**4000}"
     assert exp_decimal_string(-log_value, 50) == f"3.1622776601683793319988935444327185337195551393252e-{10**4000 + 1}"
-    with pytest.raises(OverflowError, match="more than 4000 digits"):
-        exp_decimal_string(log_value, 50, limit=4000)
+    # the refusal follows Python's own limit on int-to-str conversion
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4000)
+    try:
+        with pytest.raises(OverflowError, match="more than 4000 digits"):
+            exp_decimal_string(log_value, 50)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_value_past_the_printable_bits_is_rendered_from_its_logarithm():

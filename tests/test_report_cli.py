@@ -545,6 +545,16 @@ def test_a_value_with_an_unprintable_decimal_exponent_is_refused_before_renderin
     assert captured.err == f"error: {message}\n"
 
 
+def test_str_and_repr_refuse_a_decimal_exponent_past_the_digit_limit(default_digit_limit):
+    # the relative error of w2 at 3/(4300 ones) is exp(3.32620E+12892) - 1,
+    # beyond 2^+-3,000,000, so it is rendered from its logarithm, whose
+    # decimal exponent has 12,893 digits
+    error = log_error(FormulaId.W2, Fraction(3, int("1" * 4300))).relative_error
+    for render in (str, repr):
+        with pytest.raises(OverflowError, match="more than 4300 digits cannot be printed"):
+            render(error)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_format_value_refuses_exactly_a_decimal_exponent_past_the_digit_limit(monkeypatch, default_digit_limit, sign):
     # F(x) = 10^E with E = log_value / ln 10; E of 4300 digits renders, of 4301
@@ -587,6 +597,26 @@ def test_unprintable_table_cell_names_its_argument(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, table",
+    [
+        ("csv", "x,formula,relative_error,log_gap,digits\n{x},stirling,1E+0,4.85056E+3,50\n"),
+        ("markdown", "| x | stirling |\n| --- | --- |\n| {x} | 1E+0 |\n"),
+    ],
+    ids=["csv", "markdown"],
+)
+def test_an_abscissa_of_more_digits_than_python_prints_is_written_out(capsys, default_digit_limit, fmt, table):
+    # 3/2^14000 parses (2^14000 has 4215 digits) and is the plain decimal
+    # 3 5^14000 10^-14000, of 14,002 characters
+    assert main(["table", "--x", f"3/{2**14000}", "--formulas", "stirling", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    sys.set_int_max_str_digits(0)  # for the reference's own str()
+    x = "0." + str(3 * 5**14000).rjust(14000, "0")
+    assert len(x) == 14002
+    assert captured.out == table.format(x=x)
+    assert captured.err == ""
 
 
 def test_verify_grids_follow_the_linear_grid_rule():
