@@ -22,8 +22,6 @@ from .formulas import (
     LogErrorValue,
     Target,
     W2_CORRECTION,
-    approximate,
-    log1p_defect,
     log_approximate,
     log_error,
     w2_log_gap,

@@ -42,7 +42,6 @@ def _rat(value) -> Fraction:
 
 _tangent_lock = threading.Lock()
 _tangent_cache: list[int] = [0]  # T_0 = 0 pads the list, so T_k sits at index k
-_bernoulli_cache: dict[int, Fraction] = {}  # B_n at even n >= 2, as built
 
 
 def _tangent_table(m: int) -> list[int]:
@@ -80,19 +79,16 @@ def bernoulli(n: int) -> Fraction:
 
     Exact: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the cached
     tangent numbers (:func:`tangent_numbers`), and 0 at odd n > 1.  The
-    ``Fraction`` (one gcd) is built when first asked for, then cached.
+    ``Fraction`` (one gcd) is built on each call; the tangent numbers are
+    the only cache.
     """
     if n < 2 or n & 1:
         if n < 0:
             raise ValueError("Bernoulli index must be >= 0")
         return Fraction(1) if n == 0 else Fraction(-1, 2) if n == 1 else Fraction(0)
-    b = _bernoulli_cache.get(n)
-    if b is None:
-        k, four_k = n // 2, 1 << n
-        b = Fraction(n * tangent_numbers(k)[k], four_k * (four_k - 1))
-        # setdefault is atomic: racing callers all keep the first value stored
-        b = _bernoulli_cache.setdefault(n, b if k & 1 else -b)
-    return b
+    k, four_k = n // 2, 1 << n
+    b = Fraction(n * tangent_numbers(k)[k], four_k * (four_k - 1))
+    return b if k & 1 else -b
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +104,10 @@ class Polynomial:
     ``gcd(_den, *_nums) == 1`` and trailing zeros are stripped, so the
     leading numerator is nonzero unless the polynomial is identically zero,
     which is ``((), 1)``.  Equal polynomials therefore have equal pairs.
-    Every ring operation and every evaluation at an ``int`` or ``Fraction``
-    runs on the integers and reduces once, with one gcd, at the end (a
-    rational polynomial as an integer one over a common denominator, as in
-    von zur Gathen and Gerhard, *Modern Computer Algebra*, section 6.2).
+    Every ring operation and every evaluation runs on the integers and
+    reduces once, with one gcd, at the end (a rational polynomial as an
+    integer one over a common denominator, as in von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, section 6.2).
     ``coeffs`` rebuilds the canonical ``Fraction`` coefficients, degree 0
     upward.
     Instances are immutable and safe to share between threads.
@@ -183,10 +179,6 @@ class Polynomial:
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self._nums) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coefficient(self.degree)
 
     def is_zero(self) -> bool:
         return not self._nums
@@ -274,18 +266,19 @@ class Polynomial:
 
     # -- evaluation and transforms --------------------------------------
 
-    def __call__(self, x):
-        """Horner evaluation.
-
-        At an ``int`` or a ``Fraction`` p/q it is exact and runs in integers,
-        homogeneous Horner (:func:`_homogeneous`) over den q^d, with one
-        reduction; any other value supporting ``+`` and ``*`` with Fractions
-        gets Horner's rule over the Fraction coefficients (q = 1).
-        """
-        if isinstance(x, (int, Fraction)):
-            acc, q_power = _homogeneous(reversed(self._nums), x.numerator, x.denominator)
-            return Fraction(acc, self._den * q_power)
-        return _homogeneous((Fraction(0), *reversed(self.coeffs)), x, 1)[0]  # led by 0, so of x's type
+    def __call__(self, x: Fraction | int) -> Fraction:
+        """The exact value at an ``int`` or a ``Fraction`` p/q, in integers:
+        homogeneous Horner, sum_k n_k p^k q^(d-k), over den q^d, with one
+        reduction.  Any other argument raises TypeError, as a float
+        coefficient does."""
+        x = _rat(x)
+        p, q = x.numerator, x.denominator
+        nums = reversed(self._nums)
+        acc, q_power = next(nums, 0), 1
+        for c in nums:
+            q_power *= q
+            acc = acc * p + c * q_power
+        return Fraction(acc, self._den * q_power)
 
     def derivative(self) -> Polynomial:
         return _reduced([i * n for i, n in enumerate(self._nums) if i], self._den)
@@ -367,18 +360,6 @@ def _reduced(nums: list[int], den: int) -> Polynomial:
         nums = [n // g for n in nums]
         den //= g
     return _canonical(tuple(nums), den)
-
-
-def _homogeneous(coeffs, p, q: int) -> tuple:
-    """(sum_k c_k p^k q^(d-k), q^d) for coefficients c_d, ..., c_0, highest
-    first, by Horner's rule: numerators over one denominator at p/q, for p
-    an int or anything that multiplies by one and adds one; (0, 1) for none."""
-    coeffs = iter(coeffs)
-    acc, q_power = next(coeffs, 0), 1
-    for c in coeffs:
-        q_power *= q
-        acc = acc * p + c * q_power
-    return acc, q_power
 
 
 def _dyadic_part(p: Polynomial, scale: int, degree: int):

@@ -29,7 +29,6 @@ from .precision import (
     _scaled_integer,
     _stirling_fixed,
     _times_log,
-    exp,
     exp_decimal_string,
     expm1,
     from_fixed,
@@ -46,13 +45,11 @@ __all__ = [
     "FormulaId",
     "Target",
     "LogErrorValue",
-    "approximate",
     "log_approximate",
     "log_error",
     "W2_CORRECTION",
     "w2_log_gap",
     "w2star_log_gap",
-    "log1p_defect",
 ]
 
 
@@ -193,11 +190,6 @@ def log_approximate(formula: FormulaId, x: PrecisionReal) -> PrecisionReal:
     return from_fixed(total, frac_bits, x.prec)
 
 
-def approximate(formula: FormulaId, x: PrecisionReal) -> PrecisionReal:
-    """F(x) for the tagged formula, at the precision carried by x."""
-    return exp(log_approximate(formula, x))
-
-
 class LogErrorValue(Record):
     """Error of one formula at one abscissa against the reference oracle.
 
@@ -236,10 +228,11 @@ class LogErrorValue(Record):
 
     def format_value(self, digits: int) -> str:
         """F(x) to ``digits`` significant digits, taken from log_value
-        (:func:`precision.exp_decimal_string`), or an OverflowError as above,
-        raised before any digit of F(x) is computed, when its decimal
-        exponent has more digits than Python prints
-        (``sys.get_int_max_str_digits()``)."""
+        (:func:`precision.exp_decimal_string`), or an OverflowError as above
+        when its decimal exponent has more digits than Python prints
+        (``sys.get_int_max_str_digits()``): raised before any digit of F(x)
+        is computed, but within one of that limit, where the rounding of
+        the digits decides the exponent."""
         try:
             return exp_decimal_string(self.log_value, digits)
         except OverflowError:
@@ -289,23 +282,3 @@ def w2_log_gap(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
 def w2star_log_gap(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     """ln Gamma(x+1) - ln W2*(x), for the linear-corrected variant."""
     return _log_gap(FormulaId.W2STAR, x, cfg)[0]
-
-
-def log1p_defect(y: PrecisionReal) -> PrecisionReal:
-    """y - ln(1+y) for y > -1: the gap between the two correction styles.
-
-    Satisfies w2star_log_gap(x) = w2_log_gap(x) + log1p_defect(y) for the
-    exact y = W2_CORRECTION(x), which both gaps add without rounding it.
-    y is exact, and with |y| < 2^mag the difference is at least 2^(2 min(mag,
-    0) - 4), so y 2^G less :func:`precision.log1p` at G = prec + 12 - 2
-    min(mag, 0) fraction bits cancels nothing that counts: within 1.26
-    units of 2^-G, below 2^-(prec+4) of the result, before its one rounding.
-    """
-    if y <= -1:
-        raise DomainError("log1p_defect needs y > -1")
-    _, man, exp, bc = y.raw
-    if not man:
-        return y
-    frac_bits = y.prec + 12 - 2 * min(exp + bc, 0)
-    num, den = y.as_integer_ratio()
-    return from_fixed(_quotient(num, den, frac_bits) - log1p(num, den, frac_bits), frac_bits, y.prec)

@@ -3,8 +3,8 @@
 Each printed value is the relative error |F(x) - Gamma(x+1)| / Gamma(x+1)
 of one formula at one abscissa, rounded to nearest at 4 significant
 digits.  The table's axes are the default ``table`` grid, and its cells
-are stored as exact Fractions of the printed decimals.  Two cells are
-misprints: each is declared with the value it rounds to.
+are stored as the printed strings.  Two cells are misprints: each is
+declared with the value it rounds to.
 """
 
 from __future__ import annotations
@@ -18,28 +18,30 @@ __all__ = ["GoldenCell", "TABLE_ABSCISSAS", "TABLE_FORMULAS", "TABLE_GOLDENS"]
 
 
 class GoldenCell(Record):
-    """One printed cell; ``corrected_relative_error`` is the correctly
-    rounded 4-digit value where the paper misprints the cell, else None."""
+    """One printed cell: ``published`` is the decimal string the paper
+    prints, such as ``"1.900e-6"``; ``corrected_relative_error`` is the
+    correctly rounded 4-digit value where the paper misprints the cell,
+    else None."""
 
     def __init__(
         self,
         x: Fraction,
         formula: FormulaId,
-        expected_relative_error: Fraction,
+        published: str,
         corrected_relative_error: Fraction | None = None,
     ):
         if x <= 0:
             raise ValueError("abscissa must be positive")
-        if expected_relative_error <= 0:
-            raise ValueError("expected relative error must be positive")
+        if not isinstance(published, str) or Fraction(published) <= 0:
+            raise ValueError("published relative error must be a positive decimal string")
         if corrected_relative_error is not None and (
-            corrected_relative_error <= 0 or corrected_relative_error == expected_relative_error
+            corrected_relative_error <= 0 or corrected_relative_error == Fraction(published)
         ):
             raise ValueError("a corrected relative error must be positive and differ from the printed one")
         vars(self).update(
             x=x,
             formula=formula,
-            expected_relative_error=expected_relative_error,
+            published=published,
             corrected_relative_error=corrected_relative_error,
         )
 
@@ -64,7 +66,7 @@ TABLE_ABSCISSAS: tuple[Fraction, ...] = tuple(Fraction(x) for x, _ in _PRINTED_R
 
 # row by row, in the printed column order
 TABLE_GOLDENS: tuple[GoldenCell, ...] = tuple(
-    GoldenCell(Fraction(x), FormulaId(tag), Fraction(printed), _MISPRINTS.get((x, tag)))
+    GoldenCell(Fraction(x), FormulaId(tag), printed, _MISPRINTS.get((x, tag)))
     for x, row in _PRINTED_ROWS
     for tag, printed in zip(_PRINTED_FORMULAS, row, strict=True)
 )

@@ -705,9 +705,10 @@ def _exp_decimal(log: tuple, prec: int, digits: int) -> tuple[int, int]:
     exp(L) = exp(r) 10^E: L and ln 10 are taken at F = prec + bitlen(|L|) +
     _LOG_ROUTE_GUARD fraction bits, so r is within (|E| + 1) 2^-F <
     2^-(prec+9), and exp(r) comes from :func:`_decimal_mantissa`.  Where
-    |L| < 1, E is 0 and no ln 10 is taken.  An OverflowError where E has
-    more digits than Python prints (``sys.get_int_max_str_digits()``, if
-    nonzero), before any digit is computed.
+    |L| < 1, E is 0 and no ln 10 is taken.  An OverflowError where the
+    exponent printed, E or E - 1 as exp(r) rounds to 1 or more or to less,
+    has more digits than Python prints (``sys.get_int_max_str_digits()``,
+    if nonzero); where |E| > 10^limit both have, and no digit is computed.
     """
     sign, man, exp, bc = log
     frac_bits = prec + max(exp + bc, 0) + _LOG_ROUTE_GUARD
@@ -718,10 +719,12 @@ def _exp_decimal(log: tuple, prec: int, digits: int) -> tuple[int, int]:
         decimal_exponent = (2 * rest + ln10) // (2 * ln10)
         rest -= decimal_exponent * ln10
     limit = sys.get_int_max_str_digits()
-    if limit and abs(decimal_exponent) >= 10**limit:
-        raise OverflowError(f"a decimal exponent of more than {limit} digits cannot be printed")
-    q, e, _ = _decimal_mantissa(rest, frac_bits, prec, digits)
-    return q, e + decimal_exponent
+    if not limit or abs(decimal_exponent) <= 10**limit:
+        q, e, _ = _decimal_mantissa(rest, frac_bits, prec, digits)
+        e += decimal_exponent
+        if not limit or abs(e) < 10**limit:
+            return q, e
+    raise OverflowError(f"a decimal exponent of more than {limit} digits cannot be printed")
 
 
 def _decimal_mantissa(rest: int, frac_bits: int, prec: int, digits: int) -> tuple[int, int, bool]:

@@ -399,7 +399,7 @@ def positive_root_bound(p: Polynomial) -> Fraction:
     body = p.coeffs[:-1]
     if not body:
         return Fraction(2)
-    return 1 + max(abs(c) for c in body) / abs(p.leading)
+    return 1 + max(abs(c) for c in body) / abs(p.coefficient(p.degree))
 
 
 def brute_force_sign_profile(

@@ -264,7 +264,7 @@ def test_criterion_8_negative_controls():
         "degree-13" in w.description for w in table_report.failures
     )
 
-    broken_cell = GoldenCell(Fraction(5), FormulaId.W2, Fraction(9999, 10**13))
+    broken_cell = GoldenCell(Fraction(5), FormulaId.W2, "9.999e-10")
     golden_report = check_goldens(cells=(broken_cell,), cfg=CFG50)
     golden_flipped = not golden_report.passed and any(
         "x=5, w2" in w.description for w in golden_report.failures

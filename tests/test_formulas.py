@@ -16,12 +16,10 @@ from windschitl import (
     RationalFunction,
     Target,
     W2_CORRECTION,
-    approximate,
     exp,
     format_sci,
     ln,
     ln_gamma_ref,
-    log1p_defect,
     log_approximate,
     log_error,
     pi,
@@ -74,7 +72,7 @@ def test_half_shift_targets():
 
 def test_nonpositive_arguments_are_rejected():
     with pytest.raises(DomainError):
-        approximate(FormulaId.W2, PrecisionReal(0, 64))
+        exp(log_approximate(FormulaId.W2, PrecisionReal(0, 64)))
     with pytest.raises(DomainError):
         log_error(FormulaId.W2, Fraction(-1), CFG)
 
@@ -85,7 +83,7 @@ def test_nonpositive_arguments_are_rejected():
 
 
 def test_stirling_at_five():
-    value = approximate(FormulaId.STIRLING, PrecisionReal(5, PREC))
+    value = exp(log_approximate(FormulaId.STIRLING, PrecisionReal(5, PREC)))
     # sqrt(10 pi) (5/e)^5, a touch below 5! = 120
     closed = sqrt(10 * pi(PREC)) * (5 / exp(PrecisionReal(1, PREC))) ** 5
     assert abs(value - closed) < Fraction(1, 10**45)
@@ -95,7 +93,7 @@ def test_stirling_at_five():
 
 
 def test_windschitl_base_at_one_closed_form():
-    value = approximate(FormulaId.W0, PrecisionReal(1, PREC))
+    value = exp(log_approximate(FormulaId.W0, PrecisionReal(1, PREC)))
     closed = sqrt(2 * pi(PREC) * sinh(PrecisionReal(1, PREC))) / exp(PrecisionReal(1, PREC))
     assert abs(value - closed) < Fraction(1, 10**45)
     record = log_error(FormulaId.W0, 1, CFG)
@@ -104,7 +102,7 @@ def test_windschitl_base_at_one_closed_form():
 
 def test_corrected_formulas_at_one():
     w2 = log_error(FormulaId.W2, 1, CFG)
-    assert approximate(FormulaId.W2, PrecisionReal(1, PREC)) < 1  # underestimates
+    assert exp(log_approximate(FormulaId.W2, PrecisionReal(1, PREC))) < 1  # underestimates
     assert format_sci(w2.relative_error, 4) == "2.407E-5"
     w1 = log_error(FormulaId.W1, 1, CFG)
     assert format_sci(w1.relative_error, 4) == "1.832E-4"
@@ -367,6 +365,16 @@ def test_memoized_core_is_bit_identical_to_a_fresh_evaluation(fresh_memos, prec)
         assert error <= budget
 
 
+def scaled_star_defect(x: PrecisionReal, frac_bits: int) -> Fraction:
+    """(y - ln(1 + y)) 2^frac_bits for the exact y = W2_CORRECTION(x), by
+    mpmath at frac_bits + 512 bits: ln W2 - ln W2* in fixed point."""
+    y = W2_CORRECTION(x.to_fraction())
+    with mpmath.workprec(max(frac_bits, 0) + 512):
+        v = mpmath.mpf(y.numerator) / y.denominator
+        want = (v - mpmath.log1p(v)) * mpmath.mpf(2) ** frac_bits
+        return Fraction(*(int(w) for w in libmp.to_rational(want._mpf_)))
+
+
 @pytest.mark.parametrize("prec", [64, PREC, 1000])
 def test_w2_and_w2star_share_one_core_and_the_exact_correction_per_point(fresh_memos, prec):
     # ln W2 - ln W2* = y - ln(1 + y) with y = W2_CORRECTION(x) exact: the one
@@ -379,11 +387,7 @@ def test_w2_and_w2star_share_one_core_and_the_exact_correction_per_point(fresh_m
             twice_a, defects = _FORMULAS[formula]
             total, frac_bits = _stirling_fixed(x.raw, twice_a, x.prec)
             totals[formula] = total + sum(defect(x, frac_bits) for defect in defects)
-        y = W2_CORRECTION(x.to_fraction())
-        with mpmath.workprec(max(frac_bits, 0) + 512):
-            v = mpmath.mpf(y.numerator) / y.denominator
-            want = (v - mpmath.log1p(v)) * mpmath.mpf(2) ** frac_bits
-            want = Fraction(*(int(w) for w in libmp.to_rational(want._mpf_)))
+        want = scaled_star_defect(x, frac_bits)
         assert abs(totals[FormulaId.W2] - totals[FormulaId.W2STAR] - want) <= 1 + Fraction("1.26"), x
     assert _windschitl_core.cache_info()[:2] == (len(xs), len(xs))  # hits, misses
 
@@ -484,9 +488,30 @@ def test_exact_correction_matches_the_rounded_evaluator(x, prec):
     assert 0 <= scaled - got < 1
 
 
+# W2* adds ln(1 + y) where W2 adds the exact y = W2_CORRECTION(x), so the
+# two rows differ by y - ln(1 + y), all but whose last bits cancel when y is
+# tiny: each correction term is rounded once from y itself, so none of the
+# cancellation is paid at x's precision.
+@pytest.mark.parametrize("digits", [50, 200])
+@pytest.mark.parametrize("x", [10, 10**3, 10**6, 10**15])
+def test_the_two_corrections_differ_by_y_minus_log1p_y(x, digits):
+    x = PrecisionReal(x, OracleConfig.for_digits(digits).precision_bits)
+    frac_bits = _stirling_fixed(x.raw, 1, x.prec)[1]
+    w2, w2star = (_FORMULAS[f][1][1](x, frac_bits) for f in (FormulaId.W2, FormulaId.W2STAR))
+    assert abs(w2 - w2star - scaled_star_defect(x, frac_bits)) <= 1 + Fraction("1.26")
+
+
+def test_the_star_gap_keeps_the_digits_of_a_tiny_defect():
+    # at x = 10^6 the defect is near 1.9e-67, some 20 digits below either gap
+    cfg = OracleConfig.for_digits(200)
+    defect = w2star_log_gap(10**6, cfg) - w2_log_gap(10**6, cfg)
+    assert format_sci(defect, 7) == "1.905197E-67"
+
+
 def test_star_gap_identity():
+    # W2 adds the exact y to the shared core and W2* adds ln(1 + y)
     lhs = w2star_log_gap(3, CFG) - w2_log_gap(3, CFG)
-    rhs = log1p_defect(PrecisionReal(W2_CORRECTION(Fraction(3)), PREC))
+    rhs = mpmath_fraction(lambda v: v - mpmath.log1p(v), PrecisionReal(W2_CORRECTION(Fraction(3)), PREC))
     assert abs(lhs - rhs) < Fraction(1, 10**45)
 
 
@@ -513,35 +538,6 @@ def test_low_precision_argument_keeps_its_exact_value(entry, x):
 def test_wider_argument_sets_the_working_precision(entry):
     arg = PrecisionReal(Fraction(4, 3), 2 * PREC)
     assert _ARGUMENT_RULE_ENTRIES[entry](arg, CFG).prec == 2 * PREC
-
-
-@pytest.mark.parametrize("digits", [50, 200])
-@pytest.mark.parametrize("x", [10, 10**3, 10**6, 10**15])
-def test_log1p_defect_of_the_correction_is_within_an_ulp(x, digits):
-    # y - ln(1 + y) for a y near 7/(11340 x^5): all but its last bits cancel in y - ln(1 + y)
-    y = PrecisionReal(W2_CORRECTION(Fraction(x)), OracleConfig.for_digits(digits).precision_bits)
-    want = mpmath_fraction(lambda v: v - mpmath.log1p(v), y)
-    assert ulps_off(log1p_defect(y), want) <= 1
-
-
-def test_log1p_defect_keeps_the_digits_of_a_tiny_correction():
-    y = PrecisionReal(W2_CORRECTION(Fraction(10**6)), PREC)
-    assert format_sci(log1p_defect(y), 7) == "1.905197E-67"
-
-
-@pytest.mark.parametrize("y", [Fraction(-999, 1000), Fraction(-1, 3), Fraction(1, 3), Fraction(5), Fraction(10**40)])
-def test_log1p_defect_away_from_zero(y):
-    arg = PrecisionReal(y, PREC)
-    assert ulps_off(log1p_defect(arg), mpmath_fraction(lambda v: v - mpmath.log1p(v), arg)) <= 1
-
-
-def test_log1p_defect_at_zero():
-    assert log1p_defect(PrecisionReal(0, 64)) == 0
-
-
-def test_log1p_defect_domain():
-    with pytest.raises(DomainError):
-        log1p_defect(PrecisionReal(-1, 64))
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,14 @@ def test_log1p_is_within_its_budget_on_both_sides_of_its_switch(frac_bits):
     assert sides == {True, False}
 
 
+@pytest.mark.parametrize("u", [Fraction(-999, 1000), Fraction(-1, 3), Fraction(1, 3), Fraction(5), Fraction(10**40)])
+def test_log1p_far_from_zero_is_within_its_budget(u):
+    # next to -1, past the series' reach and far out, where 1 + u is rounded first
+    for frac_bits in (-40, 0, 64, 220, 750):
+        got = log1p(u.numerator, u.denominator, frac_bits)
+        assert abs(got - log1p_reference(u.numerator, u.denominator, frac_bits)) <= Fraction(126, 100), frac_bits
+
+
 def test_log1p_refuses_a_nonpositive_one_plus_u():
     for num, den in ((-1, 1), (-3, 2), (3, -2), (5, -4)):
         with pytest.raises(DomainError, match="^ln needs a positive argument$"):
@@ -1544,6 +1552,24 @@ def test_the_log_route_resolves_a_mantissa_at_a_decimal_exponent_of_4001_digits(
     try:
         with pytest.raises(OverflowError, match="more than 4000 digits"):
             exp_decimal_string(log_value, 50)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_the_refusal_checks_the_exponent_printed_after_the_mantissa():
+    # ln v = (k + 7/10) ln 10 splits as E = k + 1 and exp(r) = 10^(-3/10) <
+    # 1, whose rounding moves the printed exponent to k; at 640 digits
+    # allowed, k = -10^640 has 641 digits although E = 1 - 10^640 has 640
+    ln10 = ln(PrecisionReal(10, 3000))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(OverflowError, match="more than 640 digits"):
+            exp_decimal_string(ln10 * -(10**640 - 1 + Fraction(3, 10)), 10)
+        assert exp_decimal_string(ln10 * -(10**640 - 2 + Fraction(3, 10)), 10) == f"5.011872336e-{10**640 - 1}"
+        assert exp_decimal_string(ln10 * (10**640 - 1 + Fraction(3, 10)), 10) == f"1.995262315e+{10**640 - 1}"
+        # and E = 10^640, of 641 digits, prints as the exponent 10^640 - 1
+        assert exp_decimal_string(ln10 * (10**640 - Fraction(3, 10)), 10) == f"5.011872336e+{10**640 - 1}"
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -51,12 +51,12 @@ RECORDS = {
     ),
     "GoldenCell": (
         GoldenCell,
-        ("x", "formula", "expected_relative_error", "corrected_relative_error"),
-        (Fraction(1), W2, Fraction(2407, 10**8), None),
-        (Fraction(2), CHEN, Fraction(1, 10), Fraction(1, 5)),
+        ("x", "formula", "published", "corrected_relative_error"),
+        (Fraction(1), W2, "2.407e-5", None),
+        (Fraction(2), CHEN, "1.000e-1", Fraction(1, 5)),
         {"corrected_relative_error": None},
         "GoldenCell(x=Fraction(1, 1), formula=<FormulaId.W2: 'w2'>, "
-        "expected_relative_error=Fraction(2407, 100000000), corrected_relative_error=None)",
+        "published='2.407e-5', corrected_relative_error=None)",
     ),
     "TableSpec": (
         TableSpec,
@@ -101,7 +101,8 @@ INVALID = [
     ("OracleConfig", {"target_decimal_digits": 0}, "target_decimal_digits must be positive"),
     ("OracleConfig", {"target_decimal_digits": -1}, "target_decimal_digits must be positive"),
     ("GoldenCell", {"x": Fraction(0)}, "abscissa must be positive"),
-    ("GoldenCell", {"expected_relative_error": Fraction(-1, 3)}, "expected relative error must be positive"),
+    ("GoldenCell", {"published": "-3.333e-1"}, "published relative error must be a positive decimal string"),
+    ("GoldenCell", {"published": Fraction(2407, 10**8)}, "published relative error must be a positive decimal string"),
     (
         "GoldenCell",
         {"corrected_relative_error": Fraction(0)},

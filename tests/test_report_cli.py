@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -102,7 +103,7 @@ def test_all_published_cells_print_as_published_or_as_corrected():
     report = check_goldens()
     assert report.passed, report.failures
     assert [(w.description, w.value) for w in report.witnesses] == [
-        ("misprint (x=2, nemes2)", "computed 1.897E-6, published 1.9E-6"),
+        ("misprint (x=2, nemes2)", "computed 1.897E-6, published 1.900E-6"),
         ("misprint (x=100, w1)", "computed 4.790E-18, published 4.791E-18"),
     ]
 
@@ -121,18 +122,26 @@ def test_no_correctly_printed_cell_lies_near_a_rounding_tie(digits):
     assert format_sci(nearest, 2) == "7.9E-2"  # nemes2 at x = 50
 
 
+def test_each_cell_keeps_the_string_the_paper_prints():
+    # four significant digits, a trailing zero included, so a note quotes the paper
+    assert len(TABLE_GOLDENS) == len(TABLE_ABSCISSAS) * len(TABLE_FORMULAS) == 28
+    assert all(re.fullmatch(r"[1-9]\.\d{3}e-\d+", c.published) for c in TABLE_GOLDENS)
+    cell = TABLE_GOLDENS[len(TABLE_FORMULAS)]
+    assert (cell.x, cell.formula, cell.published) == (2, FormulaId.NEMES2, "1.900e-6")
+
+
 def test_each_misprint_rounds_to_its_correction_and_not_to_the_printed_value():
     cfg = OracleConfig.for_digits(100)
     misprints = [c for c in TABLE_GOLDENS if c.corrected_relative_error is not None]
     assert [(c.x, c.formula) for c in misprints] == [(2, FormulaId.NEMES2), (100, FormulaId.W1)]
     for cell in misprints:
         printed = Fraction(log_error(cell.formula, cell.x, cfg).format_relative_error(4))
-        assert printed == cell.corrected_relative_error != cell.expected_relative_error
+        assert printed == cell.corrected_relative_error != Fraction(cell.published)
 
 
 def test_a_misprint_whose_computed_digits_equal_the_printed_ones_fails():
     # w2 at 2 prints 2.308e-7, as published; declared misprinted, it fails
-    cell = GoldenCell(Fraction(2), FormulaId.W2, Fraction("2.308e-7"), Fraction("2.309e-7"))
+    cell = GoldenCell(Fraction(2), FormulaId.W2, "2.308e-7", Fraction("2.309e-7"))
     report = check_goldens(cells=(cell,))
     assert not report.passed
     (failure,) = report.failures
@@ -145,7 +154,7 @@ def test_a_misprint_whose_computed_digits_equal_the_printed_ones_fails():
     "x, published, computed", [(2, "9.999e-7", "2.308E-7"), (10, "2.786e-13", "2.785E-13")]
 )
 def test_a_perturbed_published_value_fails_with_named_cell(x, published, computed):
-    broken = list(TABLE_GOLDENS[:4]) + [GoldenCell(Fraction(x), FormulaId.W2, Fraction(published))]
+    broken = list(TABLE_GOLDENS[:4]) + [GoldenCell(Fraction(x), FormulaId.W2, published)]
     report = check_goldens(cells=broken)
     assert not report.passed
     (failure,) = report.failures
@@ -160,7 +169,7 @@ def test_passing_cells_format_no_witness(monkeypatch):
     monkeypatch.setattr(verify, "format_sci", lambda value, digits: shown.append(digits) or format_sci(value, digits))
     report = check_goldens(cells=TABLE_GOLDENS[:8])
     assert report.passed
-    assert shown == [4]  # the misprint note's published value alone
+    assert shown == []  # the misprint note shows the paper's own string
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +206,7 @@ def test_markdown_grid_shape_and_values():
     assert len(lines) == 2 + 7
     # each cell prints the published value, or a misprint's correction
     golden = {
-        (c.x, c.formula): c.corrected_relative_error or c.expected_relative_error
+        (c.x, c.formula): c.corrected_relative_error or Fraction(c.published)
         for c in TABLE_GOLDENS
     }
     for line, x in zip(lines[2:], TABLE_ABSCISSAS):
