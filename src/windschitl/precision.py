@@ -15,7 +15,13 @@ see :func:`memoized`).
 The module also provides the ground-truth oracles ``ln_gamma_ref`` and
 ``trigamma_ref``: upward argument shifting followed by the divergent
 asymptotic series truncated where its terms still decrease, so the
-remainder is bounded in magnitude by the first omitted term.
+remainder is bounded in magnitude by the first omitted term.  At an
+integer x below the shift threshold, where the paper's own numbers sit
+(beta at x = 1, its table at x = 1 to 100), ``ln_gamma_ref`` takes the
+functional equation down to Gamma(1) = 1 instead: ln (x-1)! from the
+exact factorial, one logarithm rounded once, within half an ulp and 1.25
+units of 2^-F (see :func:`_ln_factorial`), with no series and no
+truncation.
 """
 
 from __future__ import annotations
@@ -788,7 +794,9 @@ class OracleConfig(Record):
 
     Arithmetic runs with ``guard_digits`` extra digits.  Arguments below
     ``shift_threshold`` are shifted upward by the functional equation
-    before the ``series_terms``-term asymptotic series is applied.
+    before the ``series_terms``-term asymptotic series is applied; an
+    integer below it takes ln Gamma down to Gamma(1) instead, and reads
+    no ``series_terms`` (see :func:`ln_gamma_ref`).
     ``shift_threshold``, ``series_terms`` and ``precision_bits`` are
     computed once per instance; they are not fields, so equality, hashing
     and ``repr`` see the digits alone.
@@ -1205,7 +1213,13 @@ def ln_gamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:
     units of 2^-F are below 2^-(p+9) of 2^mag >= y ln y (see
     :func:`_stirling_fixed`), so everything but the truncation is a few
     ulps of y ln y + |ln Gamma(x)|, far below 10^-D, since p carries at
-    least ten guard digits.  Memoized (see :func:`_ln_gamma`).
+    least ten guard digits.
+
+    At an integer x below cfg.shift_threshold it is ln (x-1)! instead, the
+    factorial exact (:func:`_ln_factorial`): one logarithm at F = p + 12 -
+    mag fraction bits, 2^mag > ln (x-1)!, rounded once, so within half an
+    ulp plus 1.25 units of 2^-F, with no truncation, no shift product and
+    no series.  Memoized (see :func:`_ln_gamma`).
     """
     return _ln_gamma(working_argument(x, cfg), cfg)
 
@@ -1215,12 +1229,30 @@ def _ln_gamma(arg: PrecisionReal, cfg: OracleConfig) -> PrecisionReal:
     """The :func:`ln_gamma_ref` kernel on a working argument: it depends on nothing else."""
     x, prec = arg.raw, arg.prec
     n, y = _shifted(x, prec, cfg, "ln_gamma_ref")
+    if n and x[2] >= 0:  # an integer below the threshold
+        return _ln_factorial((x[1] << x[2]) - 1, prec)
     total, frac_bits = _stirling_fixed(y, -1, prec)
     series, _, series_bits = _stirling_series("lngamma", cfg, y, prec)
     total += _quotient(series, y[1], frac_bits - series_bits - y[2])  # series / y, y = y[1] 2^y[2]
     if n:
         total -= _ln_fixed(_rising_product(x, n, prec), frac_bits)
     return from_fixed(total, frac_bits, prec)
+
+
+def _ln_factorial(n: int, prec: int) -> PrecisionReal:
+    """ln n! for n >= 0, rounded once to nearest at prec bits: within half
+    an ulp and 1.25 units of 2^-F.
+
+    n! is exact, its trailing zero bits moved into the exponent so that
+    libmp strips none.  ln n! < bitlen(n!) < 2^mag with mag =
+    bitlen(bitlen(n!)), and :func:`_ln_fixed` takes it at F = prec +
+    _STIRLING_GUARD - mag fraction bits, within 1.25 units of 2^-F, a unit
+    there being 2^-(prec+12) of 2^mag.
+    """
+    product = math.factorial(n)
+    zeros = (product & -product).bit_length() - 1
+    frac_bits = prec + _STIRLING_GUARD - product.bit_length().bit_length()
+    return from_fixed(_ln_fixed(libmp.from_man_exp(product >> zeros, zeros), frac_bits), frac_bits, prec)
 
 
 def trigamma_ref(x, cfg: OracleConfig = DEFAULT_CONFIG) -> PrecisionReal:

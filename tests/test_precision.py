@@ -813,6 +813,60 @@ def test_the_stirling_term_stays_within_its_budget_where_it_nearly_cancels(prec)
 
 
 # ---------------------------------------------------------------------------
+# ln_gamma_ref at an integer below the shift threshold: ln (x-1)!
+# ---------------------------------------------------------------------------
+
+
+def factorial_route_budget(x: int, prec: int, value: Fraction) -> Fraction:
+    """The budget ln_gamma_ref's docstring states at an integer x below the
+    shift threshold: half an ulp of the value, at most |value| 2^-prec, and
+    1.25 units of 2^-F, F = prec + 12 - bitlen(bitlen((x-1)!))."""
+    frac_bits = prec + 12 - factorial(x - 1).bit_length().bit_length()
+    return abs(value) / 2**prec + Fraction(5, 2 ** (frac_bits + 2))
+
+
+def assert_factorial_route_within_budget(w: PrecisionReal, cfg: OracleConfig, context) -> None:
+    """ln_gamma_ref at a working argument w, an integer below the threshold,
+    against mpmath at 2p + 64 bits (within 2 ulp there), within
+    :func:`factorial_route_budget`."""
+    got = ln_gamma_ref(w, cfg)
+    assert got.prec == w.prec, context
+    value = got.to_fraction()
+    with mpmath.workprec(2 * w.prec + 64):
+        want = raw_fraction(mpmath.loggamma(mpmath.mpf(w.raw))._mpf_)
+    budget = factorial_route_budget(int(w.to_fraction()), w.prec, value) + abs(want) / 2 ** (2 * w.prec + 62)
+    assert abs(value - want) <= budget, context
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200, 500])
+def test_ln_gamma_at_an_integer_below_the_threshold_is_one_rounded_logarithm(digits):
+    cfg = OracleConfig.for_digits(digits)
+    arguments = [working_argument(x, cfg) for x in range(1, cfg.shift_threshold)]
+    for w in [*arguments, PrecisionReal(7, 2000)]:  # the second keeps its own 2000 bits
+        assert_factorial_route_within_budget(w, cfg, (w, digits))
+
+
+@pytest.mark.parametrize("digits", [19, 50, 200, 500])
+def test_the_two_ln_gamma_routes_agree_at_the_threshold(digits):
+    # ln Gamma(t) - ln Gamma(t-1) = ln(t-1): Gamma(t) by the series, unshifted,
+    # and Gamma(t-1) as ln (t-2)!, each within its own budget
+    cfg = OracleConfig.for_digits(digits)
+    t = Fraction(cfg.shift_threshold)
+    assert _shift_steps(working_argument(t, cfg).raw, cfg.shift_threshold) == 0
+    residual, budget = _ln_gamma_recurrence(t - 1, cfg)
+    assert abs(residual) <= budget
+
+
+def test_log_error_at_x_1_builds_no_stirling_series(fresh_memos):
+    # eval and constants take ln Gamma only there, at x = 1, so a cold command
+    # builds no tangent table and certifies no term count
+    cfg = OracleConfig.for_digits(500)
+    formulas.log_error(formulas.FormulaId.W2, 1, cfg)
+    formulas.w2star_log_gap(1, cfg)
+    assert "series_terms" not in vars(cfg)
+
+
+# ---------------------------------------------------------------------------
 # Integer kernels against per-step PrecisionReal arithmetic
 # ---------------------------------------------------------------------------
 
@@ -868,6 +922,11 @@ def test_oracle_kernels_stay_within_their_error_budget(digits):
         prec, n = w.prec, _shift_steps(w.raw, threshold)
         assert n == max(0, -((w.to_fraction() - threshold) // 1)), case
         for kernel, per_step in ((ln_gamma_ref, ln_gamma_per_step), (trigamma_ref, trigamma_per_step)):
+            if kernel is ln_gamma_ref and n and w.raw[2] >= 0:
+                # ln (x-1)! shares no series truncation with the per-step
+                # oracle: mpmath is its reference
+                assert_factorial_route_within_budget(w, cfg, case)
+                continue
             got, want = kernel(x, cfg), per_step(x, cfg)
             assert got.prec == want.prec == prec, case
             assert abs(got - want) <= oracle_budget(n, cfg, prec, want), f"{kernel.__name__}, {case}"
@@ -1123,9 +1182,12 @@ def ln_gamma_with_budget(x: Fraction, cfg: OracleConfig) -> tuple[Fraction, Frac
     truncation; six units of 2^-F, F the fraction bits of the Stirling term
     at y; the shift product and the series, 2^-(p+8) and 2^-(p+10); the
     rounding of y (|psi(y)| ulp(y)/2 <= y ln(y) 2^-p for y >= 2); and one
-    rounding of the value."""
+    rounding of the value.  At an integer below the threshold, ln (x-1)!,
+    the budget is :func:`factorial_route_budget`."""
     prec = cfg.precision_bits
     value, y, unit = ln_gamma_ref(x, cfg).to_fraction(), _shifted_argument(x, cfg), Fraction(1, 2**prec)
+    if x.denominator == 1 and x < cfg.shift_threshold:
+        return value, factorial_route_budget(x.numerator, prec, value)
     _, frac_bits = _stirling_fixed(PrecisionReal(y, prec).raw, -1, prec)
     fixed = 6 * Fraction(1, 2**frac_bits) + unit / 2**8 + unit / 2**10
     budget = Fraction(1, 10 ** (cfg.series_digits + 5)) + fixed + (y * _ln_bound(y) + abs(value)) * unit
@@ -1238,8 +1300,9 @@ def test_config_presets_scale_with_digits():
         assert cfg.target_decimal_digits == digits
         assert cfg.guard_digits >= 10
         assert cfg.precision_bits > 3.3 * digits
-        # the derived configuration must satisfy the series guard
-        ln_gamma_ref(1, cfg)
+        # the derived configuration must satisfy the series guard (an
+        # integer argument below the threshold would sum no series)
+        ln_gamma_ref(Fraction(3, 2), cfg)
 
 
 def test_shift_threshold_is_derived_from_the_digits():
