@@ -33,9 +33,20 @@ from windschitl import (
     trigamma_ref,
 )
 from windschitl import formulas, precision
+from windschitl.cli import main
 from windschitl.exact import bernoulli
 from windschitl.precision import (
     MIN_PRECISION_BITS,
+    _LN_STEPS,
+    _LN_SQRT_TWO_PI,
+    _LOG_TABLE,
+    _LOG_TABLE_BITS,
+    _LOG_TABLE_Q,
+    _ln10_fixed,
+    _ln_fixed,
+    _log_constant,
+    _log_steps,
+    _two_atanh_inverse,
     _MEMO_SIZE,
     _SERIES_TABLES,
     _fixed_bits,
@@ -550,13 +561,181 @@ def test_ln_sqrt_two_pi_is_cached_and_checks_its_precision():
 
 
 # ---------------------------------------------------------------------------
+# The logarithm kernel and its stored constants
+# ---------------------------------------------------------------------------
+
+
+def ln_fixed_reference(x: tuple, frac_bits: int):
+    """ln |x| 2^frac_bits from mpmath at frac_bits + 64 bits past the integer part."""
+    _, _, exp, bc = x
+    with mpmath.workprec(max(frac_bits, 0) + 64 + (abs(exp + bc) + 1).bit_length()):
+        return mpmath.log(abs(mpmath.mpf(x))) * mpmath.ldexp(1, frac_bits)
+
+
+def assert_ln_fixed_within_budget(x: tuple, frac_bits: int) -> int:
+    got = _ln_fixed(x, frac_bits)
+    want = ln_fixed_reference(x, frac_bits)
+    with mpmath.workprec(max(frac_bits, 0) + 128):
+        assert abs(got - want) <= 1.25, (x, frac_bits, float(got - want))
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    man=st.integers(min_value=1, max_value=2**5000),
+    exponent=st.integers(min_value=-3 * 10**6, max_value=3 * 10**6),
+    frac_bits=st.integers(min_value=-40, max_value=_LOG_TABLE_BITS + 600),
+)
+def test_ln_fixed_is_within_its_budget_against_mpmath(man, exponent, frac_bits):
+    # exponents up to 3e6, where |ln x| needs 22 integer bits, and working
+    # precisions on both sides of the stored constants'
+    assert_ln_fixed_within_budget(libmp.from_man_exp(man, exponent), frac_bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=400),
+    sign=st.sampled_from([1, -1]),
+    tail=st.integers(min_value=0, max_value=2**64 - 1),
+    frac_bits=st.sampled_from([0, 64, 230, 780, 1800, _LOG_TABLE_BITS + 200]),
+)
+def test_ln_fixed_next_to_one_is_within_its_budget(k, sign, tail, frac_bits):
+    # 1 +- 2^-k (1 + tail 2^-64), tail < 2^64 so that x > 0: the longest
+    # series, and a product close to one after every step of the reduction
+    scale = k + 64 + 64
+    man = (1 << scale) + sign * ((1 << (scale - k)) + (tail << (scale - k - 64)))
+    assert_ln_fixed_within_budget(libmp.from_man_exp(man, -scale), frac_bits)
+
+
+@pytest.mark.parametrize("frac_bits", [-40, 0, 64, 230, 1800, _LOG_TABLE_BITS, _LOG_TABLE_BITS + 300])
+def test_ln_fixed_at_powers_of_two_and_at_one_plus_or_minus_a_power_of_two(frac_bits):
+    assert _ln_fixed(libmp.fone, frac_bits) == 0
+    for e in (-3 * 10**6, -1000, -1, 1, 2, 64, 3 * 10**6):
+        assert_ln_fixed_within_budget(libmp.from_man_exp(1, e), frac_bits)
+    for k in (1, 2, 16, 17, 60, 200):
+        for sign in (1, -1):
+            assert_ln_fixed_within_budget(libmp.mpf_add(libmp.fone, libmp.from_man_exp(sign, -k)), frac_bits)
+
+
+def test_ln_fixed_at_two_is_the_stored_ln_2_floored():
+    for frac_bits in (0, 1, 64, 1000, _LOG_TABLE_BITS):
+        assert _ln_fixed(libmp.from_int(2), frac_bits) == _LOG_TABLE[0] >> (_LOG_TABLE_BITS - frac_bits)
+
+
+def ln_reference(x: PrecisionReal) -> Fraction:
+    """ln x from mpmath at twice the precision of x plus 64 bits, exactly as a Fraction."""
+    with mpmath.workprec(2 * x.prec + 64):
+        return raw_fraction(mpmath.log(mpmath.mpf(x.raw))._mpf_)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    man=st.integers(min_value=1, max_value=2**800),
+    exponent=st.integers(min_value=-10**6, max_value=10**6),
+    prec=st.sampled_from([64, 207, 400, 738, 1800]),
+    near_one=st.booleans(),
+)
+def test_ln_is_within_half_an_ulp_and_its_stated_fraction(man, exponent, prec, near_one):
+    if near_one:  # x in [1/2, 2), where the kernel's absolute error would cancel
+        exponent = -man.bit_length() + (exponent & 1)
+    x = PrecisionReal(Fraction(man) * Fraction(2) ** exponent, prec)
+    want = ln_reference(x)
+    got = ln(x)
+    assert got.prec == prec
+    assert ulps_off(got, want) <= Fraction(1, 2) + Fraction(1, 256), (x, float(ulps_off(got, want)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 16, 60, 200, 1000])
+@pytest.mark.parametrize("prec", [64, 207, 738])
+def test_ln_next_to_one_keeps_its_relative_accuracy(k, prec):
+    for sign in (1, -1):
+        x = PrecisionReal(1 + Fraction(sign, 2**k), max(prec, k + 1))  # exact
+        assert ulps_off(ln(x), ln_reference(x)) <= Fraction(1, 2) + Fraction(1, 256)
+    assert ln(PrecisionReal(1, prec)).raw == libmp.fzero
+
+
+def test_ln_of_one_plus_two_to_the_minus_60_at_207_bits():
+    x = 1 + PrecisionReal(Fraction(1, 2**60), 207)
+    assert ulps_off(ln(x), ln_reference(x)) <= Fraction(1, 2) + Fraction(1, 256)
+
+
+def test_the_stored_constants_are_floors_from_mpmath():
+    with mpmath.workprec(_LOG_TABLE_BITS + 64):
+        want = [mpmath.log(2)] + [mpmath.log1p(mpmath.ldexp(1, -k)) for k in range(1, _LN_STEPS + 1)]
+        want.append(mpmath.log(2 * mpmath.pi) / 2)
+        want = [int(mpmath.floor(mpmath.ldexp(c, _LOG_TABLE_BITS))) for c in want]
+    assert len(_LOG_TABLE) == len(_LOG_TABLE_Q) == _LN_STEPS + 1
+    assert [*_LOG_TABLE, _LN_SQRT_TWO_PI] == want
+
+
+def test_the_stored_constants_are_the_packages_own_atanh_series():
+    assert [_two_atanh_inverse(q, _LOG_TABLE_BITS) for q in _LOG_TABLE_Q] == list(_LOG_TABLE)
+
+
+@pytest.mark.parametrize("bits", [0, 10, 300, _LOG_TABLE_BITS, _LOG_TABLE_BITS + 1, _LOG_TABLE_BITS + 2000])
+def test_the_constants_past_the_table_are_low_by_under_their_budget(bits):
+    with mpmath.workprec(bits + 64):
+        for index, q in enumerate(_LOG_TABLE_Q):
+            exact = 2 * mpmath.atanh(mpmath.mpf(1) / q) * mpmath.ldexp(1, bits)
+            for got in (_log_constant(index, bits), _two_atanh_inverse(q, bits)):
+                assert 0 <= exact - got < 1.05
+        # ln 10 = 3 ln 2 + ln(5/4), as _exp_decimal forms it
+        assert 0 <= mpmath.log(10) * mpmath.ldexp(1, bits) - _ln10_fixed(bits) < 4.2
+    ln2, steps = _log_steps(bits)
+    assert (ln2, *(c for _, c in steps)) == tuple(_log_constant(i, bits) for i in range(_LN_STEPS + 1))
+    assert [k for k, _ in steps] == list(range(1, _LN_STEPS + 1))
+
+
+def test_ln_sqrt_two_pi_is_correctly_rounded_below_the_table_bits():
+    with mpmath.workprec(_LOG_TABLE_BITS + 64):
+        exact = (mpmath.log(2 * mpmath.pi) / 2)._mpf_
+    compute = ln_sqrt_two_pi.__wrapped__  # the cache would keep 4000 values
+    for prec in range(MIN_PRECISION_BITS, _LOG_TABLE_BITS - 15):
+        assert compute(prec).raw == libmp.mpf_pos(exact, prec, "n"), prec
+    for prec in (_LOG_TABLE_BITS, _LOG_TABLE_BITS + 500):
+        with mpmath.workprec(2 * prec):
+            want = raw_fraction((mpmath.log(2 * mpmath.pi) / 2)._mpf_)
+        assert ulps_off(compute(prec), want) <= Fraction(1, 2) + Fraction(1, 2**12)
+
+
+_COLD_COMMANDS = (
+    ["eval", "w2", "1"],
+    ["eval", "w2", "1", "--digits", "200"],
+    ["eval", "w2", "1", "--digits", "500"],
+    ["table"],
+    ["table", "--format", "markdown"],
+    ["verify"],
+    ["rate"],
+    ["constants"],
+    ["eval", "w2", "4.217", "--digits", "1300"],  # past the stored constants
+    ["eval", "w2", "1e60"],  # its value line splits off a power of ten by ln 10
+)
+
+
+def test_no_logarithm_is_taken_by_libmp(monkeypatch, capsys, fresh_memos):
+    def refuse(*args, **kwargs):
+        raise AssertionError("libmp's logarithm was called")
+
+    for name in ("mpf_log", "ln2_fixed", "ln10_fixed"):
+        monkeypatch.setattr(precision.libmp, name, refuse)
+    for cache in (ln_sqrt_two_pi, _log_steps, _two_atanh_inverse):
+        cache.cache_clear()
+    for argv in _COLD_COMMANDS:
+        assert main(argv) == 0, argv
+    # 2^(2^23) lies past 2^3,000,000 and is printed from its logarithm
+    power = PrecisionReal(2, 64) ** (2**23)
+    assert str(power) == libmp.to_str(power.raw, 17) == "4.2644874235595279e+2525222"
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
 # ln_gamma_ref
 # ---------------------------------------------------------------------------
 
 
 def test_ln_gamma_at_one_and_two_vanish():
     for x in (1, 2):
-        assert abs(ln_gamma_ref(x, CFG50)) < TOL50
+        assert ln_gamma_ref(x, CFG50).raw == libmp.fzero  # ln 0! = ln 1! = ln 1, exactly 0
 
 
 def test_ln_gamma_at_half_matches_ln_sqrt_pi():
